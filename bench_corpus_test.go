@@ -1,9 +1,7 @@
 // Benchmarks for the corpus batch runner: the full registered
 // case-study corpus swept at orders 1+2, cold (private in-memory store,
 // everything simulated) and warm (replayed from a pre-warmed
-// disk-backed store). CI exports them as BENCH_corpus.json next to
-// BENCH_campaign.json and BENCH_patch.json, extending the tracked
-// perf trajectory to corpus scale.
+// disk-backed store).
 package reinforce
 
 import (
@@ -145,19 +143,4 @@ func BenchmarkCorpusWarmCapped(b *testing.B) {
 			b.Fatalf("cap not enforced: %d resident entries", st.MemEntries())
 		}
 	}
-}
-
-// TestWriteBenchCorpusJSON exports the corpus benchmarks as
-// BENCH_corpus.json (CI's perf-tracking step); no-op unless
-// -benchjson-corpus is set.
-func TestWriteBenchCorpusJSON(t *testing.T) {
-	if *benchJSONCorpus == "" {
-		t.Skip("enable with -benchjson-corpus PATH")
-	}
-	writeBenchJSON(t, *benchJSONCorpus, []namedBench{
-		{"CorpusCold", BenchmarkCorpusCold},
-		{"CorpusColdParallel", BenchmarkCorpusColdParallel},
-		{"CorpusWarm", BenchmarkCorpusWarm},
-		{"CorpusWarmCapped", BenchmarkCorpusWarmCapped},
-	})
 }

@@ -1,9 +1,7 @@
 // Benchmarks for the incremental plan → execute → store campaign
 // engine: the Faulter+Patcher fixed point (cold, and warm from a
-// content-addressed store) and the order-2 pair sweep on the
-// first-fault snapshot tree. CI exports them as BENCH_patch.json next
-// to BENCH_campaign.json, so the driver's and pair engine's speedups —
-// and regressions — are visible in the tracked trajectory.
+// content-addressed store) and the per-pair reference sweep the
+// pruned first-fault snapshot tree (bench_prune_test.go) replaces.
 package reinforce
 
 import (
@@ -93,49 +91,18 @@ func BenchmarkPatchOrder2FixedPoint(b *testing.B) {
 	}
 }
 
-// BenchmarkOrder2PairSweep isolates the pair stage: one session, the
-// full pruned pair list executed on the first-fault snapshot tree
-// (O(distinct first faults) prefix replays instead of O(pairs)).
-func BenchmarkOrder2PairSweep(b *testing.B) {
-	c := cases.Bootloader()
-	s, err := fault.NewSession(fault.Campaign{
-		Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
-		Models: []fault.Model{fault.ModelSkip},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	solo, _ := s.ExecuteShard(0, 1, 0, nil)
-	pairs := fault.EnumeratePairs(solo, 0)
-	if len(pairs) == 0 {
-		b.Fatal("no pairs to sweep")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ExecutePairShard(pairs, 0, 1, 0, nil)
-	}
-	b.ReportMetric(float64(len(pairs)*b.N)/b.Elapsed().Seconds(), "pairs/s")
-}
-
-// BenchmarkOrder2PairSweepPerPair is the pre-tree baseline: the same
-// pair list simulated one SimulatePair call per pair — each replaying
-// its prefix from the nearest golden checkpoint — on the same
-// GOMAXPROCS worker pool the engine uses, so the tracked tree-vs-
-// per-pair comparison isolates the snapshot forking, not parallelism.
+// BenchmarkOrder2PairSweepPerPair is the pre-tree baseline: the
+// bootloader pair list of BenchmarkOrder2PairSweepPruned simulated one
+// SimulateSeq call per pair — each replaying its prefix from the
+// nearest golden checkpoint — on the same GOMAXPROCS worker pool the
+// engine uses, so the tree-vs-per-pair comparison isolates the
+// snapshot forking and pruning, not parallelism.
 func BenchmarkOrder2PairSweepPerPair(b *testing.B) {
 	c := cases.Bootloader()
-	s, err := fault.NewSession(fault.Campaign{
+	s, _, pairs := pairSweepFixture(b, fault.Campaign{
 		Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
 		Models: []fault.Model{fault.ModelSkip},
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	solo, _ := s.ExecuteShard(0, 1, 0, nil)
-	pairs := fault.EnumeratePairs(solo, 0)
-	if len(pairs) == 0 {
-		b.Fatal("no pairs to sweep")
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var next atomic.Int64
@@ -149,7 +116,7 @@ func BenchmarkOrder2PairSweepPerPair(b *testing.B) {
 					if j >= len(pairs) {
 						return
 					}
-					s.SimulatePair(pairs[j])
+					s.SimulateSeq(pairs[j].Faults()...)
 				}
 			}()
 		}

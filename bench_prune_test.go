@@ -1,9 +1,9 @@
-// Benchmarks for the fault-equivalence pruning pass: the pruned order-2
-// pair sweep against the exhaustive BenchmarkOrder2PairSweep baseline
-// (same case, same snapshot tree), the hardened-binary sweep where
-// state-equivalence inheritance does most of the work, and the order-3
-// triple sweep the pruner makes tractable. CI exports them as
-// BENCH_prune.json next to the other tracked trajectories.
+// Benchmarks for the multi-fault engine, the pruned first-fault
+// snapshot tree: the order-2 pair sweep (against the per-pair
+// BenchmarkOrder2PairSweepPerPair baseline on the same case), the
+// hardened-binary sweep where state-equivalence inheritance does most
+// of the work, and the order-3 triple sweep the pruner makes
+// tractable.
 package reinforce
 
 import (
@@ -15,9 +15,8 @@ import (
 )
 
 // pairSweepFixture is the (session, solo, pairs) setup shared by the
-// pair-sweep benchmarks. The unhardened callers use the same bootloader
-// configuration as BenchmarkOrder2PairSweep, so the pruned and
-// exhaustive trajectories compare directly.
+// pair-sweep benchmarks. The unhardened callers share one bootloader
+// configuration, so the tree and per-pair numbers compare directly.
 func pairSweepFixture(b *testing.B, camp fault.Campaign) (*fault.Session, []fault.Injection, []fault.FaultPair) {
 	b.Helper()
 	s, err := fault.NewSession(camp)
@@ -32,8 +31,7 @@ func pairSweepFixture(b *testing.B, camp fault.Campaign) (*fault.Session, []faul
 	return s, solo, pairs
 }
 
-// BenchmarkOrder2PairSweepPruned is the pruned counterpart of
-// BenchmarkOrder2PairSweep: the identical bootloader pair list swept
+// BenchmarkOrder2PairSweepPruned sweeps the bootloader pair list
 // through a fresh PairPruner each iteration (cold — no class state
 // carried between iterations), so pairs/s measures the end-to-end
 // pruned sweep including every digest the reductions pay for.
@@ -84,7 +82,7 @@ func BenchmarkOrder3TripleSweep(b *testing.B) {
 		Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
 		Models: []fault.Model{fault.ModelSkip},
 	})
-	pairInj, _ := s.ExecutePairShard(pairs, 0, 1, 0, nil)
+	pairInj, _ := s.ExecutePairShardPruned(pairs, s.NewPairPruner(solo), 0, 1, 0, nil)
 	triples := fault.EnumerateTriples(solo, fault.DefaultMaxTriples)
 	if len(triples) == 0 {
 		b.Fatal("no triples to sweep")

@@ -1,9 +1,8 @@
 // Benchmark for the static countermeasure verifier: full catalog
 // verification (CFG recovery, dataflow, check-coverage proof) over the
 // Faulter+Patcher-hardened corpus. This is the price the post-pass
-// gates add to `r2r patch` and `r2r hybrid`, and the baseline the
-// BENCH_prune.json trajectory tracks next to the pair-sweep numbers
-// the StaticInert screen feeds.
+// gates add to `r2r patch` and `r2r hybrid`, and the analysis the
+// StaticInert pruning screen reuses.
 package reinforce
 
 import (

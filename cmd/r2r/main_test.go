@@ -203,6 +203,25 @@ func TestCorpusJSONGolden(t *testing.T) {
 	checkGolden(t, "corpus_small.json", got)
 }
 
+// TestCorpusOrder3JSONGolden pins the order-3 corpus export: o3 rows
+// carry both the order2 and the order3 block plus the prune accounting
+// order 3 always runs with, and the aggregate row sums both stages.
+func TestCorpusOrder3JSONGolden(t *testing.T) {
+	var out bytes.Buffer
+	err := cmdCorpus([]string{"-cases", "pincheck,otpauth", "-model", "skip", "-order", "3",
+		"-max-faults", "200", "-max-pairs", "64", "-max-triples", "128", "-workers", "2", "-q", "-json"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := normalizeJSON(t, out.Bytes())
+	for _, want := range []string{`"name": "pincheck/o3"`, `"name": "otpauth/o3"`, `"order3"`, `"prune"`} {
+		if !strings.Contains(got, want) {
+			t.Errorf("order-3 corpus JSON missing %s", want)
+		}
+	}
+	checkGolden(t, "corpus_order3.json", got)
+}
+
 // TestCorpusRejectsUsageErrors: the corpus command classifies bad
 // input as usage (exit 2 in main), not runtime failure.
 func TestCorpusRejectsUsageErrors(t *testing.T) {

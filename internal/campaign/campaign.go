@@ -103,10 +103,11 @@ type Options struct {
 	Workers int
 
 	// Shard restricts execution to one shard of the fault list (for
-	// RunOrder2, one shard of the pair list — see there).
+	// RunOrder2 and RunOrder3, one shard of the top stage's sequence
+	// list — see there).
 	Shard Shard
 
-	// MaxPairs caps order-2 pair enumeration (RunOrder2 only;
+	// MaxPairs caps order-2 pair enumeration (RunOrder2 and RunOrder3;
 	// 0 = fault.DefaultMaxPairs).
 	MaxPairs int
 
@@ -114,24 +115,25 @@ type Options struct {
 	// 0 = fault.DefaultMaxTriples).
 	MaxTriples int
 
-	// Prune routes execution through the fault-equivalence pruning pass
-	// (fault.Pruner / fault.PairPruner): statically classifiable faults
-	// and state-equivalent pair forks are answered without simulation.
+	// Prune routes the order-1 sweep through the static pruning screens
+	// (fault.Pruner): faults the step budget, the decode pre-screen, or
+	// the inert-window dataflow proves are answered without simulation.
+	// Multi-fault stages always run on the state-hash-pruned first-fault
+	// tree (fault.PairPruner), and RunOrder3 forces the screens on too.
 	// Like Workers and Store, pruning never changes results — reports
 	// stay bit-identical, test-enforced by the differential harness in
-	// prunediff_test.go — so it is not part of the plan key. It does
-	// change the execution accounting, reported as PruneStats.
-	// RunOrder3 always prunes; order 3 is infeasible without it.
+	// prunediff_test.go — so it is not part of the plan key. It decides
+	// whether a run reports its execution accounting (PruneStats).
 	Prune bool
 
 	// Progress, when non-nil, receives serialized updates as
 	// injections complete: Done is monotonically non-decreasing and the
 	// last call of a job has Done == Total. Called from the executing
-	// goroutines but never concurrently. RunOrder2 reports its two
-	// phases as separate jobs ("order-1", "order-2"; a corpus cell
-	// labels them "<case>/o2 order-1" and "<case>/o2 order-2" under the
-	// cell's job index). A campaign answered entirely from the store
-	// reports a single Done == Total update.
+	// goroutines but never concurrently. RunOrder2 and RunOrder3 report
+	// their phases as separate jobs ("order-1", "order-2", ...; a corpus
+	// cell labels them "<case>/o2 order-1", "<case>/o2 order-2", ...
+	// under the cell's job index). A campaign answered entirely from the
+	// store reports a single Done == Total update.
 	Progress func(Progress)
 
 	// Store, when non-nil, is the content-addressed result cache the
@@ -297,8 +299,9 @@ func RunAll(jobs []Job, opt Options) []Result {
 	return out
 }
 
-// Order2Report is the outcome of an order-2 multi-fault campaign: the
-// order-1 sweep it was pruned from, plus the simulated fault pairs.
+// Order2Report is the outcome of a multi-fault campaign: the order-1
+// sweep its sequence lists were pruned from, the simulated fault pairs,
+// and — for an order-3 campaign — the simulated fault triples.
 type Order2Report struct {
 	Solo  *fault.Report         // the complete order-1 campaign
 	Pairs []fault.PairInjection // simulated pairs, in enumeration order
@@ -308,6 +311,12 @@ type Order2Report struct {
 	// order-1 batches). PairCount and SummarizeOrder2 derive from
 	// Pairs directly, so they are exact on any report.
 	PairTally fault.Tally
+
+	// Triples is the order-3 stage, in enumeration order: nil for an
+	// order-2 campaign, non-nil (if possibly empty) for an order-3 one.
+	// TripleTally aggregates it like PairTally.
+	Triples     []fault.TripleInjection
+	TripleTally fault.Tally
 }
 
 // PairCount returns how many pairs had the given outcome.
@@ -315,6 +324,17 @@ func (r *Order2Report) PairCount(o fault.Outcome) int {
 	n := 0
 	for _, p := range r.Pairs {
 		if p.Outcome == o {
+			n++
+		}
+	}
+	return n
+}
+
+// TripleCount returns how many triples had the given outcome.
+func (r *Order2Report) TripleCount(o fault.Outcome) int {
+	n := 0
+	for _, t := range r.Triples {
+		if t.Outcome == o {
 			n++
 		}
 	}
@@ -336,20 +356,20 @@ func (r *Order2Report) SuccessfulPairs() []fault.PairInjection {
 // RunOrder2 executes an order-2 multi-fault campaign: the complete
 // order-1 sweep runs first (always unsharded — pair pruning needs every
 // solo outcome), then the deterministically enumerated pair list (see
-// fault.EnumeratePairs) is simulated on the first-fault snapshot tree.
-// opt.Shard applies to the pair list only; opt.MaxPairs caps it.
+// fault.EnumeratePairs) is simulated on the pruned first-fault snapshot
+// tree. opt.Shard applies to the pair list only; opt.MaxPairs caps it.
 // Because the pair list is a pure function of the (deterministic) solo
 // sweep, results are bit-identical across worker counts and shard
 // decompositions — and across store hits and cold runs.
 func RunOrder2(c fault.Campaign, opt Options) (*Order2Report, error) {
-	res, err := runOrder2Inc("", 0, 1, c, opt, nil, false)
+	res, err := runOrderInc("", 0, 1, 2, c, opt, nil, false)
 	if err != nil {
 		return nil, err
 	}
 	return res.Report, nil
 }
 
-// Order2Result is the full outcome of an incremental order-2 run.
+// Order2Result is the full outcome of an incremental multi-fault run.
 type Order2Result struct {
 	Report *Order2Report
 	Memo   *Memo // solo-sweep memo, reusable by the next incremental run
@@ -362,7 +382,7 @@ type Order2Result struct {
 // machinery. The CLI surfaces these stats; the report itself is
 // bit-identical to RunOrder2's.
 func RunOrder2Result(c fault.Campaign, opt Options) (*Order2Result, error) {
-	return runOrder2Inc("", 0, 1, c, opt, nil, false)
+	return runOrderInc("", 0, 1, 2, c, opt, nil, false)
 }
 
 // RunOrder2Incremental is RunOrder2 through the planner → store →
@@ -372,21 +392,40 @@ func RunOrder2Result(c fault.Campaign, opt Options) (*Order2Result, error) {
 // exact plan-key matches only, since pair runs fork mid-trace faulted
 // machines whose footprints are not recorded.
 func RunOrder2Incremental(c fault.Campaign, opt Options, prev *Memo) (*Order2Result, error) {
-	return runOrder2Inc("", 0, 1, c, opt, prev, true)
+	return runOrderInc("", 0, 1, 2, c, opt, prev, true)
 }
 
-// runOrder2Inc is the shared order-2 execution path. With an empty name
-// the two phases report as the documented stand-alone jobs ("order-1"
-// 0/2, "order-2" 1/2); a batch caller (RunCorpus) passes its own
-// name/jobIndex/jobs and the phases report as "<name> order-1" and
-// "<name> order-2" under that index — still separate jobs, so the
-// Done-is-monotonic-per-job contract of Options.Progress holds.
-func runOrder2Inc(name string, jobIndex, jobs int, c fault.Campaign, opt Options, prev *Memo, wantMemo bool) (*Order2Result, error) {
-	soloProgress := progressFunc(opt, "order-1", 0, 2)
-	pairProgress := progressFunc(opt, "order-2", 1, 2)
-	if name != "" {
-		soloProgress = progressFunc(opt, name+" order-1", jobIndex, jobs)
-		pairProgress = progressFunc(opt, name+" order-2", jobIndex, jobs)
+// RunOrder3 executes a budget-capped order-3 multi-fault campaign: the
+// complete order-1 sweep, the order-2 pair stage (opt.MaxPairs), then
+// the deterministically enumerated triple list (see
+// fault.EnumerateTriples, opt.MaxTriples) on the pruned first-fault
+// snapshot tree. opt.Shard applies to the triple list only — the lower
+// stages run unsharded, since triple pruning wants every solo and pair
+// outcome. The static screens are forced on (Options.Prune). With
+// Options.Store, each stage is answered from its own plan key when
+// possible.
+func RunOrder3(c fault.Campaign, opt Options) (*Order2Result, error) {
+	return runOrderInc("", 0, 1, 3, c, opt, nil, false)
+}
+
+// runOrderInc is the one multi-fault execution path (order 2 or 3):
+// the solo sweep, then each stage on the pruned first-fault tree. Only
+// the top stage is sharded. With an empty name the phases report as
+// stand-alone jobs ("order-1" 0/order ... "order-k" k-1/order); a batch
+// caller (RunCorpus) passes its own name/jobIndex/jobs and the phases
+// report as "<name> order-k" under that index — still separate jobs, so
+// the Done-is-monotonic-per-job contract of Options.Progress holds.
+// Every stage stores under its own plan key, so a corpus cell chain
+// {2, 3} answers the order-3 pair stage from the order-2 cell's entry.
+func runOrderInc(name string, jobIndex, jobs, order int, c fault.Campaign, opt Options, prev *Memo, wantMemo bool) (*Order2Result, error) {
+	if order >= 3 {
+		opt.Prune = true
+	}
+	progress := func(k int) func(done, total int) {
+		if name == "" {
+			return progressFunc(opt, fmt.Sprintf("order-%d", k), k-1, order)
+		}
+		return progressFunc(opt, fmt.Sprintf("%s order-%d", name, k), jobIndex, jobs)
 	}
 	shard, err := opt.Shard.normalize()
 	if err != nil {
@@ -397,32 +436,41 @@ func runOrder2Inc(name string, jobIndex, jobs int, c fault.Campaign, opt Options
 		return nil, err
 	}
 	e := &executor{s: s, store: opt.Store, prune: opt.Prune}
-	solo, _, memo, stats, err := e.solo(c, Shard{}, opt.Workers, prev, wantMemo, soloProgress)
+	solo, _, memo, stats, err := e.solo(c, Shard{}, opt.Workers, prev, wantMemo, progress(1))
 	if err != nil {
 		return nil, err
 	}
-	injections, tally, pairStats, err := e.pairs(c, shard, opt.Workers, opt.MaxPairs, solo,
-		pairProgress)
-	if err != nil {
-		return nil, err
+	rep := &Order2Report{Solo: s.Report(solo)}
+	pairShard := shard
+	if order >= 3 {
+		pairShard = Shard{}
 	}
-	stats.Add(pairStats)
-	return &Order2Result{
-		Report: &Order2Report{
-			Solo:      s.Report(solo),
-			Pairs:     injections,
-			PairTally: tally,
-		},
-		Memo:  memo,
-		Cache: stats,
-		Prune: e.pruneStats(),
-	}, nil
+	maxPairs := budget(opt.MaxPairs, fault.DefaultMaxPairs)
+	pairs, outcomes, tally, st := stage(e, c, 2, maxPairs, fault.EnumeratePairs(solo, maxPairs), pairShard, opt.Workers, solo, nil, progress(2))
+	rep.Pairs, rep.PairTally = fault.PairInjections(pairs, outcomes), tally
+	stats.Add(st)
+	if order >= 3 {
+		maxTriples := budget(opt.MaxTriples, fault.DefaultMaxTriples)
+		triples, outcomes, tally, st := stage(e, c, 3, maxTriples, fault.EnumerateTriples(solo, maxTriples), shard, opt.Workers, solo, rep.Pairs, progress(3))
+		rep.Triples, rep.TripleTally = fault.TripleInjections(triples, outcomes), tally
+		stats.Add(st)
+	}
+	return &Order2Result{Report: rep, Memo: memo, Cache: stats, Prune: e.pruneStats()}, nil
+}
+
+// budget resolves an enumeration cap against its default.
+func budget(max, def int) int {
+	if max <= 0 {
+		return def
+	}
+	return max
 }
 
 // MergeOrder2 recombines the pair shards of one order-2 campaign
 // (shards[i] produced with Shard{i, len(shards)}) into a report
 // bit-identical to the unsharded run. Every shard carries the same
-// (unsharded) solo report; the pair lists recombine round-robin.
+// (unsharded) solo report; the pair lists recombine round-robin. The
+// triple shards of an order-3 campaign do not merge here.
 func MergeOrder2(shards []*Order2Report) (*Order2Report, error) {
 	n := len(shards)
 	if n == 0 {

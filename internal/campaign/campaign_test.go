@@ -146,41 +146,46 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
-// TestRunAllBatch: the batch API runs every job, reports progress
-// monotonically per job, and tallies match the reports.
+// TestRunAllBatch: the batch API runs every job, tallies match the
+// reports, and progress keeps the Options.Progress contract — Done is
+// non-decreasing per job and each job's last call has Done == Total.
+// Racing workers may deliver counts out of order and progressFunc drops
+// the stale ones, so a job sees between one call and one per injection.
 func TestRunAllBatch(t *testing.T) {
 	bin := buildMini(t)
-	var mu_last Progress
-	calls := 0
 	jobs := []Job{
 		{Name: "skip", Campaign: miniCampaign(bin, fault.ModelSkip)},
 		{Name: "bitflip", Campaign: miniCampaign(bin, fault.ModelBitFlip)},
 	}
+	calls := map[string]int{}
+	last := map[string]Progress{}
 	results := RunAll(jobs, Options{Progress: func(p Progress) {
-		calls++
 		if p.Jobs != 2 {
 			t.Errorf("progress Jobs = %d, want 2", p.Jobs)
 		}
-		mu_last = p
+		if prev, ok := last[p.Job]; ok && p.Done < prev.Done {
+			t.Errorf("%s: progress went back from %d to %d", p.Job, prev.Done, p.Done)
+		}
+		calls[p.Job]++
+		last[p.Job] = p
 	}})
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
-	totalInjections := 0
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Name, r.Err)
 		}
-		if r.Tally.Total() != len(r.Report.Injections) {
-			t.Errorf("%s: tally %d != injections %d", r.Name, r.Tally.Total(), len(r.Report.Injections))
+		n := len(r.Report.Injections)
+		if r.Tally.Total() != n {
+			t.Errorf("%s: tally %d != injections %d", r.Name, r.Tally.Total(), n)
 		}
-		totalInjections += len(r.Report.Injections)
-	}
-	if calls != totalInjections {
-		t.Errorf("progress calls = %d, want one per injection (%d)", calls, totalInjections)
-	}
-	if mu_last.Job != "bitflip" || mu_last.Done != mu_last.Total {
-		t.Errorf("final progress = %+v", mu_last)
+		if c := calls[r.Name]; c < 1 || c > n {
+			t.Errorf("%s: %d progress calls, want 1..%d", r.Name, c, n)
+		}
+		if p := last[r.Name]; p.Done != p.Total || p.Total != n {
+			t.Errorf("%s: final progress = %+v, want Done == Total == %d", r.Name, p, n)
+		}
 	}
 	if results[0].Report.Count(fault.OutcomeSuccess) == 0 {
 		t.Error("skip campaign found no vulnerabilities in unprotected pincheck")

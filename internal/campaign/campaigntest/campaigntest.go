@@ -84,9 +84,9 @@ func AssertReportsEqual(tb testing.TB, label string, want, got *fault.Report) {
 	}
 }
 
-// AssertOrder2Equal fails unless two order-2 reports are bit-identical:
-// the solo stage, the pair list (pairs and outcomes, in order), and the
-// engine tally.
+// AssertOrder2Equal fails unless two multi-fault reports are
+// bit-identical: the solo stage, the pair and triple lists (sequences
+// and outcomes, in order), and the engine tallies.
 func AssertOrder2Equal(tb testing.TB, label string, want, got *campaign.Order2Report) {
 	tb.Helper()
 	AssertReportsEqual(tb, label+" solo", want.Solo, got.Solo)
@@ -96,20 +96,49 @@ func AssertOrder2Equal(tb testing.TB, label string, want, got *campaign.Order2Re
 	if want.PairTally != got.PairTally {
 		tb.Fatalf("%s: pair tallies differ: %v vs %v", label, want.PairTally, got.PairTally)
 	}
-}
-
-// AssertOrder3Equal fails unless two order-3 reports are bit-identical:
-// the full order-2 lower stages plus the triple list (triples and
-// outcomes, in order) and its tally.
-func AssertOrder3Equal(tb testing.TB, label string, want, got *campaign.Order3Report) {
-	tb.Helper()
-	AssertOrder2Equal(tb, label+" lower", want.Order2(), got.Order2())
 	if !reflect.DeepEqual(want.Triples, got.Triples) {
 		tb.Fatalf("%s: triple stages differ (%d vs %d triples)", label, len(want.Triples), len(got.Triples))
 	}
 	if want.TripleTally != got.TripleTally {
 		tb.Fatalf("%s: triple tallies differ: %v vs %v", label, want.TripleTally, got.TripleTally)
 	}
+}
+
+// Lower views a multi-fault report's solo and pair stages alone — an
+// order-3 report's lower stages, comparable against an order-2 run.
+func Lower(rep *campaign.Order2Report) *campaign.Order2Report {
+	return &campaign.Order2Report{Solo: rep.Solo, Pairs: rep.Pairs, PairTally: rep.PairTally}
+}
+
+// ReferenceSweep simulates every sequence of a list on its own — one
+// Session.SimulateSeq per sequence, no snapshot tree and no pruner: the
+// reference a campaign's multi-fault stage must match bit for bit.
+func ReferenceSweep[T fault.Sequence](s *fault.Session, list []T) ([]fault.Outcome, fault.Tally) {
+	out := make([]fault.Outcome, len(list))
+	var tally fault.Tally
+	for i, it := range list {
+		out[i] = s.SimulateSeq(it.Faults()...)
+		tally[out[i]]++
+	}
+	return out, tally
+}
+
+// ReferenceOrder2 builds an order-2 campaign's report without the
+// snapshot tree: the unpruned solo sweep, then ReferenceSweep over the
+// pair list enumerated from it under the maxPairs budget.
+func ReferenceOrder2(tb testing.TB, c fault.Campaign, maxPairs int) *campaign.Order2Report {
+	tb.Helper()
+	solo, err := campaign.Run(c, campaign.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := fault.NewSession(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pairs := fault.EnumeratePairs(solo.Injections, maxPairs)
+	outcomes, tally := ReferenceSweep(s, pairs)
+	return &campaign.Order2Report{Solo: solo, Pairs: fault.PairInjections(pairs, outcomes), PairTally: tally}
 }
 
 // AssertCorpusEqual fails unless two corpus results hold bit-identical
@@ -135,15 +164,12 @@ func AssertCorpusEqual(tb testing.TB, label string, want, got *campaign.CorpusRe
 		if w.Err != nil {
 			continue
 		}
-		if (w.Order2 == nil) != (g.Order2 == nil) || (w.Order3 == nil) != (g.Order3 == nil) {
+		if (w.Order2 == nil) != (g.Order2 == nil) {
 			tb.Fatalf("%s: cell %d ran different stages", label, i)
 		}
-		switch {
-		case w.Order3 != nil:
-			AssertOrder3Equal(tb, cell, w.Order3, g.Order3)
-		case w.Order2 != nil:
+		if w.Order2 != nil {
 			AssertOrder2Equal(tb, cell, w.Order2, g.Order2)
-		default:
+		} else {
 			AssertReportsEqual(tb, cell, w.Report, g.Report)
 		}
 	}

@@ -51,10 +51,11 @@ type CorpusOptions struct {
 	Options
 
 	// Orders lists the fault orders swept per case, in order (default
-	// {1}; 1, 2, and 3 are valid — order 3 always runs pruned and
-	// budget-capped, see RunOrder3). An order-2 sweep stores and reuses
-	// its order-1 stage under the same plan key as a plain order-1 run,
-	// so Orders {1, 2} answers the second solo sweep from the store;
+	// {1}; 1, 2, and 3 are valid — order 3 is budget-capped and forces
+	// the static pruning screens on, see RunOrder3). An order-2 sweep
+	// stores and reuses its order-1 stage under the same plan key as a
+	// plain order-1 run, so Orders {1, 2} answers the second solo sweep
+	// from the store;
 	// an order-3 sweep likewise reuses the order-2 cell's pair stage
 	// when the pair budgets match.
 	Orders []int
@@ -74,8 +75,7 @@ type CorpusCaseResult struct {
 	Order int
 
 	Report  *fault.Report // the order-1 sweep (Order2.Solo for orders 2/3)
-	Order2  *Order2Report // pair stage; nil for order-1 cells (Order3.Order2() for order 3)
-	Order3  *Order3Report // triple stage; nil except for order-3 cells
+	Order2  *Order2Report // multi-fault stages (triples too for order 3); nil for order-1 cells
 	Summary Summary       // export-ready digest (Name is "case/oN")
 	Elapsed time.Duration
 	Cache   CacheStats
@@ -234,8 +234,8 @@ func runChain(ch *corpusChain, orders []int, opt CorpusOptions, results []Corpus
 				out.Cache = r.Cache
 				out.Prune = r.Prune
 				out.Summary = Summarize(name, r.Report)
-			case 2:
-				r, err := runOrder2Inc(name, idx, cells, job.Campaign, jobOpt, memo, true)
+			default:
+				r, err := runOrderInc(name, idx, cells, order, job.Campaign, jobOpt, memo, true)
 				if err != nil {
 					out.Err = err
 					break
@@ -246,19 +246,6 @@ func runChain(ch *corpusChain, orders []int, opt CorpusOptions, results []Corpus
 				out.Cache = r.Cache
 				out.Prune = r.Prune
 				out.Summary = SummarizeOrder2(name, r.Report)
-			case 3:
-				r, err := runOrder3Inc(name, idx, cells, job.Campaign, jobOpt, memo, true)
-				if err != nil {
-					out.Err = err
-					break
-				}
-				memo = r.Memo
-				out.Report = r.Report.Solo
-				out.Order2 = r.Report.Order2()
-				out.Order3 = r.Report
-				out.Cache = r.Cache
-				out.Prune = r.Prune
-				out.Summary = SummarizeOrder3(name, r.Report)
 			}
 			out.Elapsed = time.Since(start)
 			if out.Err == nil {

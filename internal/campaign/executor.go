@@ -143,22 +143,23 @@ func (m *Memo) lookup(f fault.Fault, changed map[uint64]bool, limit uint64) (Rec
 }
 
 // executor runs one plan on a session, consulting the store and a memo.
-// With prune set, simulation routes through the fault-equivalence
-// pruning pass; the accumulated accounting lands in stats. The stage
-// methods (solo, pairs, triples) are called sequentially by one
-// goroutine — the pruners they build handle the intra-stage
-// concurrency — so stats and pairPruner need no locking here.
+// With prune set, the order-1 sweep routes through the static pruning
+// screens; multi-fault stages always run on the pruned first-fault
+// tree. The accumulated accounting lands in stats. The stages (solo,
+// then stage per order) are called sequentially by one goroutine — the
+// pruners they build handle the intra-stage concurrency — so stats and
+// pruner need no locking here.
 type executor struct {
 	s     *fault.Session
 	store *Store
 	prune bool
 
-	stats      fault.PruneStats
-	pairPruner *fault.PairPruner // built by pairs(), reused by triples()
+	stats  fault.PruneStats
+	pruner *fault.PairPruner // built by the first stage that simulates, shared by the later ones
 }
 
 // pruneStats returns the accumulated pruning accounting, or nil when
-// pruning was off (so exports omit the block entirely). The pair
+// pruning was off (so exports omit the block entirely). The multi-fault
 // pruner's share is read live rather than accumulated into stats: the
 // pair and triple stages deliberately share one pruner, and snapshotting
 // it once here keeps their joint accounting from double-counting.
@@ -167,8 +168,8 @@ func (e *executor) pruneStats() *fault.PruneStats {
 		return nil
 	}
 	st := e.stats
-	if e.pairPruner != nil {
-		st.Add(e.pairPruner.Stats())
+	if e.pruner != nil {
+		st.Add(e.pruner.Stats())
 	}
 	return &st
 }
@@ -185,7 +186,7 @@ func (e *executor) soloSim() (sim func(fault.Fault) fault.Outcome, rec func(faul
 }
 
 // shardSelect adapts the engine's single round-robin decomposition
-// (fault.ShardSelect — also behind runShard and ExecutePairShard) to
+// (fault.ShardSelect — also behind runShard and ExecuteSequences) to
 // the campaign Shard type, so stored outcome vectors are always zipped
 // back against exactly the selection the engine executed.
 func shardSelect[T any](items []T, shard Shard) []T {
@@ -337,57 +338,60 @@ func rebuildSolo(entry *Entry, faultsDigest string, good, bad fault.Observable, 
 	return injections, tally, nil
 }
 
-// pairs executes the order-2 stage of a plan over an already-executed
-// solo sweep: exact-key store reuse only (pair runs fork mid-trace
-// snapshots of a faulted machine, so no per-pair footprint is
-// recorded).
-func (e *executor) pairs(c fault.Campaign, shard Shard, workers, maxPairs int, solo []fault.Injection, progress func(done, total int)) ([]fault.PairInjection, fault.Tally, CacheStats, error) {
-	if maxPairs <= 0 {
-		maxPairs = fault.DefaultMaxPairs
+// stage executes one multi-fault stage of a plan (order 2: pairs,
+// order 3: triples) over the completed solo sweep, returning the
+// shard-local sequence selection and its outcome column. Store reuse is
+// exact-key only: sequence runs fork mid-trace snapshots of a faulted
+// machine, so no per-sequence footprint is recorded. The plan's budget
+// slot carries the stage's own enumeration cap — sound because every
+// sequence list derives from the solo sweep alone. The pruner is built
+// only when a stage simulates, then shared by the later stages so the
+// reference digests and equivalence classes found at order 2 keep
+// paying at order 3; lower, the completed pair stage (nil for pairs),
+// lets reference-equal triples inherit their remaining pair's outcome.
+func stage[T fault.Sequence](e *executor, c fault.Campaign, order, maxSeqs int, list []T, shard Shard, workers int, solo []fault.Injection, lower []fault.PairInjection, progress func(done, total int)) ([]T, []fault.Outcome, fault.Tally, CacheStats) {
+	run := func() ([]T, []fault.Outcome, fault.Tally) {
+		if e.pruner == nil {
+			e.pruner = e.s.NewPairPruner(solo)
+		}
+		e.pruner.SetPairOutcomes(lower)
+		return fault.ExecuteSequences(e.s, list, e.pruner, shard.Index, shard.Count, workers, progress)
 	}
-	pairs := fault.EnumeratePairs(solo, maxPairs)
 	if e.store == nil {
-		// No cache: skip the plan/pair digests entirely — the plain
+		// No cache: skip the plan/sequence digests entirely — the plain
 		// simulation hot path, like solo()'s.
-		injections, tally := e.executePairShard(pairs, shard, workers, solo, progress)
-		return injections, tally, CacheStats{}, nil
+		sel, outcomes, tally := run()
+		return sel, outcomes, tally, CacheStats{}
 	}
 
-	plan := NewPlan(c, shard, 2, maxPairs)
-	pd := digestPairs(pairs)
-	sel := shardSelect(pairs, shard)
+	plan := NewPlan(c, shard, order, maxSeqs)
+	sd := digestSeqs(list)
+	sel := shardSelect(list, shard)
 	good, bad := e.s.Oracles()
 	limit := e.s.InjectionLimit()
 
 	entry, commit := e.store.Acquire(plan.Key)
 	if entry != nil {
-		if entry.PairsDigest == pd && entry.GoodOracle == good && entry.BadOracle == bad &&
-			entry.Limit == limit && len(entry.PairRecords) == len(sel) {
-			out := make([]fault.PairInjection, len(sel))
+		if entry.SeqDigest == sd && entry.GoodOracle == good && entry.BadOracle == bad &&
+			entry.Limit == limit && len(entry.Outcomes) == len(sel) {
 			var tally fault.Tally
-			for i, p := range sel {
-				o := entry.PairRecords[i]
-				out[i] = fault.PairInjection{Pair: p, Outcome: o}
+			for _, o := range entry.Outcomes {
 				tally[o]++
 			}
 			if progress != nil {
 				progress(len(sel), len(sel))
 			}
-			return out, tally, CacheStats{Hits: 1}, nil
+			return sel, entry.Outcomes, tally, CacheStats{Hits: 1}
 		}
 		// Stale entry: fall through and re-simulate.
 	}
 
-	injections, tally := e.executePairShard(pairs, shard, workers, solo, progress)
+	sel, outcomes, tally := run()
 	stats := CacheStats{Misses: 1}
-	outcomes := make([]fault.Outcome, len(injections))
-	for i, pi := range injections {
-		outcomes[i] = pi.Outcome
-	}
 	saved := &Entry{
-		Key: plan.Key, FaultsDigest: digestFaults(e.s.Faults()), PairsDigest: pd,
+		Key: plan.Key, FaultsDigest: digestFaults(e.s.Faults()), SeqDigest: sd,
 		GoodOracle: good, BadOracle: bad, Limit: limit,
-		PairRecords: outcomes,
+		Outcomes: outcomes,
 	}
 	err := error(nil)
 	if commit != nil {
@@ -398,18 +402,5 @@ func (e *executor) pairs(c fault.Campaign, shard Shard, workers, maxPairs int, s
 	if err != nil {
 		stats.WriteErrors++
 	}
-	return injections, tally, stats, nil
-}
-
-// executePairShard runs the engine's pair sweep, pruned or plain. A
-// pruned run keeps its PairPruner on the executor so a following
-// order-3 stage shares the reference digests and equivalence classes
-// already discovered.
-func (e *executor) executePairShard(pairs []fault.FaultPair, shard Shard, workers int, solo []fault.Injection, progress func(done, total int)) ([]fault.PairInjection, fault.Tally) {
-	if !e.prune {
-		return e.s.ExecutePairShard(pairs, shard.Index, shard.Count, workers, progress)
-	}
-	pr := e.s.NewPairPruner(solo)
-	e.pairPruner = pr
-	return e.s.ExecutePairShardPruned(pairs, pr, shard.Index, shard.Count, workers, progress)
+	return sel, outcomes, tally, stats
 }

@@ -30,7 +30,7 @@ type ModelBreakdown struct {
 	Ignored    int         `json:"ignored"`
 }
 
-// Order2Summary digests the pair stage of an order-2 campaign.
+// Order2Summary digests the pair stage of a multi-fault campaign.
 type Order2Summary struct {
 	Pairs    int `json:"pairs"`
 	Success  int `json:"success"`
@@ -127,47 +127,28 @@ func Summarize(name string, rep *fault.Report) Summary {
 	return s
 }
 
-// SummarizeOrder2 digests an order-2 campaign: the solo sweep summary
-// with the pair stage attached. Counts derive from the pair list itself
-// (one pass), so summaries stay correct for any Order2Report, not just
-// ones whose tally the engine populated.
+// SummarizeOrder2 digests a multi-fault campaign: the solo sweep
+// summary with the pair stage attached, plus the triple stage for an
+// order-3 report (even one that enumerated no triples). Counts derive
+// from the sequence lists themselves (one pass each), so summaries stay
+// correct for any report, not just ones whose tallies the engine
+// populated.
 func SummarizeOrder2(name string, rep *Order2Report) Summary {
 	s := Summarize(name, rep.Solo)
-	o2 := &Order2Summary{Pairs: len(rep.Pairs)}
+	var t fault.Tally
 	for _, p := range rep.Pairs {
-		switch p.Outcome {
-		case fault.OutcomeSuccess:
-			o2.Success++
-		case fault.OutcomeDetected:
-			o2.Detected++
-		case fault.OutcomeCrash:
-			o2.Crash++
-		case fault.OutcomeIgnored:
-			o2.Ignored++
-		}
+		t[p.Outcome]++
 	}
-	s.Order2 = o2
-	return s
-}
-
-// SummarizeOrder3 digests an order-3 campaign: the order-2 summary of
-// the lower stages with the triple stage attached.
-func SummarizeOrder3(name string, rep *Order3Report) Summary {
-	s := SummarizeOrder2(name, rep.Order2())
-	o3 := &Order3Summary{Triples: len(rep.Triples)}
-	for _, t := range rep.Triples {
-		switch t.Outcome {
-		case fault.OutcomeSuccess:
-			o3.Success++
-		case fault.OutcomeDetected:
-			o3.Detected++
-		case fault.OutcomeCrash:
-			o3.Crash++
-		case fault.OutcomeIgnored:
-			o3.Ignored++
+	s.Order2 = &Order2Summary{Pairs: len(rep.Pairs), Success: t[fault.OutcomeSuccess],
+		Detected: t[fault.OutcomeDetected], Crash: t[fault.OutcomeCrash], Ignored: t[fault.OutcomeIgnored]}
+	if rep.Triples != nil {
+		t = fault.Tally{}
+		for _, tr := range rep.Triples {
+			t[tr.Outcome]++
 		}
+		s.Order3 = &Order3Summary{Triples: len(rep.Triples), Success: t[fault.OutcomeSuccess],
+			Detected: t[fault.OutcomeDetected], Crash: t[fault.OutcomeCrash], Ignored: t[fault.OutcomeIgnored]}
 	}
-	s.Order3 = o3
 	return s
 }
 

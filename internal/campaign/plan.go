@@ -26,8 +26,10 @@ import (
 // History: 1 = initial plan/execute/store split; 2 = read/write counts
 // above maxIOChunk clamp to a partial transfer (Linux MAX_RW_COUNT
 // semantics) instead of returning -EFAULT, changing outcomes of faults
-// that corrupt a length register.
-const planSchema = 2
+// that corrupt a length register; 3 = the pair and triple stages share
+// one entry layout (sequence-list digest plus one outcome column) in
+// place of per-order fields.
+const planSchema = 3
 
 // Plan is a content-addressed campaign execution: the campaign itself
 // plus the execution parameters that change its results (shard, fault
@@ -39,7 +41,7 @@ type Plan struct {
 	Campaign fault.Campaign
 	Shard    Shard
 	Order    int // 1 = solo faults, 2 = + fault pairs, 3 = + fault triples
-	MaxPairs int // enumeration budget of the plan's top order (0 = the order's default)
+	MaxPairs int // enumeration budget of the plan's top order: pairs or triples (0 = the order's default)
 
 	// Key is the hex SHA-256 content address of everything above.
 	Key string
@@ -86,23 +88,13 @@ func digestFaults(faults []fault.Fault) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// digestPairs content-addresses an enumerated pair list.
-func digestPairs(pairs []fault.FaultPair) string {
+// digestSeqs content-addresses an enumerated multi-fault sequence list.
+func digestSeqs[T fault.Sequence](list []T) string {
 	h := sha256.New()
-	for _, p := range pairs {
-		writeFault(h, p.First)
-		writeFault(h, p.Second)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// digestTriples content-addresses an enumerated triple list.
-func digestTriples(triples []fault.FaultTriple) string {
-	h := sha256.New()
-	for _, t := range triples {
-		writeFault(h, t.First)
-		writeFault(h, t.Second)
-		writeFault(h, t.Third)
+	for _, it := range list {
+		for _, f := range it.Faults() {
+			writeFault(h, f)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

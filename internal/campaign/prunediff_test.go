@@ -1,9 +1,12 @@
 // The differential soundness harness for the fault-equivalence pruning
 // pass: every cell of the (catalog case × registered model × order)
-// matrix is executed exhaustively and pruned, and the reports must be
-// bit-identical — the contract that makes -prune safe to use anywhere.
-// The harness also pins the invariances the engine guarantees around
-// pruning: worker count, shard decomposition, and warm-store replay.
+// matrix is executed against a reference that prunes nothing — the
+// exhaustive order-1 sweep, and one simulation per sequence for the
+// multi-fault stages (which always run on the pruned first-fault tree)
+// — and the reports must be bit-identical: the contract that makes
+// pruning safe to use anywhere. The harness also pins the invariances
+// the engine guarantees around pruning: worker count, shard
+// decomposition, and warm-store replay.
 //
 // External test package: the harness consumes campaigntest, which
 // imports campaign.
@@ -68,32 +71,35 @@ func TestPruneDifferentialOrder1(t *testing.T) {
 	}
 }
 
-// TestPruneDifferentialOrder2: pruned order-2 campaigns are
-// bit-identical to exhaustive ones across the whole matrix, and the
-// pruning accounting covers every pair.
+// TestPruneDifferentialOrder2: order-2 campaigns — with and without
+// the static screens — are bit-identical to one simulation per pair
+// across the whole matrix, and the pruning accounting covers every
+// pair.
 func TestPruneDifferentialOrder2(t *testing.T) {
 	names, modelSets := diffMatrix(t)
 	for _, name := range names {
 		for _, models := range modelSets {
 			label := fmt.Sprintf("%s/%v", name, models)
 			c := campaigntest.CaseCampaign(t, name, models, diffMaxFaults)
+			want := campaigntest.ReferenceOrder2(t, c, diffMaxPairs)
 			opt := campaign.Options{MaxPairs: diffMaxPairs}
 			plain, err := campaign.RunOrder2(c, opt)
 			if err != nil {
-				t.Fatalf("%s: exhaustive: %v", label, err)
+				t.Fatalf("%s: unscreened: %v", label, err)
 			}
+			campaigntest.AssertOrder2Equal(t, label+" unscreened", want, plain)
 			opt.Prune = true
 			pruned, err := campaign.RunOrder2Result(c, opt)
 			if err != nil {
 				t.Fatalf("%s: pruned: %v", label, err)
 			}
-			campaigntest.AssertOrder2Equal(t, label, plain, pruned.Report)
+			campaigntest.AssertOrder2Equal(t, label, want, pruned.Report)
 			if pruned.Prune == nil {
 				t.Fatalf("%s: pruned run reported no PruneStats", label)
 			}
-			want := len(plain.Solo.Injections) + len(plain.Pairs)
-			if got := pruned.Prune.Total(); got != want {
-				t.Fatalf("%s: prune stats cover %d of %d injections", label, got, want)
+			n := len(want.Solo.Injections) + len(want.Pairs)
+			if got := pruned.Prune.Total(); got != n {
+				t.Fatalf("%s: prune stats cover %d of %d injections", label, got, n)
 			}
 		}
 	}
@@ -101,14 +107,11 @@ func TestPruneDifferentialOrder2(t *testing.T) {
 
 // TestPruneWorkerShardInvariance: one pruned campaign, many execution
 // shapes — 1 worker, 8 workers, and a 3-shard decomposition — all
-// bit-identical to the exhaustive unsharded run.
+// bit-identical to the per-pair reference.
 func TestPruneWorkerShardInvariance(t *testing.T) {
 	c := campaigntest.CaseCampaign(t, "pincheck", fault.RegisteredModels(), diffMaxFaults)
 	baseOpt := campaign.Options{MaxPairs: diffMaxPairs}
-	plain, err := campaign.RunOrder2(c, baseOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := campaigntest.ReferenceOrder2(t, c, diffMaxPairs)
 	for _, workers := range []int{1, 8} {
 		opt := baseOpt
 		opt.Prune = true
@@ -138,10 +141,10 @@ func TestPruneWorkerShardInvariance(t *testing.T) {
 	campaigntest.AssertOrder2Equal(t, "3-shard merge", plain, merged)
 }
 
-// TestPruneWarmStoreReplay: a pruned campaign stored cold replays
-// bit-identically warm — and exhaustive and pruned executions share
-// the plan key, so a warm exhaustive run is answered by a cold pruned
-// one and vice versa.
+// TestPruneWarmStoreReplay: a pruned campaign stored cold matches the
+// per-pair reference and replays bit-identically warm — and screened
+// and unscreened executions share the plan key, so a warm unscreened
+// run is answered by a cold screened one and vice versa.
 func TestPruneWarmStoreReplay(t *testing.T) {
 	c := campaigntest.CaseCampaign(t, "bootloader", []fault.Model{fault.ModelSkip, fault.ModelRegFlip}, diffMaxFaults)
 	st, err := campaign.NewStore(t.TempDir())
@@ -156,6 +159,7 @@ func TestPruneWarmStoreReplay(t *testing.T) {
 	if cold.Cache.Misses == 0 {
 		t.Fatal("cold pruned run reported no store misses")
 	}
+	campaigntest.AssertOrder2Equal(t, "cold vs reference", campaigntest.ReferenceOrder2(t, c, diffMaxPairs), cold.Report)
 	warm, err := campaign.RunOrder2Result(c, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +168,8 @@ func TestPruneWarmStoreReplay(t *testing.T) {
 	if warm.Cache.Hits == 0 {
 		t.Fatal("warm pruned run reported no store hits")
 	}
-	// Cross-mode: an exhaustive run against the same store replays the
-	// pruned run's entries — one plan key for both execution modes.
+	// Cross-mode: an unscreened run against the same store replays the
+	// screened run's entries — one plan key for both execution modes.
 	optPlain := campaign.Options{MaxPairs: diffMaxPairs, Store: st}
 	crossed, err := campaign.RunOrder2Result(c, optPlain)
 	if err != nil {
@@ -173,7 +177,7 @@ func TestPruneWarmStoreReplay(t *testing.T) {
 	}
 	campaigntest.AssertOrder2Equal(t, "cross-mode replay", cold.Report, crossed.Report)
 	if crossed.Cache.Hits == 0 {
-		t.Fatal("exhaustive warm run did not hit the pruned run's entries")
+		t.Fatal("unscreened warm run did not hit the screened run's entries")
 	}
 }
 
@@ -207,8 +211,9 @@ func TestPruneBudgetGateDifferential(t *testing.T) {
 
 // TestPruneStaticInertDifferential: the inert-window dataflow tier
 // fires on hybrid-hardened catalog binaries under the skip models it
-// covers, and the pruned reports stay bit-identical to exhaustive —
-// orders 1 and 2 here, order 3 below via direct per-triple validation.
+// covers, and the pruned reports stay bit-identical to the references
+// that prune nothing — orders 1 and 2 here, order 3 below via direct
+// per-triple validation.
 // Hardened artifacts are the tier's home turf: the passes insert the
 // NOP spacers, fall-through checks and dead re-computations whose skip
 // windows the screen proves inert.
@@ -238,13 +243,8 @@ func TestPruneStaticInertDifferential(t *testing.T) {
 			t.Errorf("%s: inert tier never fired on the hardened binary (stats %+v)", name, results[0].Prune)
 		}
 
-		opt := campaign.Options{MaxPairs: diffMaxPairs}
-		plain2, err := campaign.RunOrder2(c, opt)
-		if err != nil {
-			t.Fatalf("%s: exhaustive order-2: %v", name, err)
-		}
-		opt.Prune = true
-		pruned2, err := campaign.RunOrder2Result(c, opt)
+		plain2 := campaigntest.ReferenceOrder2(t, c, diffMaxPairs)
+		pruned2, err := campaign.RunOrder2Result(c, campaign.Options{MaxPairs: diffMaxPairs, Prune: true})
 		if err != nil {
 			t.Fatalf("%s: pruned order-2: %v", name, err)
 		}
@@ -257,8 +257,8 @@ func TestPruneStaticInertDifferential(t *testing.T) {
 
 // TestPruneStaticInertOrder3: a pruned order-3 campaign over a
 // hardened binary with skip models — every triple outcome re-validated
-// by direct simulation, lower stages bit-identical to a plain order-2
-// run, and the transparent-first fast path accounted for.
+// by direct simulation, and lower stages bit-identical to the per-pair
+// reference.
 func TestPruneStaticInertOrder3(t *testing.T) {
 	maxTriples := 256
 	if testing.Short() {
@@ -273,18 +273,15 @@ func TestPruneStaticInertOrder3(t *testing.T) {
 	if len(rep.Triples) == 0 {
 		t.Fatal("order-3 campaign enumerated no triples")
 	}
-	plain2, err := campaign.RunOrder2(c, campaign.Options{MaxPairs: diffMaxPairs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	campaigntest.AssertOrder2Equal(t, "hardened order-3 lower stages", plain2, rep.Order2())
+	campaigntest.AssertOrder2Equal(t, "hardened order-3 lower stages",
+		campaigntest.ReferenceOrder2(t, c, diffMaxPairs), campaigntest.Lower(rep))
 
 	s, err := fault.NewSession(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ti := range rep.Triples {
-		if want := s.SimulateTriple(ti.Triple); ti.Outcome != want {
+		if want := s.SimulateSeq(ti.Triple.Faults()...); ti.Outcome != want {
 			t.Fatalf("triple %d (%v): campaign says %v, direct simulation %v",
 				i, ti.Triple, ti.Outcome, want)
 		}
@@ -293,7 +290,7 @@ func TestPruneStaticInertOrder3(t *testing.T) {
 
 // TestRunOrder3Differential: the pruned order-3 campaign classifies
 // every triple exactly as direct per-triple simulation, and its lower
-// stages match a plain order-2 run.
+// stages match the per-pair reference.
 func TestRunOrder3Differential(t *testing.T) {
 	maxTriples := 512
 	if testing.Short() {
@@ -312,11 +309,8 @@ func TestRunOrder3Differential(t *testing.T) {
 		t.Fatal("order-3 campaign reported no pruning accounting")
 	}
 
-	plain2, err := campaign.RunOrder2(c, campaign.Options{MaxPairs: diffMaxPairs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	campaigntest.AssertOrder2Equal(t, "order-3 lower stages", plain2, rep.Order2())
+	campaigntest.AssertOrder2Equal(t, "order-3 lower stages",
+		campaigntest.ReferenceOrder2(t, c, diffMaxPairs), campaigntest.Lower(rep))
 
 	s, err := fault.NewSession(c)
 	if err != nil {
@@ -324,7 +318,7 @@ func TestRunOrder3Differential(t *testing.T) {
 	}
 	var tally fault.Tally
 	for i, ti := range rep.Triples {
-		if want := s.SimulateTriple(ti.Triple); ti.Outcome != want {
+		if want := s.SimulateSeq(ti.Triple.Faults()...); ti.Outcome != want {
 			t.Fatalf("triple %d (%v): campaign says %v, direct simulation %v",
 				i, ti.Triple, ti.Outcome, want)
 		}
@@ -348,12 +342,7 @@ func TestRunOrder3Differential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaigntest.AssertOrder2Equal(t, "order-3 store lower stages", cold.Report.Order2(), warm.Report.Order2())
-	for i := range cold.Report.Triples {
-		if cold.Report.Triples[i] != warm.Report.Triples[i] {
-			t.Fatalf("warm triple %d differs from cold", i)
-		}
-	}
+	campaigntest.AssertOrder2Equal(t, "order-3 store replay", cold.Report, warm.Report)
 	if warm.Cache.Hits == 0 {
 		t.Fatal("warm order-3 run reported no store hits")
 	}

@@ -37,8 +37,9 @@ type Record struct {
 
 // Entry is one stored campaign result: the outcome of every injection
 // of one plan, in shard-local order, plus the digests and oracles that
-// gate its reuse. Order-2 entries additionally carry the pair stage;
-// order-3 entries the triple stage.
+// gate its reuse. An order-1 entry carries per-fault Records; a
+// multi-fault stage's entry (order 2 or 3) carries its sequence list's
+// digest and one outcome column instead.
 type Entry struct {
 	Schema       int    `json:"schema"`
 	Key          string `json:"key"`
@@ -50,11 +51,8 @@ type Entry struct {
 
 	Records []Record `json:"records"`
 
-	PairsDigest string          `json:"pairs_digest,omitempty"`
-	PairRecords []fault.Outcome `json:"pair_outcomes,omitempty"`
-
-	TriplesDigest string          `json:"triples_digest,omitempty"`
-	TripleRecords []fault.Outcome `json:"triple_outcomes,omitempty"`
+	SeqDigest string          `json:"seq_digest,omitempty"`
+	Outcomes  []fault.Outcome `json:"outcomes,omitempty"`
 }
 
 // CacheStats counts how a run's work was answered. Hits/Misses count

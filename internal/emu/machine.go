@@ -239,14 +239,15 @@ type Machine struct {
 	// stores). Fault campaigns execute the same instructions millions
 	// of times; decoding once per address is the difference between
 	// minutes and seconds per campaign. Allocated lazily: machines fully
-	// served by a shared CodeCache never touch it.
+	// served by a shared Program never touch it.
 	icache    map[uint64]*isa.Inst
 	icacheGen uint64
 
-	// icacheBase is an optional dense read-only cache seeded from a
-	// Snapshot's golden run; it is consulted first and dropped as soon
-	// as the code mutates. Never written (it is shared across machines).
-	icacheBase *CodeCache
+	// icacheBase is the decoded half of an optional shared Program
+	// seeded from a Snapshot's golden run; it is consulted first and
+	// dropped as soon as the code mutates. Never written (it is shared
+	// across machines).
+	icacheBase *Program
 
 	// Micro-op fast path (uop.go). prog is an optional shared
 	// predecoded program seeded from a Snapshot; priv holds blocks this
@@ -263,64 +264,6 @@ type Machine struct {
 	armStart   uint64
 	armEnd     uint64
 	singleStep bool
-}
-
-// CodeCache is an immutable decoded-code cache, dense over the code
-// address range so the per-step lookup is an index instead of a map
-// hash. It is built once from a finished golden run and shared
-// read-only by every machine resumed from the run's snapshots.
-type CodeCache struct {
-	base  uint64
-	gen   uint64 // memory code generation the cache is valid for
-	insts []isa.Inst
-	have  []bool
-}
-
-// maxCodeCacheSpan bounds the dense cache's address range (the code of
-// any plausible rewritten binary is far below this; a sparse decode map
-// spanning more indicates address-space games not worth caching).
-const maxCodeCacheSpan = 16 << 20
-
-// BuildCodeCache converts a machine's decode map (see DecodeCache)
-// into a dense cache. Returns nil when there is nothing to cache or
-// the addresses span an implausibly large range.
-func BuildCodeCache(insts map[uint64]*isa.Inst, gen uint64) *CodeCache {
-	if len(insts) == 0 {
-		return nil
-	}
-	lo, hi := uint64(1<<63), uint64(0)
-	for a := range insts {
-		if a < lo {
-			lo = a
-		}
-		if a > hi {
-			hi = a
-		}
-	}
-	span := hi - lo + 1
-	if span > maxCodeCacheSpan {
-		return nil
-	}
-	cc := &CodeCache{
-		base:  lo,
-		gen:   gen,
-		insts: make([]isa.Inst, span),
-		have:  make([]bool, span),
-	}
-	for a, in := range insts {
-		cc.insts[a-lo] = *in
-		cc.have[a-lo] = true
-	}
-	return cc
-}
-
-// lookup returns the cached instruction at addr, or nil.
-func (c *CodeCache) lookup(addr uint64) *isa.Inst {
-	off := addr - c.base
-	if off < uint64(len(c.have)) && c.have[off] {
-		return &c.insts[off]
-	}
-	return nil
 }
 
 // New builds a machine with the binary's sections mapped, a stack, and

@@ -66,12 +66,9 @@ type Snapshot struct {
 
 	mem memImage
 
-	// Optional warm decoded-code cache, shared read-only by all resumed
-	// machines while their code generation still matches.
-	code *CodeCache
-
-	// Optional predecoded micro-op program (TranslateProgram), shared
-	// read-only like the decode cache it is derived from.
+	// Optional golden-run code artifact (TranslateProgram): decoded
+	// instructions plus their micro-op stream, shared read-only by all
+	// resumed machines while their code generation still matches.
 	prog *Program
 }
 
@@ -97,21 +94,11 @@ func (m *Machine) Snapshot() *Snapshot {
 // was taken.
 func (s *Snapshot) Steps() uint64 { return s.steps }
 
-// SeedDecodeCache attaches a warm decoded-code cache (built with
-// BuildCodeCache from a finished golden run) so resumed machines skip
-// re-decoding instructions the golden run already decoded. Ignored when
-// the cache's code generation does not match the snapshot's.
-func (s *Snapshot) SeedDecodeCache(cache *CodeCache) {
-	if cache != nil && cache.gen == s.mem.codeGen {
-		s.code = cache
-	}
-}
-
-// SeedProgram attaches a shared predecoded micro-op program (built
-// with TranslateProgram from a finished golden run) so resumed
-// machines dispatch micro-op blocks instead of re-translating them.
-// Ignored when the program's code generation does not match the
-// snapshot's.
+// SeedProgram attaches a golden run's shared code artifact (built with
+// TranslateProgram) so resumed machines neither re-decode the
+// instructions the golden run decoded nor re-translate them into
+// micro-op blocks. Ignored when the program's code generation does not
+// match the snapshot's.
 func (s *Snapshot) SeedProgram(p *Program) {
 	if p != nil && p.gen == s.mem.codeGen {
 		s.prog = p
@@ -151,10 +138,8 @@ func (s *Snapshot) Resume(cfg Config) *Machine {
 	if cfg.Stdin != nil {
 		m.Stdin = cfg.Stdin
 	}
-	if s.code != nil && s.code.gen == m.Mem.CodeGeneration() {
-		m.icacheBase = s.code
-	}
 	if s.prog != nil && s.prog.gen == m.Mem.CodeGeneration() {
+		m.icacheBase = s.prog
 		m.prog = s.prog
 	}
 	return m
@@ -162,7 +147,7 @@ func (s *Snapshot) Resume(cfg Config) *Machine {
 
 // DecodeCache exposes the machine's decoded-instruction cache and the
 // code generation it is valid for, so a finished golden run can donate
-// its decode work to a Snapshot (via BuildCodeCache). The caller must
+// its decode work to a Snapshot (via TranslateProgram). The caller must
 // not mutate the map or the instructions it points to.
 func (m *Machine) DecodeCache() (map[uint64]*isa.Inst, uint64) {
 	return m.icache, m.icacheGen

@@ -12,8 +12,8 @@
 // and straight-line runs dispatch uops back to back off one switch.
 //
 // Two uop sources exist. A Program is translated once from a golden
-// run's CodeCache and shared read-only by every machine resumed from
-// the run's snapshots (dense index, like the decode cache it mirrors).
+// run's decoded instructions and shared read-only, together with them,
+// by every machine resumed from the run's snapshots (dense index).
 // Machines without a seeded program (cold starts, or after code
 // mutated) translate private blocks lazily from their own memory.
 //
@@ -500,46 +500,64 @@ func (m *Machine) execUop(u *uop) error {
 	return nil
 }
 
-// Program is an immutable predecoded micro-op stream, dense over a
-// CodeCache's address range. Built once from a finished golden run
-// and shared read-only by every machine resumed from the run's
-// snapshots (see Snapshot.SeedProgram), exactly like the decode cache
-// it is derived from.
+// Program is a golden run's immutable code artifact, dense over its
+// code address range: the decoded instructions (the per-step decode
+// cache, an index instead of a map hash) and the micro-op stream
+// translated from them. Built once from a finished golden run and
+// shared read-only by every machine resumed from the run's snapshots
+// (see Snapshot.SeedProgram).
 type Program struct {
-	base uint64
-	gen  uint64  // memory code generation the stream is valid for
-	idx  []int32 // addr-base -> uop index + 1; 0 = not translated
-	uops []uop
+	base  uint64
+	gen   uint64 // memory code generation the artifact is valid for
+	insts []isa.Inst
+	have  []bool
+	idx   []int32 // addr-base -> uop index + 1; 0 = not translated
+	uops  []uop
 }
 
-// TranslateProgram predecodes a golden run's code cache into a shared
-// micro-op program. Nil-safe: no cache, no program.
-func TranslateProgram(cc *CodeCache) *Program {
-	if cc == nil {
+// maxProgramSpan bounds a Program's address range (the code of any
+// plausible rewritten binary is far below this; a sparse decode map
+// spanning more indicates address-space games not worth caching).
+const maxProgramSpan = 16 << 20
+
+// TranslateProgram converts a machine's decode map (see DecodeCache)
+// into a shared Program: the dense decode cache plus its micro-op
+// translation. Returns nil when there is nothing to cache or the
+// addresses span an implausibly large range.
+func TranslateProgram(decoded map[uint64]*isa.Inst, gen uint64) *Program {
+	if len(decoded) == 0 {
 		return nil
 	}
-	n := 0
-	for _, ok := range cc.have {
-		if ok {
-			n++
-		}
+	lo, hi := uint64(1<<63), uint64(0)
+	for a := range decoded {
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	span := hi - lo + 1
+	if span > maxProgramSpan {
+		return nil
 	}
 	p := &Program{
-		base: cc.base,
-		gen:  cc.gen,
-		idx:  make([]int32, len(cc.have)),
-		uops: make([]uop, 0, n),
+		base:  lo,
+		gen:   gen,
+		insts: make([]isa.Inst, span),
+		have:  make([]bool, span),
+		idx:   make([]int32, span),
+		uops:  make([]uop, 0, len(decoded)),
+	}
+	for a, in := range decoded {
+		p.insts[a-lo] = *in
+		p.have[a-lo] = true
 	}
 	prev := -1
-	for off := range cc.have {
-		if !cc.have[off] {
+	for off := range p.have {
+		if !p.have[off] {
 			continue
 		}
 		p.uops = append(p.uops, uop{})
 		i := len(p.uops) - 1
-		// The cache's instructions are stable for the program's
-		// lifetime, so generic uops may point straight into it.
-		translateInst(&cc.insts[off], &p.uops[i])
+		// The decoded instructions are stable for the program's
+		// lifetime, so generic uops may point straight into them.
+		translateInst(&p.insts[off], &p.uops[i])
 		p.idx[off] = int32(i + 1)
 		if prev >= 0 {
 			if pu := &p.uops[prev]; pu.flags&uFlagCF == 0 && pu.next == p.uops[i].addr {
@@ -549,6 +567,15 @@ func TranslateProgram(cc *CodeCache) *Program {
 		prev = i
 	}
 	return p
+}
+
+// lookup returns the decoded instruction at addr, or nil.
+func (p *Program) lookup(addr uint64) *isa.Inst {
+	off := addr - p.base
+	if off < uint64(len(p.have)) && p.have[off] {
+		return &p.insts[off]
+	}
+	return nil
 }
 
 // maxPrivBlock bounds lazily translated private blocks; RunUntil's

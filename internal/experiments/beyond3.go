@@ -100,7 +100,7 @@ func TableBeyond3() (*report.Table, []Beyond3Data, error) {
 			d := Beyond3Data{
 				Case: c.Name, Pipeline: v.name,
 				Pairs:         len(rep.Pairs),
-				PairSuccess:   rep.Order2().PairCount(fault.OutcomeSuccess),
+				PairSuccess:   rep.PairCount(fault.OutcomeSuccess),
 				Triples:       len(rep.Triples),
 				TripleSuccess: rep.TripleCount(fault.OutcomeSuccess),
 				TripleDetect:  rep.TripleCount(fault.OutcomeDetected),

@@ -57,11 +57,11 @@ func TestCampaignFastVsSingleStep(t *testing.T) {
 }
 
 // TestPairSweepFastVsSingleStep extends the parity contract to the
-// order-2 snapshot tree: the pair sweep's outcomes must not depend on
-// the execution strategy either.
+// multi-fault snapshot tree at every depth: pair and triple outcomes
+// must not depend on the execution strategy either.
 func TestPairSweepFastVsSingleStep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential pair sweep")
+		t.Skip("differential multi-fault sweep")
 	}
 	c := cases.Pincheck()
 	bin, err := c.Build()
@@ -72,27 +72,28 @@ func TestPairSweepFastVsSingleStep(t *testing.T) {
 		Binary: bin, Good: c.Good, Bad: c.Bad,
 		Models: []Model{ModelSkip, ModelBitFlip}, DedupSites: true,
 	}
-	sweep := func(singleStep bool) []PairInjection {
+	sweep := func(singleStep bool) (pairs, triples []Outcome) {
 		camp.SingleStep = singleStep
 		s, err := NewSession(camp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		solo, _ := s.ExecuteShard(0, 1, 0, nil)
-		pairs := EnumeratePairs(solo, 256)
-		if len(pairs) == 0 {
-			t.Fatal("no pairs enumerated")
+		pl, tl := EnumeratePairs(solo, 256), EnumerateTriples(solo, 256)
+		if len(pl) == 0 || len(tl) == 0 {
+			t.Fatal("no sequences enumerated")
 		}
-		out, _ := s.ExecutePairShard(pairs, 0, 1, 0, nil)
-		return out
+		pr := s.NewPairPruner(solo)
+		_, pairs, _ = ExecuteSequences(s, pl, pr, 0, 1, 0, nil)
+		pr.SetPairOutcomes(PairInjections(pl, pairs))
+		_, triples, _ = ExecuteSequences(s, tl, pr, 0, 1, 0, nil)
+		return pairs, triples
 	}
-	fast, slow := sweep(false), sweep(true)
-	if len(fast) != len(slow) {
-		t.Fatalf("pair count divergence: fast=%d slow=%d", len(fast), len(slow))
-	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Errorf("pair %d: fast=%+v slow=%+v", i, fast[i], slow[i])
+	fastPairs, fastTriples := sweep(false)
+	slowPairs, slowTriples := sweep(true)
+	for k, cmp := range map[int][2][]Outcome{2: {fastPairs, slowPairs}, 3: {fastTriples, slowTriples}} {
+		if !reflect.DeepEqual(cmp[0], cmp[1]) {
+			t.Errorf("k=%d: fast and single-step outcomes differ:\nfast=%v\nslow=%v", k, cmp[0], cmp[1])
 		}
 	}
 }

@@ -6,8 +6,8 @@
 // The paper's two models (instruction skip, single bit flip) plus
 // register bit-flip, multi-instruction skip, and transient data flip
 // are built in; new models implement ModelSpec and plug in through
-// Register (see model.go). Order-2 campaigns inject deterministic
-// *pairs* of faults (see pair.go), the attack that defeats
+// Register (see model.go). Multi-fault campaigns inject deterministic
+// pairs and triples of faults (see multi.go), the attack that defeats
 // single-fault-hardened binaries.
 //
 // A fault is "successful" when the program, running on the *bad* input,

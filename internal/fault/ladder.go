@@ -107,7 +107,6 @@ func (s *Session) rungFor(step uint64) *emu.Snapshot {
 			return ck
 		}
 		snap := m.Snapshot()
-		snap.SeedDecodeCache(s.codeCache)
 		snap.SeedProgram(s.prog)
 		s.ladder.insert(snap)
 		// The donor froze into the snapshot; Release is a no-op for it.

@@ -132,15 +132,14 @@ type ModelSpec interface {
 // completed EffectEnd(f) steps behaves identically from then on whether
 // or not the hooks are still installed.
 //
-// Declaring a horizon lets the order-2 engine build the first-fault
-// snapshot tree (see Session.ExecutePairShard): the first fault's run
-// is paused once its hooks are inert, snapshotted, and forked per
-// second fault, replacing O(pairs) prefix replays with O(distinct first
-// faults). Models without a horizon (hooks that stay live for the whole
-// run) simply fall back to the per-pair path; correctness never depends
+// Declaring a horizon lets the multi-fault engine build the first-fault
+// snapshot tree (see ExecuteSequences): the first fault's run is paused
+// once its hooks are inert, snapshotted, and forked per continuation,
+// replacing O(sequences) prefix replays with O(distinct first faults).
+// Models without a horizon (hooks that stay live for the whole run)
+// simply fall back to the per-sequence path; correctness never depends
 // on the declaration, only performance — but a horizon that is too
-// early is a soundness bug, caught by the pair warm/cold identity
-// tests.
+// early is a soundness bug, caught by the tree-vs-cold identity tests.
 type EffectHorizon interface {
 	EffectEnd(f Fault) uint64
 }

@@ -30,6 +30,24 @@ func pairSession(t *testing.T, models ...Model) (*Session, []Injection, []FaultP
 	return s, solo, EnumeratePairs(solo, 0)
 }
 
+// referenceSweep simulates every sequence on its own — one SimulateSeq
+// per sequence, no tree and no pruner: the reference the snapshot tree
+// must match bit for bit.
+func referenceSweep[T Sequence](s *Session, items []T) ([]Outcome, Tally) {
+	out := make([]Outcome, len(items))
+	var tally Tally
+	for i, it := range items {
+		out[i] = s.SimulateSeq(it.Faults()...)
+		tally[out[i]]++
+	}
+	return out, tally
+}
+
+// treeSweep runs a pair shard through the tree on a fresh pruner.
+func treeSweep(s *Session, solo []Injection, pairs []FaultPair, shardIndex, shardCount, workers int) ([]PairInjection, Tally) {
+	return s.ExecutePairShardPruned(pairs, s.NewPairPruner(solo), shardIndex, shardCount, workers, nil)
+}
+
 // TestEnumeratePairsPruning: pairs draw both components from
 // detected/ignored solo outcomes, order the second strictly after the
 // first, and respect the budget cap.
@@ -79,7 +97,7 @@ func TestSimulatePairMatchesColdPath(t *testing.T) {
 			pairs = pairs[:300] // bound the cross-validation cost
 		}
 		for _, p := range pairs {
-			if warm, cold := s.SimulatePair(p), s.SimulatePairCold(p); warm != cold {
+			if warm, cold := s.SimulateSeq(p.Faults()...), s.SimulateCold(p.Faults()...); warm != cold {
 				t.Errorf("%v %v: snapshot path %v, cold path %v", models, p, warm, cold)
 			}
 		}
@@ -90,9 +108,9 @@ func TestSimulatePairMatchesColdPath(t *testing.T) {
 // across worker counts, and round-robin shards recombine to the
 // unsharded run.
 func TestExecutePairShardDeterminism(t *testing.T) {
-	s, _, pairs := pairSession(t, ModelSkip, ModelBitFlip)
-	serial, serialTally := s.ExecutePairShard(pairs, 0, 1, 1, nil)
-	parallel, parallelTally := s.ExecutePairShard(pairs, 0, 1, 8, nil)
+	s, solo, pairs := pairSession(t, ModelSkip, ModelBitFlip)
+	serial, serialTally := treeSweep(s, solo, pairs, 0, 1, 1)
+	parallel, parallelTally := treeSweep(s, solo, pairs, 0, 1, 8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("1-worker and 8-worker pair sweeps differ")
 	}
@@ -106,7 +124,7 @@ func TestExecutePairShardDeterminism(t *testing.T) {
 	const n = 3
 	var shards [n][]PairInjection
 	for i := 0; i < n; i++ {
-		shards[i], _ = s.ExecutePairShard(pairs, i, n, 2, nil)
+		shards[i], _ = treeSweep(s, solo, pairs, i, n, 2)
 	}
 	var merged []PairInjection
 	cursor := [n]int{}
@@ -180,7 +198,7 @@ buf: .zero 8
 	}
 	solo, _ := s.ExecuteShard(0, 1, 0, nil)
 	pairs := EnumeratePairs(solo, 0)
-	injections, tally := s.ExecutePairShard(pairs, 0, 1, 0, nil)
+	injections, tally := treeSweep(s, solo, pairs, 0, 1, 0)
 	if tally.Count(OutcomeSuccess) == 0 {
 		t.Fatal("no successful fault pair against the double-checked pincheck")
 	}

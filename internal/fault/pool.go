@@ -144,7 +144,7 @@ func (p goPool) Execute(n int, run func(lo, hi int)) {
 }
 
 // SetPool injects a shared execution pool: every subsequent
-// ExecuteShard/ExecutePairShard/ExecuteTripleShard call runs its work
+// ExecuteShard/ExecuteSequences call runs its work
 // units on it instead of spawning a private goroutine set, so many
 // sessions can share one process-wide worker budget. The per-call
 // workers arguments then only size chunks; the pool owns concurrency.

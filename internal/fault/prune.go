@@ -18,15 +18,16 @@
 //     pre-screen, lifted out of Simulate and accounted for here.
 //
 //  2. State-hash equivalence classing on forked first-fault snapshots
-//     (PairPruner). The order-2/3 snapshot tree already runs each
-//     first fault once to its effect horizon; digesting the machine
-//     state there (emu.Machine.StateDigest) detects two collapses:
-//     a digest equal to the reference run's at the same step means the
-//     first fault's effects died out, so every pair inherits its
-//     second fault's solo outcome (and every triple its remaining
-//     pair's outcome); and two groups with equal digests are the same
-//     machine, so continuation outcomes computed once per equivalence
-//     class are inherited instead of re-simulated.
+//     (PairPruner), always on for multi-fault sequences. The snapshot
+//     tree already runs each first fault once to its effect horizon;
+//     digesting the machine state there (emu.Machine.StateDigest)
+//     detects two collapses: a digest equal to the reference run's at
+//     the same step means the first fault's effects died out, so every
+//     sequence inherits its continuation's lower-order outcome (a
+//     pair's second fault's solo outcome, a triple's remaining pair's);
+//     and two groups with equal digests are the same machine, so
+//     continuation outcomes computed once per equivalence class are
+//     inherited instead of re-simulated.
 //
 // Soundness rests on the emulator's determinism: equal complete state
 // plus equal run configuration (hooks keyed off the absolute step
@@ -110,7 +111,7 @@ func (p *Pruner) Simulate(f Fault) Outcome {
 		return o
 	}
 	p.sim.Add(1)
-	return p.s.simulateDynamic(f)
+	return p.s.SimulateSeq(f)
 }
 
 // SimulateRecord is Simulate for the evidence-recording path. Only the
@@ -145,22 +146,26 @@ func (p *Pruner) Stats() PruneStats {
 // classKey identifies a state-equivalence class: the absolute step a
 // first-fault group was digested at, plus the machine-state digest.
 // Groups with equal keys are the same machine about to run the same
-// continuation.
+// continuations.
 type classKey struct {
 	step   uint64
 	digest [32]byte
 }
 
+// rest keys a sequence's continuation after its first fault: the
+// pruner's ids (positions in its solo sweep) of the one or two later
+// faults, b < 0 for one. Compact and comparable, so one memo keys the
+// continuations of every order.
+type rest struct{ a, b int32 }
+
 // equivClass caches the continuation outcomes computed from one
-// machine state: per second fault (order-2 groups) and per remaining
-// pair (order-3 groups). The lock is held across the simulation that
-// fills a missing entry, so each distinct continuation is simulated
-// exactly once — which keeps PruneStats deterministic (set-union
-// accounting) as well as cheap.
+// machine state. The lock is held across the simulation that fills a
+// missing entry, so each distinct continuation is simulated exactly
+// once — which keeps PruneStats deterministic (set-union accounting) as
+// well as cheap.
 type equivClass struct {
-	mu      sync.Mutex
-	seconds map[Fault]Outcome
-	rests   map[FaultPair]Outcome
+	mu       sync.Mutex
+	outcomes map[rest]Outcome
 }
 
 // refDigest lazily computes one reference-state digest.
@@ -169,14 +174,13 @@ type refDigest struct {
 	d    [32]byte
 }
 
-// PairPruner is the state-hash equivalence layer of one pruned
-// multi-fault sweep. It is built per execution from the completed solo
-// sweep and threaded through the snapshot tree
-// (ExecutePairShardPruned, ExecuteTripleShard): each first-fault group
-// is digested at its effect horizon and either collapses to known solo
-// or pair outcomes (reference-equal state) or shares continuation
-// outcomes with every group in its equivalence class. Safe for
-// concurrent use by the engine's worker pools.
+// PairPruner is the state-hash equivalence layer of the multi-fault
+// engine. It is built per execution from the completed solo sweep and
+// threaded through the first-fault snapshot tree (ExecuteSequences):
+// each group is digested at its effect horizon and either collapses to
+// known lower-order outcomes (reference-equal state) or shares
+// continuation outcomes with every group in its equivalence class. Safe
+// for concurrent use by the engine's worker pools.
 //
 // Sharing is per-pruner: two shards of one campaign executed with
 // separate pruners still produce bit-identical reports (inheritance
@@ -185,8 +189,9 @@ type refDigest struct {
 // differently between ClassEquiv and Simulated.
 type PairPruner struct {
 	s     *Session
-	solo  map[Fault]Outcome
-	pairs map[FaultPair]Outcome // optional, for order-3 reference-equal inheritance
+	solo  []Injection      // the solo sweep; a fault's id is its position
+	ids   map[Fault]int32  // fault → id
+	known map[rest]Outcome // lower-order outcomes: every solo fault, plus registered pairs
 
 	mu      sync.Mutex
 	refs    map[uint64]*refDigest
@@ -196,40 +201,57 @@ type PairPruner struct {
 }
 
 // NewPairPruner builds the equivalence layer over a completed solo
-// sweep (the same injections the pair list was enumerated from).
+// sweep (the same injections the sequence lists were enumerated from),
+// which must stay unmodified while the pruner is in use.
 func (s *Session) NewPairPruner(solo []Injection) *PairPruner {
 	pr := &PairPruner{
 		s:       s,
-		solo:    make(map[Fault]Outcome, len(solo)),
+		solo:    solo,
+		ids:     make(map[Fault]int32, len(solo)),
+		known:   make(map[rest]Outcome, len(solo)),
 		refs:    make(map[uint64]*refDigest),
 		classes: make(map[classKey]*equivClass),
 	}
-	for _, inj := range solo {
-		pr.solo[inj.Fault] = inj.Outcome
+	for i, inj := range solo {
+		pr.ids[inj.Fault] = int32(i)
+		pr.known[rest{a: int32(i), b: -1}] = inj.Outcome
 	}
 	return pr
 }
 
 // SetPairOutcomes registers a completed pair sweep's outcomes, so an
 // order-3 sweep on the same pruner can collapse reference-equal triple
-// groups to the known outcome of their remaining pair. The slice is
-// read once; later calls replace earlier ones.
+// groups to the known outcome of their remaining pair. Outcomes
+// accumulate across calls; pairs over faults outside the solo sweep are
+// skipped. Must not run concurrently with an execution on this pruner.
 func (pr *PairPruner) SetPairOutcomes(pairs []PairInjection) {
-	m := make(map[FaultPair]Outcome, len(pairs))
 	for _, pi := range pairs {
-		m[pi.Pair] = pi.Outcome
+		if r, ok := pr.restKey(pi.Pair.First, pi.Pair.Second); ok {
+			pr.known[r] = pi.Outcome
+		}
 	}
-	pr.mu.Lock()
-	pr.pairs = m
-	pr.mu.Unlock()
 }
 
-// pairOutcome looks up a registered pair outcome.
-func (pr *PairPruner) pairOutcome(p FaultPair) (Outcome, bool) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	o, ok := pr.pairs[p]
-	return o, ok
+// restKey interns a continuation of one or two faults. ok is false
+// when a fault lies outside the solo sweep: such sequences are
+// simulated, never inherited.
+func (pr *PairPruner) restKey(later ...Fault) (r rest, ok bool) {
+	r.b = -1
+	if r.a, ok = pr.ids[later[0]]; ok && len(later) == 2 {
+		r.b, ok = pr.ids[later[1]]
+	}
+	return r, ok
+}
+
+// knowsAll reports whether every continuation has a known lower-order
+// outcome.
+func (pr *PairPruner) knowsAll(rests []rest) bool {
+	for _, r := range rests {
+		if _, ok := pr.known[r]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats snapshots the layer's accounting.
@@ -256,7 +278,7 @@ func (pr *PairPruner) refDigestAt(step uint64) [32]byte {
 	}
 	pr.mu.Unlock()
 	rd.once.Do(func() {
-		m := pr.s.rungFor(step).Resume(emu.Config{StepLimit: pr.s.c.InjectionStepLimit, SingleStep: pr.s.c.SingleStep})
+		m := pr.s.rungFor(step).Resume(pr.s.config())
 		m.RunUntil(step)
 		rd.d = m.StateDigest()
 		m.Release()
@@ -272,138 +294,31 @@ func (pr *PairPruner) classFor(step uint64, digest [32]byte) *equivClass {
 	defer pr.mu.Unlock()
 	cl, ok := pr.classes[k]
 	if !ok {
-		cl = &equivClass{seconds: make(map[Fault]Outcome), rests: make(map[FaultPair]Outcome)}
+		cl = &equivClass{outcomes: make(map[rest]Outcome)}
 		pr.classes[k] = cl
 	}
 	return cl
 }
 
-// secondOutcome returns the class's outcome for continuing with one
-// second fault, running sim (under the class lock) on first need.
-func (pr *PairPruner) secondOutcome(cl *equivClass, second Fault, sim func() Outcome) Outcome {
+// classOutcome returns the class's outcome for continuation r, forking
+// the class state snap to simulate it (under the class lock) on first
+// need.
+func (pr *PairPruner) classOutcome(cl *equivClass, snap *emu.Snapshot, r rest) Outcome {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if o, ok := cl.seconds[second]; ok {
+	if o, ok := cl.outcomes[r]; ok {
 		pr.classEquiv.Add(1)
 		return o
 	}
-	o := sim()
-	pr.sim.Add(1)
-	cl.seconds[second] = o
-	return o
-}
-
-// restOutcome is secondOutcome for an order-3 group's remaining pair.
-func (pr *PairPruner) restOutcome(cl *equivClass, rest FaultPair, sim func() Outcome) Outcome {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if o, ok := cl.rests[rest]; ok {
-		pr.classEquiv.Add(1)
-		return o
+	later, n := [2]Fault{pr.solo[r.a].Fault}, 1
+	if r.b >= 0 {
+		later[1], n = pr.solo[r.b].Fault, 2
 	}
-	o := sim()
-	pr.sim.Add(1)
-	cl.rests[rest] = o
-	return o
-}
-
-// runPairGroupPruned is runPairGroup with the equivalence layer
-// spliced in between the horizon run and the snapshot forks. The
-// digest comparison happens once per group; pairs then classify by
-// solo-outcome inheritance (reference-equal state), class-cache
-// inheritance, or a fork simulation recorded into the class.
-func (s *Session) runPairGroupPruned(pr *PairPruner, g *pairGroup, sel []FaultPair, outcomes []Outcome, tally *Tally, tick func()) {
-	// StaticInert fast path: a fully transparent first window keeps the
-	// machine bit-identical to the reference trajectory through the
-	// effect horizon, so each pair runs exactly like its second fault
-	// alone — already known from the solo sweep. Any missing solo
-	// outcome falls back to the full dynamic path for the whole group.
-	if s.transparentFirst(g.first) {
-		known := true
-		for _, i := range g.idx {
-			if _, ok := pr.solo[sel[i].Second]; !ok {
-				known = false
-				break
-			}
-		}
-		if known {
-			for _, i := range g.idx {
-				o := pr.solo[sel[i].Second]
-				outcomes[i] = o
-				tally[o]++
-				tick()
-			}
-			pr.inert.Add(int64(len(g.idx)))
-			return
-		}
-	}
-	m := s.rungFor(uint64(g.first.TraceIndex)).Resume(s.injectionConfig(g.first))
-	res, done, err := m.RunUntil(g.end)
-	if done {
-		// One run classified the whole group (same as the unpruned
-		// tree); not a pruner saving, so it counts as simulated.
-		o := classify(res, err, s.good)
-		pr.sim.Add(int64(len(g.idx)))
-		for _, i := range g.idx {
-			outcomes[i] = o
-			tally[o]++
-			tick()
-		}
-		m.Release()
-		return
-	}
-	digest := m.StateDigest()
-	refEqual := digest == pr.refDigestAt(g.end)
-
-	// Class machinery materializes lazily: a fully reference-equal
-	// group never snapshots or touches the class map.
-	var cl *equivClass
-	var snap *emu.Snapshot
-	fork := func(second Fault) func() Outcome {
-		return func() Outcome {
-			cfg := emu.Config{StepLimit: s.c.InjectionStepLimit, SingleStep: s.c.SingleStep}
-			if spec := SpecOf(second.Model); spec != nil {
-				spec.Hooks(second, &cfg)
-			}
-			m2 := snap.Resume(cfg)
-			res2, err2 := m2.Run()
-			o := classify(res2, err2, s.good)
-			m2.Release()
-			return o
-		}
-	}
-	for _, i := range g.idx {
-		second := sel[i].Second
-		var o Outcome
-		if so, ok := pr.solo[second]; refEqual && ok {
-			// The first fault's effects died out before the horizon:
-			// this machine IS the reference machine, so the pair runs
-			// exactly like the second fault alone.
-			o = so
-			pr.refEquiv.Add(1)
-		} else {
-			if snap == nil {
-				cl = pr.classFor(g.end, digest)
-				snap = m.Snapshot()
-				snap.SeedDecodeCache(s.codeCache)
-				snap.SeedProgram(s.prog)
-			}
-			o = pr.secondOutcome(cl, second, fork(second))
-		}
-		outcomes[i] = o
-		tally[o]++
-		tick()
-	}
-	// No-op when a snapshot froze m; recycles the buffers otherwise
-	// (every pair inherited its second fault's solo outcome).
+	m := snap.Resume(pr.s.config(later[:n]...))
+	res, err := m.Run()
+	o := classify(res, err, pr.s.good)
 	m.Release()
-}
-
-// ExecutePairShardPruned is ExecutePairShard with the state-hash
-// equivalence pruner spliced into the snapshot tree. Results are
-// bit-identical to ExecutePairShard (and SimulatePair / the cold
-// path): inheritance only substitutes outcomes of provably identical
-// continuations. Only the cost and the PruneStats change.
-func (s *Session) ExecutePairShardPruned(pairs []FaultPair, pr *PairPruner, shardIndex, shardCount, workers int, progress func(done, total int)) ([]PairInjection, Tally) {
-	return s.executePairShard(pairs, pr, shardIndex, shardCount, workers, progress)
+	pr.sim.Add(1)
+	cl.outcomes[r] = o
+	return o
 }

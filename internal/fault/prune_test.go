@@ -107,7 +107,7 @@ func TestPrunerRecordBitIdentical(t *testing.T) {
 }
 
 // TestExecutePairShardPrunedBitIdentical: the equivalence-pruned pair
-// sweep is bit-identical to the exhaustive snapshot tree across model
+// sweep is bit-identical to one simulation per pair across model
 // combinations, worker counts, and shardings — and the pruner's
 // accounting covers every pair.
 func TestExecutePairShardPrunedBitIdentical(t *testing.T) {
@@ -115,12 +115,13 @@ func TestExecutePairShardPrunedBitIdentical(t *testing.T) {
 		{ModelSkip}, {ModelBitFlip}, {ModelSkip, ModelRegFlip}, {ModelMultiSkip, ModelDataFlip},
 	} {
 		s, solo, pairs := pairSession(t, models...)
-		plain, plainTally := s.ExecutePairShard(pairs, 0, 1, 0, nil)
+		ref, plainTally := referenceSweep(s, pairs)
+		plain := PairInjections(pairs, ref)
 
 		pr := s.NewPairPruner(solo)
 		pruned, prunedTally := s.ExecutePairShardPruned(pairs, pr, 0, 1, 1, nil)
 		if !reflect.DeepEqual(plain, pruned) {
-			t.Fatalf("%v: pruned pair sweep differs from exhaustive", models)
+			t.Fatalf("%v: pruned pair sweep differs from per-pair simulation", models)
 		}
 		if plainTally != prunedTally {
 			t.Fatalf("%v: tallies differ: %v vs %v", models, plainTally, prunedTally)

@@ -43,15 +43,11 @@ type Session struct {
 	faults []Fault
 	ckpts  []*emu.Snapshot // ascending by step; ckpts[0] is the entry state
 
-	// codeCache is the reference run's warm decoded-code cache, also
-	// seeded into mid-run snapshots the order-2 snapshot tree takes
-	// (valid only while the first fault left code unmutated).
-	codeCache *emu.CodeCache
-
-	// prog is the reference run's predecoded micro-op program (built
-	// once from codeCache), seeded into every snapshot alongside the
-	// decode cache so resumed machines dispatch micro-op blocks
-	// outside their fault windows.
+	// prog is the reference run's code artifact — its decoded
+	// instructions and their micro-op translation — seeded into every
+	// snapshot, the multi-fault tree's mid-run ones included (valid only
+	// while the first fault left code unmutated), so resumed machines
+	// neither re-decode nor re-translate outside their fault windows.
 	prog *emu.Program
 
 	// ladder holds reference-trajectory snapshots for prefix replay:
@@ -139,11 +135,8 @@ func NewSession(c Campaign) (*Session, error) {
 	// translation — to every snapshot whose code image still matches,
 	// so injections skip re-decoding and re-translating.
 	cache, gen := rm.DecodeCache()
-	cc := emu.BuildCodeCache(cache, gen)
-	s.codeCache = cc
-	s.prog = emu.TranslateProgram(cc)
+	s.prog = emu.TranslateProgram(cache, gen)
 	for _, cp := range s.ckpts {
-		cp.SeedDecodeCache(cc)
 		cp.SeedProgram(s.prog)
 	}
 	s.ladder = newLadder(s.ckpts)
@@ -333,15 +326,22 @@ func (s *Session) checkpointFor(traceIndex uint64) *emu.Snapshot {
 	return s.ckpts[lo]
 }
 
-// injectionConfig builds the emulator hooks for one fault by asking
-// its registered spec. Specs key any step-indexed behaviour off the
-// machine's absolute step counter, so the hooks behave identically
-// whether the run starts from _start or resumes from a mid-trace
-// snapshot (the contract TestSnapshotPathMatchesColdPath enforces).
-func (s *Session) injectionConfig(f Fault) emu.Config {
+// config builds the emulator configuration of one faulted run: the
+// injection step budget, the campaign's execution mode, and the hooks
+// of every given fault (none for a reference run), each asked of its
+// registered spec. The hooks chain (Config.AddFetchHook/AddStepHook)
+// and key any step-indexed behaviour off the machine's absolute step
+// counter, so composed faults stay independent — a later one fires at
+// its step even when an earlier one sent execution down a different
+// path — and behave identically whether the run starts from _start or
+// resumes from a mid-trace snapshot (the contract
+// TestSnapshotPathMatchesColdPath enforces).
+func (s *Session) config(faults ...Fault) emu.Config {
 	cfg := emu.Config{StepLimit: s.c.InjectionStepLimit, SingleStep: s.c.SingleStep}
-	if spec := SpecOf(f.Model); spec != nil {
-		spec.Hooks(f, &cfg)
+	for _, f := range faults {
+		if spec := SpecOf(f.Model); spec != nil {
+			spec.Hooks(f, &cfg)
+		}
 	}
 	return cfg
 }
@@ -360,7 +360,7 @@ func (s *Session) Simulate(f Fault) Outcome {
 	if s.decodePreScreen(f) {
 		return OutcomeCrash
 	}
-	return s.simulateDynamic(f)
+	return s.SimulateSeq(f)
 }
 
 // decodePreScreen reports whether the bit flip f corrupts its
@@ -381,11 +381,19 @@ func (s *Session) decodePreScreen(f Fault) bool {
 	return err != nil
 }
 
-// simulateDynamic is the simulation core behind Simulate: resume the
-// nearest copy-on-write snapshot with the fault's hooks and classify
-// the run. Callers (Simulate, Pruner) apply their static screens first.
-func (s *Session) simulateDynamic(f Fault) Outcome {
-	m := s.rungFor(uint64(f.TraceIndex)).Resume(s.injectionConfig(f))
+// SimulateSeq is the one per-sequence simulation core: it runs the
+// given faults (one, or a multi-fault sequence) composed onto one run
+// from the copy-on-write snapshot nearest the earliest, and classifies
+// the outcome. No static screen applies — Simulate and Pruner add theirs
+// for solo faults; the bit-flip decode pre-screen in particular relies
+// on the reference run reaching the fault site, which another fault of
+// a sequence may prevent. Safe for concurrent use.
+func (s *Session) SimulateSeq(faults ...Fault) Outcome {
+	first := faults[0].TraceIndex
+	for _, f := range faults[1:] {
+		first = min(first, f.TraceIndex)
+	}
+	m := s.rungFor(uint64(first)).Resume(s.config(faults...))
 	res, err := m.Run()
 	o := classify(res, err, s.good)
 	m.Release()
@@ -451,7 +459,7 @@ func (s *Session) preScreenRecord(f Fault) SimRecord {
 // behind SimulateRecord, minus the decode pre-screen.
 func (s *Session) simulateRecordDynamic(f Fault) SimRecord {
 	ck := s.rungFor(uint64(f.TraceIndex))
-	cfg := s.injectionConfig(f)
+	cfg := s.config(f)
 	cfg.RecordPages = true
 	m := ck.Resume(cfg)
 	res, err := m.Run()
@@ -501,12 +509,13 @@ func sortedPages(set map[uint64]struct{}) []uint64 {
 	return out
 }
 
-// SimulateCold runs one injection from a freshly initialized machine,
-// replaying the whole prefix — the reference semantics the snapshot
-// path must match bit for bit. Tests cross-validate the two paths; the
-// engine never uses it.
-func (s *Session) SimulateCold(f Fault) Outcome {
-	cfg := s.injectionConfig(f)
+// SimulateCold runs one injection of the given faults (one, or a
+// multi-fault sequence) from a freshly initialized machine, replaying
+// the whole prefix — the reference semantics every snapshot path must
+// match bit for bit. Tests cross-validate the paths; the engine never
+// uses it.
+func (s *Session) SimulateCold(faults ...Fault) Outcome {
+	cfg := s.config(faults...)
 	cfg.Stdin = s.c.Bad
 	m := emu.New(s.c.Binary, cfg)
 	res, err := m.Run()
@@ -575,7 +584,7 @@ func (s *Session) workerCount(workers int) int {
 
 // ShardSelect is the engine's one round-robin shard decomposition:
 // item j belongs to shard j mod count. Every consumer — the execution
-// core, the pair sweep, and the campaign store's outcome zips — goes
+// core, the multi-fault tree, and the campaign store's outcome zips — goes
 // through it, so the decomposition cannot drift between the execute
 // and cache paths (stored outcome vectors are zipped back against this
 // selection). Panics on an out-of-range index like a slice-bounds
@@ -604,7 +613,9 @@ func ShardSelect[T any](items []T, index, count int) []T {
 // the corpus work-stealing scheduler when injected). Outcomes land at
 // fixed positions and the tally is order-insensitive, so results are
 // bit-identical regardless of worker count, chunking, or stealing.
-// Both the order-1 fault sweep and the order-2 pair sweep run on it.
+// The order-1 fault sweep runs on it; the multi-fault tree
+// (ExecuteSequences) shares its pool and chunking but groups its work
+// units by first fault.
 func runShard[T any](items []T, shardIndex, shardCount int, pool Pool, sim func(T) Outcome, progress func(done, total int)) ([]T, []Outcome, Tally) {
 	sel := ShardSelect(items, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))

@@ -56,7 +56,7 @@ func TestSimulateTripleMatchesColdPath(t *testing.T) {
 			triples = triples[:200] // bound the cross-validation cost
 		}
 		for _, tr := range triples {
-			if warm, cold := s.SimulateTriple(tr), s.SimulateTripleCold(tr); warm != cold {
+			if warm, cold := s.SimulateSeq(tr.Faults()...), s.SimulateCold(tr.Faults()...); warm != cold {
 				t.Errorf("%v %v: snapshot path %v, cold path %v", models, tr, warm, cold)
 			}
 		}
@@ -71,13 +71,8 @@ func TestExecuteTripleShardBitIdentical(t *testing.T) {
 	if len(triples) > 600 {
 		triples = triples[:600]
 	}
-	want := make([]TripleInjection, len(triples))
-	var wantTally Tally
-	for i, tr := range triples {
-		o := s.SimulateTriple(tr)
-		want[i] = TripleInjection{Triple: tr, Outcome: o}
-		wantTally[o]++
-	}
+	ref, wantTally := referenceSweep(s, triples)
+	want := TripleInjections(triples, ref)
 
 	// Bare pruner: no pair outcomes registered, everything classifies
 	// via classes or simulation.
@@ -96,7 +91,7 @@ func TestExecuteTripleShardBitIdentical(t *testing.T) {
 	// Pruner with the pair sweep registered (the campaign wiring):
 	// reference-equal groups now inherit pair outcomes directly.
 	pairs := EnumeratePairs(solo, 0)
-	pairInj, _ := s.ExecutePairShard(pairs, 0, 1, 0, nil)
+	pairInj, _ := treeSweep(s, solo, pairs, 0, 1, 0)
 	prp := s.NewPairPruner(solo)
 	prp.SetPairOutcomes(pairInj)
 	got2, _ := s.ExecuteTripleShard(triples, prp, 0, 1, 8, nil)
