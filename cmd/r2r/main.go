@@ -162,7 +162,8 @@ commands:
                                  to N cases concurrently on one shared
                                  worker pool (results bit-identical)
   patch -good G -bad B [-model ...] [-order 1|2] [-max-pairs N]
-        [-json|-csv] [-o OUT] [-emit ELF] BIN
+        [-json|-csv] [-o OUT] [-emit ELF]
+        [-cpuprofile F] [-memprofile F] BIN
                                  harden via the Faulter+Patcher pipeline;
                                  -order 2 escalates fault-pair sites to
                                  the order-2-aware patterns; -emit also
@@ -672,6 +673,11 @@ func cmdPatch(args []string, out io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	stopProf, err := profileTo(f.CPUProfile, f.MemProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProf()
 	if fs.NArg() != 1 {
 		return usagef("want exactly one binary")
 	}
@@ -733,6 +739,9 @@ func cmdPatch(args []string, out io.Writer) error {
 			return err
 		}
 		emitted = fmt.Sprintf("emitted %s (digest %s)\n", f.Emit, digest)
+	}
+	if err := stopProf(); err != nil {
+		return err
 	}
 	switch {
 	case f.JSON:

@@ -100,6 +100,21 @@ func TestCampaignJSONGolden(t *testing.T) {
 	checkGolden(t, "campaign_pincheck.json", normalizeJSON(t, out.Bytes()))
 }
 
+// TestCampaignAllModelsJSONGolden pins an order-1 sweep over every
+// registered fault model on otpauth, whose register and data flips hang
+// hundreds of runs until the injection step limit — the runs the
+// session's continuation memo answers early. The golden predates the
+// memo, so it holds memo-answered outcomes to full runs.
+func TestCampaignAllModelsJSONGolden(t *testing.T) {
+	bin, good, bad := writeCase(t, cases.OTPAuth())
+	var out bytes.Buffer
+	err := cmdCampaign([]string{"-good", good, "-bad", bad, "-model", "all", "-workers", "2", "-q", "-json", bin}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "campaign_otpauth_all.json", normalizeJSON(t, out.Bytes()))
+}
+
 // TestCampaignOrder2JSONGolden pins the order-2 summary schema — the
 // order2 block with the pair-stage outcome counts.
 func TestCampaignOrder2JSONGolden(t *testing.T) {
@@ -167,6 +182,24 @@ func TestPatchRejectsBadOrder(t *testing.T) {
 	err := cmdPatch([]string{"-order", "0", "x.elf"}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "order") {
 		t.Errorf("order 0 not rejected: %v", err)
+	}
+}
+
+// TestPatchWritesProfiles: `r2r patch` takes the same pprof switches as
+// campaign and corpus, and writes both profiles on success.
+func TestPatchWritesProfiles(t *testing.T) {
+	bin, good, bad := writeCase(t, cases.Pincheck())
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := cmdPatch([]string{"-good", good, "-bad", bad, "-model", "skip",
+		"-cpuprofile", cpu, "-memprofile", mem, "-o", bin + ".h", "-json", bin}, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s not written: %v", filepath.Base(p), err)
+		}
 	}
 }
 

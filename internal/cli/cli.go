@@ -153,11 +153,12 @@ const emitHelp = "also write the hardened binary as a standalone program-header-
 
 // PatchFlags are the `r2r patch` flags.
 type PatchFlags struct {
-	Good, Bad, Model, Out string
-	Emit                  string
-	CacheDir              string
-	Order, MaxPairs       int
-	JSON, CSV             bool
+	Good, Bad, Model, Out  string
+	Emit                   string
+	CacheDir               string
+	CPUProfile, MemProfile string
+	Order, MaxPairs        int
+	JSON, CSV              bool
 }
 
 // Patch builds the `r2r patch` flag set.
@@ -173,6 +174,8 @@ func Patch() (*flag.FlagSet, *PatchFlags) {
 	fs.StringVar(&f.CacheDir, "cache-dir", "", cacheDirHelp)
 	fs.BoolVar(&f.JSON, "json", false, "emit the iteration history as JSON on stdout")
 	fs.BoolVar(&f.CSV, "csv", false, "emit the iteration history as CSV on stdout")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", cpuProfileHelp)
+	fs.StringVar(&f.MemProfile, "memprofile", "", memProfileHelp)
 	return fs, f
 }
 

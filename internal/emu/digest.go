@@ -3,8 +3,7 @@ package emu
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
-	"sort"
+	"slices"
 )
 
 // StateDigest returns a canonical SHA-256 digest of the machine's
@@ -13,15 +12,20 @@ import (
 // and the content of every mapped page. Two machines with equal digests
 // under the same run configuration (step limit, hooks) behave
 // identically from here on — the soundness foundation of the campaign
-// engine's state-hash equivalence pruning (fault.PairPruner): a faulted
-// run whose digest matches the reference run's at the same step has
-// provably re-converged, and one that matches another faulted run's
-// inherits its continuation outcome.
+// engine's state-hash equivalence pruning (fault.PairPruner) and of
+// its continuation memo: a faulted run whose digest matches the
+// reference run's at the same step has provably re-converged, and one
+// that matches another faulted run's inherits its continuation outcome.
 //
 // Run configuration is deliberately outside the digest: hooks and the
 // step limit are not machine state, so callers must only compare
 // digests of machines they would continue under identical
 // configuration.
+//
+// Pages enter the digest through their own content digest (see
+// hashPages). A frozen copy-on-write page is immutable, so its content
+// digest is computed once and cached on the page for every machine
+// sharing it; only the machine's private pages are rehashed per call.
 func (m *Machine) StateDigest() [32]byte {
 	h := sha256.New()
 	var buf [8]byte
@@ -48,22 +52,60 @@ func (m *Machine) StateDigest() [32]byte {
 	h.Write(m.Stdout)
 	put(uint64(len(m.Stderr)))
 	h.Write(m.Stderr)
-	m.Mem.hashInto(h)
+	h.Write(m.Mem.hashPages())
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }
 
-// hashInto writes the canonical page walk into h: ascending page
-// addresses, each page's content prefixed by its address. The walk is
-// canonical with respect to lazy materialization — all-zero pages are
-// skipped, so a region page reads the same whether it was materialized
-// (and never written, or written back to zero) or is still virtual
-// (reads of unmaterialized region pages return zero bytes either way).
-// Page permissions are derived from the region list, which resumed
-// machines share with their snapshot, so they carry no per-machine
-// state and stay outside the digest.
-func (m *Memory) hashInto(h hash.Hash) {
+// pageSum is a page's cached content digest; zero marks an all-zero
+// page, which the page walk skips.
+type pageSum struct {
+	zero bool
+	d    [32]byte
+}
+
+// zeroSum is the one cached digest of every all-zero frozen page.
+var zeroSum = &pageSum{zero: true}
+
+// sum returns the page's content digest. A copy-on-write page never
+// changes again, so its digest is computed once and published on the
+// page; frozen pages are shared by concurrently running machines, so
+// the publication is atomic (two racing first readers store equal
+// values). A private page is mutable and is hashed afresh.
+func (p *page) sum() *pageSum {
+	if !p.cow {
+		return hashPage(p)
+	}
+	if s := p.digest.Load(); s != nil {
+		return s
+	}
+	s := hashPage(p)
+	p.digest.Store(s)
+	return s
+}
+
+// hashPage digests one page's content.
+func hashPage(p *page) *pageSum {
+	var zero [pageSize]byte
+	if p.data == zero {
+		return zeroSum
+	}
+	return &pageSum{d: sha256.Sum256(p.data[:])}
+}
+
+// hashPages returns the canonical page walk as one byte stream:
+// ascending page addresses, each followed by its page's content digest.
+// The walk is canonical with respect to lazy materialization — all-zero
+// pages are skipped, so a region page reads the same whether it was
+// materialized (and never written, or written back to zero) or is
+// still virtual (reads of unmaterialized region pages return zero bytes
+// either way) — and with respect to sharing: a frozen page and its
+// private clone contribute the same digest. Page permissions are
+// derived from the region list, which resumed machines share with their
+// snapshot, so they carry no per-machine state and stay outside the
+// digest.
+func (m *Memory) hashPages() []byte {
 	addrs := make([]uint64, 0, len(m.pages)+len(m.base))
 	for a := range m.pages {
 		addrs = append(addrs, a)
@@ -76,16 +118,15 @@ func (m *Memory) hashInto(h hash.Hash) {
 		}
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var zero [pageSize]byte
-	var abuf [8]byte
+	slices.Sort(addrs)
+	out := make([]byte, 0, len(addrs)*(8+sha256.Size))
 	for _, a := range addrs {
-		p := m.lookupPage(a)
-		if p.data == zero {
+		s := m.lookupPage(a).sum()
+		if s.zero {
 			continue
 		}
-		binary.LittleEndian.PutUint64(abuf[:], a)
-		h.Write(abuf[:])
-		h.Write(p.data[:])
+		out = binary.LittleEndian.AppendUint64(out, a)
+		out = append(out, s.d[:]...)
 	}
+	return out
 }

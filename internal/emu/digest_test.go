@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/r2r/reinforce/internal/asm"
+	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/isa"
 )
 
@@ -90,6 +91,18 @@ func TestStateDigestZeroPageCanonical(t *testing.T) {
 	}
 }
 
+// TestStateDigestCoversStep: the step counter is state — the
+// continuation memo and the pair pruner key on it, because the step
+// limit makes equal machines at different steps different futures.
+func TestStateDigestCoversStep(t *testing.T) {
+	m := digestMachine(t)
+	before := m.StateDigest()
+	m.Steps++
+	if m.StateDigest() == before {
+		t.Fatal("the step counter does not reach the digest")
+	}
+}
+
 // TestStateDigestSnapshotFork: a machine resumed from a snapshot
 // digests identically to its donor at the snapshot point, including
 // pages shared copy-on-write.
@@ -114,5 +127,93 @@ func TestStateDigestSnapshotFork(t *testing.T) {
 	}
 	if m.StateDigest() != want {
 		t.Fatalf("donor digest changed by forking")
+	}
+}
+
+// TestStateDigestCowCacheMatchesClone: a frozen page digested through
+// its cached content digest and the same bytes in a private clone
+// contribute identically, and a real write to the clone shows.
+func TestStateDigestCowCacheMatchesClone(t *testing.T) {
+	m := digestMachine(t)
+	for i := 0; i < 2; i++ { // past the store to cell
+		if err := m.Step(); err != nil {
+			t.Fatalf("step: %v", err)
+		}
+	}
+	snap := m.Snapshot()
+	fork := snap.Resume(Config{})
+	want := fork.StateDigest() // caches every frozen page's digest
+	cell := uint64(0)
+	for a, p := range fork.Mem.base {
+		if !p.cow || p.digest.Load() == nil {
+			t.Fatalf("frozen page %#x has no cached digest after StateDigest", a)
+		}
+		if p.perm&elf.FlagWrite != 0 {
+			cell = a // the .data page holding cell and msg
+		}
+	}
+	if cell == 0 {
+		t.Fatal("no writable page in the snapshot")
+	}
+	// Rewrite a byte with its own value: the page is now a private
+	// clone with unchanged content.
+	b, err := fork.Mem.Peek(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.Mem.Write(cell, []byte{b}); err != nil {
+		t.Fatal(err)
+	}
+	clone := fork.Mem.pages[cell]
+	if clone == nil || clone.cow || clone.digest.Load() != nil {
+		t.Fatalf("write did not leave an uncached private clone: %+v", clone)
+	}
+	if got := fork.StateDigest(); got != want {
+		t.Fatal("private clone with unchanged content digests differently from its frozen page")
+	}
+	if err := fork.Mem.Write(cell, []byte{b ^ 0x80}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fork.StateDigest(); got == want {
+		t.Fatal("write to the private clone did not change the digest")
+	}
+	if err := fork.Mem.Write(cell, []byte{b}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fork.StateDigest(); got != want {
+		t.Fatal("restoring the clone's byte did not restore the digest")
+	}
+}
+
+// TestRecycledPageCarriesNoDigest: frames returned to the pool by
+// Release come back from clonePage and materializePage without a
+// content digest, so a frame later frozen by a snapshot is hashed from
+// its own bytes, never from a previous life's cached digest.
+func TestRecycledPageCarriesNoDigest(t *testing.T) {
+	m := digestMachine(t)
+	snap := m.Snapshot()
+	stale := &pageSum{d: [32]byte{1}}
+	for i := 0; i < 64; i++ {
+		fork := snap.Resume(Config{})
+		for a, p := range fork.Mem.base {
+			q := fork.Mem.clonePage(a, p)
+			if q.digest.Load() != nil {
+				t.Fatalf("clonePage returned a frame carrying a digest")
+			}
+			q.digest.Store(stale) // plant a stale digest before recycling
+		}
+		if p := materializePage(0); p.digest.Load() != nil {
+			t.Fatalf("materializePage returned a frame carrying a digest")
+		}
+		fork.Release()
+	}
+	// A recycled frame frozen by a later snapshot digests from its bytes.
+	fork := snap.Resume(Config{})
+	if err := fork.Mem.Write(fork.Regs[isa.RSP]-8, []byte{0x5a}); err != nil {
+		t.Fatal(err)
+	}
+	want := fork.StateDigest()
+	if got := fork.Snapshot().Resume(Config{}).StateDigest(); got != want {
+		t.Fatal("refrozen recycled frames digest differently from their content")
 	}
 }

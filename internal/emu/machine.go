@@ -345,6 +345,18 @@ func (m *Machine) notePage(addr uint64) {
 // mutate the map.
 func (m *Machine) PageLog() map[uint64]uint64 { return m.pageLog }
 
+// HooksInertAt returns the step count from which the machine's hooks
+// can no longer act — the end of the config's hook arming window, zero
+// when no hook is installed — so a machine paused at or past it runs
+// exactly like an unhooked one. ok is false when some hook declared no
+// window and stays armed for the whole run.
+func (m *Machine) HooksInertAt() (step uint64, ok bool) {
+	if m.armEnd == ^uint64(0) {
+		return 0, false
+	}
+	return m.armEnd, true
+}
+
 // RunUntil executes until the machine has completed `stop` steps, or
 // until exit, fault, or step limit, whichever comes first. It returns
 // exactly like Run, plus done=true when the run finished (exited or

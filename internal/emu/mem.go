@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/r2r/reinforce/internal/elf"
 )
@@ -59,6 +60,12 @@ type page struct {
 	// snapshot read it concurrently and clone into their own page tables,
 	// so the frozen page itself is never mutated.
 	cow bool
+
+	// digest caches the content digest of a cow page (see page.sum),
+	// published atomically because frozen pages are shared by the
+	// workers' machines. Always nil on private pages: every frame drawn
+	// from pagePool (clonePage, materializePage) starts without one.
+	digest atomic.Pointer[pageSum]
 }
 
 // region is a mapped address range whose pages materialize lazily on
@@ -126,6 +133,7 @@ func (m *Memory) clonePage(pa uint64, p *page) *page {
 	q.data = p.data
 	q.perm = p.perm
 	q.cow = false
+	q.digest.Store(nil)
 	m.setPage(pa, q)
 	return q
 }
@@ -200,6 +208,7 @@ func (m *Memory) Map(addr, size uint64, perm uint32) {
 	}
 	// Large mapping (a fresh stack), few materialized pages: visiting
 	// the page tables beats probing every page of the range.
+	//lint:allow maprange (permission OR per page: commutative, and a clone visited twice ORs again idempotently)
 	for a, p := range m.pages {
 		if a >= lo && a < hi {
 			if p.cow { // a frozen donor's overlay pages are shared
@@ -208,6 +217,7 @@ func (m *Memory) Map(addr, size uint64, perm uint32) {
 			p.perm |= perm
 		}
 	}
+	//lint:allow maprange (per-page clone plus permission OR: each page's result is independent of visit order)
 	for a, p := range m.base {
 		if a >= lo && a < hi {
 			if _, shadowed := m.pages[a]; !shadowed {

@@ -61,6 +61,7 @@ func (m *Machine) Release() {
 		privPool.Put(p)
 	}
 	mem := m.Mem
+	//lint:allow maprange (pool release: which frame the pool hands out next never reaches machine state)
 	for pa, p := range mem.pages {
 		delete(mem.pages, pa)
 		if p.cow {

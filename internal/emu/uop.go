@@ -529,6 +529,7 @@ func TranslateProgram(decoded map[uint64]*isa.Inst, gen uint64) *Program {
 		return nil
 	}
 	lo, hi := uint64(1<<63), uint64(0)
+	//lint:allow maprange (min/max fold: commutative)
 	for a := range decoded {
 		lo, hi = min(lo, a), max(hi, a)
 	}

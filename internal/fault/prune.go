@@ -301,8 +301,8 @@ func (pr *PairPruner) classFor(step uint64, digest [32]byte) *equivClass {
 }
 
 // classOutcome returns the class's outcome for continuation r, forking
-// the class state snap to simulate it (under the class lock) on first
-// need.
+// the class state snap to simulate it (under the class lock, finishing
+// through the session's continuation memo) on first need.
 func (pr *PairPruner) classOutcome(cl *equivClass, snap *emu.Snapshot, r rest) Outcome {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -314,10 +314,7 @@ func (pr *PairPruner) classOutcome(cl *equivClass, snap *emu.Snapshot, r rest) O
 	if r.b >= 0 {
 		later[1], n = pr.solo[r.b].Fault, 2
 	}
-	m := snap.Resume(pr.s.config(later[:n]...))
-	res, err := m.Run()
-	o := classify(res, err, pr.s.good)
-	m.Release()
+	o := pr.s.finish(snap.Resume(pr.s.config(later[:n]...)))
 	pr.sim.Add(1)
 	cl.outcomes[r] = o
 	return o

@@ -33,8 +33,12 @@ const (
 // Building the session performs all per-binary work exactly once; each
 // of the (often tens of thousands of) injections then forks the nearest
 // snapshot instead of re-initializing memory and registers and
-// re-executing the whole prefix from _start. Sessions are safe for
-// concurrent Simulate/ExecuteShard calls once constructed.
+// re-executing the whole prefix from _start. The injections share
+// their tails as well: a faulted run that reaches the complete state
+// another run of the session already finished from, at the same step,
+// stops there and inherits that run's outcome (the continuation memo,
+// memo.go). Sessions are safe for concurrent Simulate/ExecuteShard
+// calls once constructed.
 type Session struct {
 	c      Campaign
 	good   Observable
@@ -76,6 +80,11 @@ type Session struct {
 	// goroutine set — the seam the corpus work-stealing scheduler
 	// injects through.
 	sched Pool
+
+	// memo is the continuation memo (memo.go) shared by every faulted
+	// run the session finishes: runs that reach an equal state at the
+	// same step inherit the first finished run's outcome.
+	memo *tailMemo
 }
 
 // probe is the byte window the emulator would fetch at an address.
@@ -141,13 +150,11 @@ func NewSession(c Campaign) (*Session, error) {
 	}
 	s.ladder = newLadder(s.ckpts)
 
+	ref := max(goodRes.Steps, badRes.Steps)
 	if s.c.InjectionStepLimit == 0 {
-		ref := badRes.Steps
-		if goodRes.Steps > ref {
-			ref = goodRes.Steps
-		}
 		s.c.InjectionStepLimit = 8*ref + 4096
 	}
+	s.memo = newTailMemo(ref)
 
 	// Models whose enumeration inspects operands (register/data faults)
 	// get the decoded instruction at each traced address, recycled from
@@ -384,20 +391,17 @@ func (s *Session) decodePreScreen(f Fault) bool {
 // SimulateSeq is the one per-sequence simulation core: it runs the
 // given faults (one, or a multi-fault sequence) composed onto one run
 // from the copy-on-write snapshot nearest the earliest, and classifies
-// the outcome. No static screen applies — Simulate and Pruner add theirs
-// for solo faults; the bit-flip decode pre-screen in particular relies
-// on the reference run reaching the fault site, which another fault of
-// a sequence may prevent. Safe for concurrent use.
+// the outcome through the continuation memo (see finish). No static
+// screen applies — Simulate and Pruner add theirs for solo faults; the
+// bit-flip decode pre-screen in particular relies on the reference run
+// reaching the fault site, which another fault of a sequence may
+// prevent. Safe for concurrent use.
 func (s *Session) SimulateSeq(faults ...Fault) Outcome {
 	first := faults[0].TraceIndex
 	for _, f := range faults[1:] {
 		first = min(first, f.TraceIndex)
 	}
-	m := s.rungFor(uint64(first)).Resume(s.config(faults...))
-	res, err := m.Run()
-	o := classify(res, err, s.good)
-	m.Release()
-	return o
+	return s.finish(s.rungFor(uint64(first)).Resume(s.config(faults...)))
 }
 
 // InjectionLimit returns the per-injection step budget the session runs
