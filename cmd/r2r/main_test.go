@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -152,6 +154,27 @@ func TestPatchOrder2JSONGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "patch_pincheck_order2.json", got)
+}
+
+// TestPatchOrder2DefaultModelsGolden pins `r2r patch -order 2 -json`
+// under the default fault models (skip and bitflip) on otpauth: the
+// path whose solo sweeps record footprints and whose bit flips mutate
+// code. The JSON keeps the footprint-dependent reused/resimulated
+// counters, and the hardened ELF is pinned by its SHA-256.
+func TestPatchOrder2DefaultModelsGolden(t *testing.T) {
+	bin, good, bad := writeCase(t, cases.OTPAuth())
+	hard := bin + ".h2"
+	var out bytes.Buffer
+	if err := cmdPatch([]string{"-good", good, "-bad", bad, "-order", "2", "-o", hard, "-json", bin}, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "patch_otpauth_order2_default.json", normalizeJSON(t, out.Bytes()))
+	img, err := os.ReadFile(hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(img)
+	checkGolden(t, "patch_otpauth_order2_default.sha256", hex.EncodeToString(sum[:])+"\n")
 }
 
 // TestCampaignUnknownModelListsCatalog: the fix for the opaque

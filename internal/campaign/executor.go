@@ -208,8 +208,6 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 		return injections, tally, nil, CacheStats{Resimulated: len(injections)}, nil
 	}
 
-	plan := NewPlan(c, shard, 1, 0)
-	fd := digestFaults(e.s.Faults())
 	sel := shardSelect(e.s.Faults(), shard)
 	good, bad := e.s.Oracles()
 	limit := e.s.InjectionLimit()
@@ -227,9 +225,14 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 
 	// Singleflight: concurrent cells computing the same plan key (same
 	// binary, options, shard, order) elect one leader; the rest are
-	// served its committed entry as a hit.
+	// served its committed entry as a hit. The plan key and the fault
+	// digest only serve the store: the memo-only path skips both.
 	var commit func(*Entry) error
+	var plan Plan
+	var fd string
 	if e.store != nil {
+		plan = NewPlan(c, shard, 1, 0)
+		fd = digestFaults(e.s.Faults())
 		entry, lead := e.store.Acquire(plan.Key)
 		if entry != nil {
 			inj, tally, err := rebuildSolo(entry, fd, good, bad, limit, sel)

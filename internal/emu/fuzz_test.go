@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -137,7 +138,7 @@ func FuzzUopTranslator(f *testing.F) {
 		if len(code) == 0 || len(code) > 1024 {
 			return
 		}
-		run := func(singleStep bool) (Result, error) {
+		run := func(singleStep, pages bool) (Result, error, map[uint64]uint64) {
 			bin := &elf.Binary{
 				Entry: 0x401000,
 				Sections: []*elf.Section{
@@ -145,26 +146,76 @@ func FuzzUopTranslator(f *testing.F) {
 					{Name: ".data", Addr: 0x600000, Data: make([]byte, 4096), Flags: elf.FlagRead | elf.FlagWrite},
 				},
 			}
-			m := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: singleStep})
+			m := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: singleStep, RecordPages: pages})
 			res, err := m.Run()
+			log := maps.Clone(m.PageLog())
 			m.Release()
-			return res, err
+			return res, err, log
 		}
-		rf, ef := run(false)
-		rs, es := run(true)
-		if (ef == nil) != (es == nil) {
-			t.Fatalf("error divergence: fast=%v slow=%v", ef, es)
+		rs, es, _ := run(true, false)
+		rf, ef, _ := run(false, false)
+		sameRun(t, "fast", rf, ef, rs, es)
+		// The page log keeps both engines on their own paths: same
+		// runs, and the same pages at the same first-fetch steps.
+		rfl, efl, logF := run(false, true)
+		rsl, esl, logS := run(true, true)
+		sameRun(t, "fast, page log", rfl, efl, rs, es)
+		sameRun(t, "single-step, page log", rsl, esl, rs, es)
+		if !maps.Equal(logF, logS) {
+			t.Fatalf("page log divergence: fast=%v slow=%v", logF, logS)
 		}
-		if ef != nil && es != nil && ef.Error() != es.Error() {
-			t.Fatalf("error text divergence: fast=%v slow=%v", ef, es)
+	})
+}
+
+// sameRun requires a run to match the single-step reference: error
+// text, exit status, step count and output.
+func sameRun(t *testing.T, label string, rf Result, ef error, rs Result, es error) {
+	t.Helper()
+	if (ef == nil) != (es == nil) {
+		t.Fatalf("%s: error divergence: got=%v slow=%v", label, ef, es)
+	}
+	if ef != nil && es != nil && ef.Error() != es.Error() {
+		t.Fatalf("%s: error text divergence: got=%v slow=%v", label, ef, es)
+	}
+	if rf.Exited != rs.Exited || rf.ExitCode != rs.ExitCode || rf.Steps != rs.Steps {
+		t.Fatalf("%s: run divergence: got=(%v,%d,%d) slow=(%v,%d,%d)",
+			label, rf.Exited, rf.ExitCode, rf.Steps, rs.Exited, rs.ExitCode, rs.Steps)
+	}
+	if string(rf.Stdout) != string(rs.Stdout) || string(rf.Stderr) != string(rs.Stderr) {
+		t.Fatalf("%s: output divergence: got=%q/%q slow=%q/%q", label, rf.Stdout, rf.Stderr, rs.Stdout, rs.Stderr)
+	}
+}
+
+// FuzzProgramOverlay: differential fuzzing of the program overlay. The
+// golden run of arbitrary code seeds its entry snapshot with a
+// program; a fork then flips one bit of the code (pos, bit) before the
+// fetch of dynamic step `step`, and the fast path — which keeps serving
+// the program's uops the flip missed — must match the single-step
+// interpreter: result, error text, page log (recorded when bit's high
+// bit is set) and final state digest.
+func FuzzProgramOverlay(f *testing.F) {
+	f.Add(loopText, uint16(immAddr-0x401000), uint8(0), uint8(1))                    // flip inside a Seq chain
+	f.Add(loopText, uint16(immAddr-0x401000), uint8(0x80), uint8(0))                 // same flip before the first step, page log on
+	f.Add(loopText, uint16(0x0F), uint8(1), uint8(3))                                // add's opcode 01 -> 03: operands swap
+	f.Add(loopText, uint16(0x0E), uint8(0x82), uint8(5))                             // REX 48 -> 4C on the second pass
+	f.Add(loopText, uint16(0x14), uint8(0x83), uint8(4))                             // jne (75) -> jge (7D) at its first fetch
+	f.Add(loopText, uint16(0x20), uint8(2), uint8(200))                              // flip step past the end: no flip
+	f.Add([]byte{0x48, 0x83, 0xC0, 0x05, 0xEB, 0xFA}, uint16(1), uint8(1), uint8(2)) // 83 -> 81: imm8 -> imm32 length change
+	f.Fuzz(func(t *testing.T, code []byte, pos uint16, bit uint8, step uint8) {
+		if len(code) == 0 || len(code) > 1024 {
+			return
 		}
-		if rf.Exited != rs.Exited || rf.ExitCode != rs.ExitCode || rf.Steps != rs.Steps {
-			t.Fatalf("run divergence: fast=(%v,%d,%d) slow=(%v,%d,%d)",
-				rf.Exited, rf.ExitCode, rf.Steps, rs.Exited, rs.ExitCode, rs.Steps)
-		}
-		if string(rf.Stdout) != string(rs.Stdout) || string(rf.Stderr) != string(rs.Stderr) {
-			t.Fatalf("output divergence: fast=%q/%q slow=%q/%q", rf.Stdout, rf.Stderr, rs.Stdout, rs.Stderr)
-		}
+		snap := seededSnapshot(t, code)
+		addr := 0x401000 + uint64(int(pos)%len(code))
+		at := uint64(step)
+		cfg := Config{StepLimit: 4096, RecordPages: bit&0x80 != 0}
+		cfg.AddFetchHookWindow(func(m *Machine) {
+			if m.Steps == at {
+				_ = m.Mem.FlipBit(addr, uint(bit%8))
+			}
+		}, at, at+1)
+		m, _ := overlayPair(t, snap, cfg, func(*Machine) {})
+		m.Release()
 	})
 }
 

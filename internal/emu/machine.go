@@ -60,7 +60,8 @@ type Config struct {
 
 	// RecordPages captures the code pages the run fetches from (see
 	// Machine.PageLog) — the execution footprint incremental campaign
-	// caches compare against the bytes a patch round changed.
+	// caches compare against the bytes a patch round changed. Both the
+	// interpreter and the micro-op fast path keep the log, identically.
 	RecordPages bool
 
 	// SingleStep forces the per-step interpreter even where the
@@ -250,15 +251,20 @@ type Machine struct {
 	icacheBase *Program
 
 	// Micro-op fast path (uop.go). prog is an optional shared
-	// predecoded program seeded from a Snapshot; priv holds blocks this
+	// predecoded program seeded from a Snapshot; once code mutates it
+	// serves only uops no recorded edit touches, and poison lists the
+	// ones an edit does touch (sorted uop indices, valid for poisonGen;
+	// poisonBuf backs the usual short list). priv holds blocks this
 	// machine translated itself (lazily, keyed by entry address, valid
 	// for privGen). armStart/armEnd is the union of the config's hook
 	// arming windows: while Steps is inside [armStart, armEnd) — or
-	// when singleStep, trace recording, or page logging is on — the
-	// machine single-steps so hooks and recorders observe every
-	// instruction; everywhere else RunUntil dispatches straight-line
-	// micro-op blocks.
+	// when singleStep or trace recording is on — the machine
+	// single-steps so hooks and the trace observe every instruction;
+	// everywhere else RunUntil dispatches straight-line micro-op blocks.
 	prog       *Program
+	poison     []int32
+	poisonBuf  [4]int32
+	poisonGen  uint64
 	priv       *privProg
 	privGen    uint64
 	armStart   uint64
@@ -373,7 +379,7 @@ func (m *Machine) RunUntil(stop uint64) (Result, bool, error) {
 			break
 		}
 		// Superstep dispatch: outside hook arming windows (and without
-		// recorders attached) execution proceeds through predecoded
+		// a trace recorder) execution proceeds through predecoded
 		// micro-op blocks, pausing exactly at fastLimit — the next stop
 		// boundary, step limit, or hook window start. The single-step
 		// interpreter below handles everything the fast path declines.

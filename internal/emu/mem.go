@@ -106,13 +106,61 @@ type Memory struct {
 
 	// codeGen increments whenever executable bytes may have changed
 	// (Poke/FlipBit, or a store into an executable page); the machine's
-	// decoded-instruction cache keys off it.
+	// decoded-instruction cache keys off it. edits records the byte
+	// range of every such change since generation zero, so a
+	// generation-zero Program can keep serving the bytes no change
+	// touched (see Machine.progAt). Both only ever change together,
+	// through codeEdit.
 	codeGen uint64
+	edits   editLog
 
 	// frozen marks a memory that donated its pages to a Snapshot: its
 	// page objects are shared with an immutable image, so the memory
 	// must never be recycled into the allocation pools (see pool.go).
 	frozen bool
+}
+
+// maxEdits is the capacity of an edit record. A bit-flip fault edits
+// one byte (a transient flip edits it twice); a run that changes code
+// in more places than this loses the shared Program altogether.
+const maxEdits = 4
+
+// editLog records the executable byte ranges code mutations changed.
+// It is fixed-size, so frozen images and resumed memories copy it by
+// value. Ranges that overlap or touch merge; a range that fits nowhere
+// overflows the record for good.
+type editLog struct {
+	n int // ranges in use; maxEdits+1 once overflowed
+	r [maxEdits]struct{ lo, hi uint64 }
+}
+
+// add records the changed range [lo, hi).
+func (l *editLog) add(lo, hi uint64) {
+	if l.full() {
+		return
+	}
+	for i := range l.r[:l.n] {
+		if r := &l.r[i]; lo <= r.hi && hi >= r.lo {
+			r.lo, r.hi = min(r.lo, lo), max(r.hi, hi)
+			return
+		}
+	}
+	if l.n == maxEdits {
+		l.n = maxEdits + 1
+		return
+	}
+	l.r[l.n].lo, l.r[l.n].hi = lo, hi
+	l.n++
+}
+
+// full reports whether the record overflowed.
+func (l *editLog) full() bool { return l.n > maxEdits }
+
+// codeEdit notes that the executable bytes [lo, hi) may have changed:
+// a new code generation, and the range in the edit record.
+func (m *Memory) codeEdit(lo, hi uint64) {
+	m.codeGen++
+	m.edits.add(lo, hi)
 }
 
 // setPage installs pa -> p in the private overlay and keeps the TLB
@@ -363,7 +411,7 @@ func (m *Memory) Write(addr uint64, data []byte) error {
 	// invalidate decoded-instruction caches.
 	for a := addr &^ (pageSize - 1); a < addr+uint64(len(data)); a += pageSize {
 		if perm, ok := m.permAt(a); ok && perm&elf.FlagExec != 0 {
-			m.codeGen++
+			m.codeEdit(addr, addr+uint64(len(data)))
 			break
 		}
 	}
@@ -404,7 +452,7 @@ func (m *Memory) WriteUint(addr uint64, v uint64, width uint8) error {
 		pa := addr &^ (pageSize - 1)
 		if p := m.lookupPage(pa); p != nil && p.perm&elf.FlagWrite != 0 {
 			if p.perm&elf.FlagExec != 0 {
-				m.codeGen++ // self-modifying store, like Write
+				m.codeEdit(addr, addr+uint64(width)) // self-modifying store, like Write
 			}
 			if p.cow {
 				p = m.clonePage(pa, p)
@@ -451,7 +499,7 @@ func (m *Memory) Poke(addr uint64, b byte) error {
 	if p == nil {
 		return &MemFault{Addr: addr, Kind: AccessWrite}
 	}
-	m.codeGen++
+	m.codeEdit(addr, addr+1)
 	p.data[addr&(pageSize-1)] = b
 	return nil
 }
@@ -486,7 +534,7 @@ func (m *Memory) PokeData(addr uint64, b byte) error {
 		return &MemFault{Addr: addr, Kind: AccessWrite}
 	}
 	if p.perm&elf.FlagExec != 0 {
-		m.codeGen++
+		m.codeEdit(addr, addr+1)
 	}
 	p.data[addr&(pageSize-1)] = b
 	return nil

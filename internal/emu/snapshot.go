@@ -11,6 +11,7 @@ type memImage struct {
 	pages   map[uint64]*page
 	regions []region
 	codeGen uint64
+	edits   editLog
 }
 
 // freeze marks every visible page copy-on-write and returns an
@@ -29,7 +30,7 @@ func (m *Memory) freeze() memImage {
 	// The donor's pages now back an immutable image, so the donor must
 	// never be recycled into the allocation pools (see Release).
 	m.frozen = true
-	return memImage{pages: pages, regions: m.regions, codeGen: m.codeGen}
+	return memImage{pages: pages, regions: m.regions, codeGen: m.codeGen, edits: m.edits}
 }
 
 // resumeMemory builds a private address space layered over a frozen
@@ -39,7 +40,7 @@ func (m *Memory) freeze() memImage {
 func resumeMemory(img memImage) *Memory {
 	mem := memoryPool.Get().(*Memory)
 	pages := mem.pages // cleared by Release; keep the buckets
-	*mem = Memory{pages: pages, base: img.pages, regions: img.regions, codeGen: img.codeGen}
+	*mem = Memory{pages: pages, base: img.pages, regions: img.regions, codeGen: img.codeGen, edits: img.edits}
 	return mem
 }
 
@@ -68,7 +69,9 @@ type Snapshot struct {
 
 	// Optional golden-run code artifact (TranslateProgram): decoded
 	// instructions plus their micro-op stream, shared read-only by all
-	// resumed machines while their code generation still matches.
+	// resumed machines. They serve the decode cache from it while their
+	// code generation still matches, and the micro-op fast path for as
+	// long as Program.fits.
 	prog *Program
 }
 
@@ -97,10 +100,12 @@ func (s *Snapshot) Steps() uint64 { return s.steps }
 // SeedProgram attaches a golden run's shared code artifact (built with
 // TranslateProgram) so resumed machines neither re-decode the
 // instructions the golden run decoded nor re-translate them into
-// micro-op blocks. Ignored when the program's code generation does not
-// match the snapshot's.
+// micro-op blocks. Ignored unless the program fits the snapshot's code:
+// same code generation, or a generation-zero program and a snapshot
+// whose code changed only at recorded ranges (a bit-flipped first-fault
+// state, see Program.fits).
 func (s *Snapshot) SeedProgram(p *Program) {
-	if p != nil && p.gen == s.mem.codeGen {
+	if p != nil && p.fits(s.mem.codeGen, &s.mem.edits) {
 		s.prog = p
 	}
 }
@@ -138,10 +143,9 @@ func (s *Snapshot) Resume(cfg Config) *Machine {
 	if cfg.Stdin != nil {
 		m.Stdin = cfg.Stdin
 	}
-	if s.prog != nil && s.prog.gen == m.Mem.CodeGeneration() {
-		m.icacheBase = s.prog
-		m.prog = s.prog
-	}
+	// Step drops icacheBase at the first code generation the program
+	// was not built for; the micro-op fast path keeps prog while it fits.
+	m.icacheBase, m.prog = s.prog, s.prog
 	return m
 }
 

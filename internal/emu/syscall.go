@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/r2r/reinforce/internal/isa"
 )
@@ -77,17 +78,22 @@ func (m *Machine) syscall(next uint64) error {
 			ret(-errnoBADF)
 			return nil
 		}
+		// Validate the whole source range before touching the stream,
+		// so a fault-corrupted length over an unmapped buffer fails
+		// with -EFAULT without allocating, and a failed write leaves
+		// no partial output.
 		n := ioCount(a2)
-		buf := make([]byte, n)
-		if err := m.Mem.Read(a1, buf); err != nil {
+		if err := m.Mem.check(a1, n, AccessRead); err != nil {
 			ret(-errnoFAULT)
 			return nil
 		}
-		if a0 == 1 {
-			m.Stdout = append(m.Stdout, buf...)
-		} else {
-			m.Stderr = append(m.Stderr, buf...)
+		out := &m.Stdout
+		if a0 == 2 {
+			out = &m.Stderr
 		}
+		l := len(*out)
+		*out = slices.Grow(*out, n)[:l+n]
+		m.Mem.readRaw(a1, (*out)[l:])
 		ret(int64(n))
 		return nil
 

@@ -1,6 +1,11 @@
 package emu
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/r2r/reinforce/internal/asm"
+	"github.com/r2r/reinforce/internal/isa"
+)
 
 // readProg reads count bytes into a 16-byte buffer, exits with the
 // syscall's return value truncated to a byte (so tests can observe the
@@ -113,6 +118,35 @@ msg: .ascii "ok\n"
 	res := mustExit(t, src, Config{}, 0)
 	if string(res.Stdout) != "ok\n" {
 		t.Errorf("stdout = %q", res.Stdout)
+	}
+}
+
+// TestWriteFaultAllocatesNoBuffer: a write whose (clamped) range
+// starts in an unmapped buffer fails with -EFAULT before any transfer
+// buffer exists — a fault-corrupted length must not cost a zeroed
+// 1 MiB allocation per injection, which is what maxIOChunk bounds. The
+// one allocation left is the range check's discarded *MemFault.
+func TestWriteFaultAllocatesNoBuffer(t *testing.T) {
+	bin, err := asm.Assemble(".text\n_start:\n\tsyscall\n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(bin, Config{})
+	write := func() {
+		m.Regs[isa.RAX], m.Regs[isa.RDI] = sysWrite, 1
+		m.Regs[isa.RSI], m.Regs[isa.RDX] = 0xdead0000, ^uint64(0)
+		if err := m.syscall(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, write); allocs > 1 {
+		t.Errorf("faulting write allocated %.1f times per call, want at most the fault descriptor", allocs)
+	}
+	if got := int64(m.Regs[isa.RAX]); got != -errnoFAULT {
+		t.Errorf("write returned %d, want -EFAULT", got)
+	}
+	if len(m.Stdout) != 0 {
+		t.Errorf("faulting write left %d bytes of output", len(m.Stdout))
 	}
 }
 

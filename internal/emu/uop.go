@@ -14,21 +14,37 @@
 // Two uop sources exist. A Program is translated once from a golden
 // run's decoded instructions and shared read-only, together with them,
 // by every machine resumed from the run's snapshots (dense index).
-// Machines without a seeded program (cold starts, or after code
-// mutated) translate private blocks lazily from their own memory.
+// Machines without a seeded program (cold starts) translate private
+// blocks lazily from their own memory.
+//
+// A machine whose code mutated (a bit flip, a self-modifying store)
+// keeps a generation-zero Program as an overlay: Memory records the
+// byte ranges each mutation changed, a program uop serves the machine
+// only if its encoding misses every recorded range, and the private
+// translation supplies the rest — the edited instructions and any
+// address the program never decoded (a flip that changes an
+// instruction's length shifts decoding). Private blocks end where the
+// program serves again. The indices of the program uops an edit
+// poisons are computed once per code generation, so the runner's only
+// per-step cost is one index compare on a fall-through advance.
 //
 // Correctness contract: the fast path is bit-identical to Step. It
-// only runs while no hook arming window is open and no recorder is
-// attached (Machine.fastLimit), errors leave RIP at the faulting
+// only runs while no hook arming window is open, no trace is recorded
+// and single-stepping is not forced (Machine.fastLimit); it logs the
+// page of each uop's first and last encoded byte before counting the
+// step, exactly like Step's page log. Errors leave RIP at the faulting
 // instruction with the step already counted exactly like Step, RunUntil
 // boundaries pause at precise step counts, and a uop that may write
 // memory re-checks the code generation so self-modifying stores drop
 // back to the interpreter before a stale block executes. The
-// differential fuzz target (FuzzFastPathDifferential) and the campaign
-// parity tests enforce the contract.
+// differential fuzz targets (FuzzUopTranslator, FuzzProgramOverlay)
+// and the campaign parity tests enforce the contract.
 package emu
 
 import (
+	"math"
+	"slices"
+
 	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/isa"
 )
@@ -570,6 +586,15 @@ func TranslateProgram(decoded map[uint64]*isa.Inst, gen uint64) *Program {
 	return p
 }
 
+// fits reports whether the program may serve micro-ops to a memory at
+// code generation gen with edit record edits: either the generations
+// match, or the program was built from code that never mutated
+// (generation zero) and every change since is recorded, so the bytes
+// outside the recorded ranges are still the program's.
+func (p *Program) fits(gen uint64, edits *editLog) bool {
+	return p.gen == gen || p.gen == 0 && !edits.full()
+}
+
 // lookup returns the decoded instruction at addr, or nil.
 func (p *Program) lookup(addr uint64) *isa.Inst {
 	off := addr - p.base
@@ -648,12 +673,13 @@ func (m *Machine) privReset(gen uint64) *privProg {
 // translateBlock decodes a straight-line block starting at addr from
 // the machine's own memory into the private translation, ending at
 // the first control-flow uop, a decode failure, an already-translated
-// address (the block merges into the existing stream), or the size
-// cap. Every instruction in the block gets its own index entry, so
-// branches into the middle of a translated block resolve without
-// retranslation. Returns the index of addr's uop, or -1 when the
-// first instruction is untranslatable — the caller single-steps and
-// the interpreter reproduces the exact error.
+// address (the block merges into the existing stream), the first
+// address the shared program serves cleanly, or the size cap. Every
+// instruction in the block gets its own index entry, so branches into
+// the middle of a translated block resolve without retranslation.
+// Returns the index of addr's uop, or -1 when the first instruction is
+// untranslatable — the caller single-steps and the interpreter
+// reproduces the exact error.
 func (m *Machine) translateBlock(p *privProg, addr uint64) int {
 	start := len(p.uops)
 	pc := addr
@@ -661,6 +687,11 @@ func (m *Machine) translateBlock(p *privProg, addr uint64) int {
 		off := pc - p.base
 		if off >= uint64(len(p.idx)) || p.idx[off] != 0 {
 			break // left the span, or merged into a translated stream
+		}
+		if pc != addr && m.prog != nil {
+			if j, _ := m.progAt(m.prog, pc); j >= 0 {
+				break // the shared program serves the rest
+			}
 		}
 		n, err := m.Mem.Fetch(pc, m.fetchBuf[:])
 		if err != nil {
@@ -704,51 +735,114 @@ func (m *Machine) translateBlock(p *privProg, addr uint64) int {
 	return start
 }
 
+// noStop is the stop index of a stream with no poisoned uop ahead.
+const noStop = math.MaxInt
+
 // fastLookup resolves the micro-op stream containing addr: the shared
 // program first, then the machine-private translation, growing it on
-// demand. Streams are only served while their code generation matches
-// memory; a stale private translation is reset wholesale. Returns a
-// nil stream when addr has no translation (the caller single-steps).
-func (m *Machine) fastLookup(addr uint64) ([]uop, int) {
-	gen := m.Mem.codeGen
-	if p := m.prog; p != nil && p.gen == gen {
-		if off := addr - p.base; off < uint64(len(p.idx)) {
-			if i := p.idx[off]; i > 0 {
-				return p.uops, int(i - 1)
-			}
+// demand. A stale private translation is reset wholesale. Returns the
+// stream, addr's index in it, and stop — the index of the first uop
+// after it that the runner must not reach by fall-through (a program
+// uop an edit poisoned; noStop for none). A nil stream means addr has
+// no translation (the caller single-steps).
+func (m *Machine) fastLookup(addr uint64) ([]uop, int, int) {
+	if p := m.prog; p != nil {
+		if i, stop := m.progAt(p, addr); i >= 0 {
+			return p.uops, i, stop
 		}
 	}
+	gen := m.Mem.codeGen
 	p := m.priv
 	if p == nil || m.privGen != gen {
 		if p = m.privReset(gen); p == nil {
-			return nil, -1
+			return nil, -1, 0
 		}
 	}
 	off := addr - p.base
 	if off >= uint64(len(p.idx)) {
-		return nil, -1
+		return nil, -1, 0
 	}
 	i := p.idx[off]
 	if i == 0 {
 		if j := m.translateBlock(p, addr); j >= 0 {
-			return p.uops, j
+			return p.uops, j, noStop
 		}
-		return nil, -1
+		return nil, -1, 0
 	}
 	if i < 0 {
-		return nil, -1
+		return nil, -1, 0
 	}
-	return p.uops, int(i - 1)
+	return p.uops, int(i - 1), noStop
+}
+
+// progAt returns the index of the program uop that serves addr
+// cleanly, plus the index of the first poisoned uop after it (noStop
+// when none); i is -1 when the program has no uop at addr or an edit
+// poisoned it. The program stops serving the machine for good once its
+// code no longer fits (Program.fits), as when the edit record
+// overflows.
+func (m *Machine) progAt(p *Program, addr uint64) (i, stop int) {
+	off := addr - p.base
+	if off >= uint64(len(p.idx)) || p.idx[off] == 0 {
+		return -1, 0
+	}
+	i = int(p.idx[off] - 1)
+	gen := m.Mem.codeGen
+	if p.gen == gen {
+		return i, noStop
+	}
+	if m.poisonGen != gen {
+		if !p.fits(gen, &m.Mem.edits) {
+			m.prog = nil
+			return -1, 0
+		}
+		m.poisonFor(p, gen)
+	}
+	// The list is sorted and short (an edit poisons a uop or two), so
+	// a scan beats a binary search here.
+	for _, j := range m.poison {
+		switch {
+		case int(j) == i:
+			return -1, 0
+		case int(j) > i:
+			return i, int(j)
+		}
+	}
+	return i, noStop
+}
+
+// poisonFor lists, sorted, the program uops whose encoding [addr, next)
+// overlaps a range of the memory's edit record, for code generation
+// gen (never zero: only a mutated machine has edits). A uop starting
+// up to MaxInstLen-1 bytes before a range can reach into it.
+func (m *Machine) poisonFor(p *Program, gen uint64) {
+	m.poison = m.poisonBuf[:0]
+	span := p.base + uint64(len(p.idx))
+	e := &m.Mem.edits
+	for _, r := range e.r[:e.n] {
+		lo := p.base
+		if r.lo > p.base+decode.MaxInstLen-1 {
+			lo = r.lo - (decode.MaxInstLen - 1)
+		}
+		for a := lo; a < min(r.hi, span); a++ {
+			if j := p.idx[a-p.base]; j > 0 && p.uops[j-1].next > r.lo {
+				m.poison = append(m.poison, j-1)
+			}
+		}
+	}
+	slices.Sort(m.poison)
+	m.poison = slices.Compact(m.poison)
+	m.poisonGen = gen
 }
 
 // fastLimit returns the step count up to which the machine may run on
 // the micro-op fast path right now: the caller's stop boundary,
 // clamped by the step limit and by the start of the hook arming
-// window. Zero (or any value <= Steps) means single-step: a recorder
-// is attached, single-stepping was forced, or Steps is inside the
-// arming window.
+// window. Zero (or any value <= Steps) means single-step: a trace is
+// recorded, single-stepping was forced, or Steps is inside the arming
+// window. The page log needs no single-stepping; runFast keeps it.
 func (m *Machine) fastLimit(stop uint64) uint64 {
-	if m.singleStep || m.recordTrace || m.pageLog != nil {
+	if m.singleStep || m.recordTrace {
 		return 0
 	}
 	lim := stop
@@ -770,13 +864,16 @@ func (m *Machine) fastLimit(stop uint64) uint64 {
 // address, or an error. It reports whether any step executed (moved ==
 // false means the caller must single-step to make progress). RIP is
 // valid on every return path; errors are returned with RIP at the
-// faulting instruction and the step counted, exactly like Step.
+// faulting instruction and the step counted, exactly like Step. With a
+// page log attached, each uop logs the pages of its first and last
+// encoded byte before its step counts, like Step does.
 func (m *Machine) runFast(limit uint64) (bool, error) {
-	uops, i := m.fastLookup(m.RIP)
+	uops, i, stop := m.fastLookup(m.RIP)
 	if i < 0 {
 		return false, nil
 	}
 	gen := m.Mem.codeGen
+	logPages := m.pageLog != nil
 	moved := false
 	for {
 		if m.Steps >= limit {
@@ -784,6 +881,10 @@ func (m *Machine) runFast(limit uint64) (bool, error) {
 			return moved, nil
 		}
 		u := &uops[i]
+		if logPages {
+			m.notePage(u.addr)
+			m.notePage(u.next - 1)
+		}
 		m.Steps++
 		if err := m.execUop(u); err != nil {
 			m.RIP = u.addr
@@ -794,7 +895,7 @@ func (m *Machine) runFast(limit uint64) (bool, error) {
 			if m.Exited {
 				return true, nil
 			}
-			uops, i = m.fastLookup(m.RIP)
+			uops, i, stop = m.fastLookup(m.RIP)
 			if i < 0 {
 				return true, nil
 			}
@@ -809,11 +910,14 @@ func (m *Machine) runFast(limit uint64) (bool, error) {
 			return true, nil
 		}
 		if u.flags&uFlagSeq != 0 {
-			i++
-			continue
+			if i++; i != stop {
+				continue
+			}
+			// The fall-through uop overlaps an edit: re-resolve below,
+			// which hands its address to the private translation.
 		}
 		m.RIP = u.next
-		uops, i = m.fastLookup(m.RIP)
+		uops, i, stop = m.fastLookup(m.RIP)
 		if i < 0 {
 			return true, nil
 		}

@@ -97,3 +97,43 @@ func TestPairSweepFastVsSingleStep(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateRecordFastVsSingleStep: footprint-recording runs (patch's
+// solo sweeps, the store's cold fill) now take the micro-op fast path
+// with the page log kept in the uop loop, and bit-flipped ones keep
+// the golden program for the bytes the flip missed. Every fault of
+// every catalog case under every registered model must record exactly
+// what the single-step interpreter records: outcome, steps, step-limit
+// cut and code footprint.
+func TestSimulateRecordFastVsSingleStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential recording sweep")
+	}
+	for _, c := range cases.All() {
+		bin, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range RegisteredModels() {
+			camp := Campaign{Binary: bin, Good: c.Good, Bad: c.Bad, Models: []Model{model}}
+			fast, err := NewSession(camp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			camp.SingleStep = true
+			slow, err := NewSession(camp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff, sf := fast.Faults(), slow.Faults()
+			if len(ff) != len(sf) {
+				t.Fatalf("%s/%s: %d faults fast, %d single-step", c.Name, model, len(ff), len(sf))
+			}
+			for i, f := range ff {
+				if a, b := fast.SimulateRecord(f), slow.SimulateRecord(sf[i]); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s/%s: fault %+v: fast=%+v single-step=%+v", c.Name, model, f, a, b)
+				}
+			}
+		}
+	}
+}
