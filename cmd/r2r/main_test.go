@@ -35,8 +35,9 @@ func writeCase(t *testing.T, c *cases.Case) (path string, good, bad string) {
 }
 
 // normalizeJSON zeroes the wall-clock fields so golden comparisons are
-// deterministic, and re-indents canonically.
-func normalizeJSON(t *testing.T, data []byte) string {
+// deterministic, drops every field named in drop at any depth, and
+// re-indents canonically.
+func normalizeJSON(t *testing.T, data []byte, drop ...string) string {
 	t.Helper()
 	var v any
 	if err := json.Unmarshal(data, &v); err != nil {
@@ -47,6 +48,9 @@ func normalizeJSON(t *testing.T, data []byte) string {
 		switch x := n.(type) {
 		case map[string]any:
 			delete(x, "elapsed_ms")
+			for _, k := range drop {
+				delete(x, k)
+			}
 			for _, vv := range x {
 				scrub(vv)
 			}
@@ -449,5 +453,102 @@ func TestUsageErrorClassification(t *testing.T) {
 	}
 	if err := cmdRun([]string{"/nonexistent.elf"}); err == nil || errors.As(err, &ue) {
 		t.Errorf("unreadable binary should be a runtime error, got %v", err)
+	}
+}
+
+// cacheCounters lists the JSON fields that account for how a run was
+// answered (store hits and misses, memo reuse) rather than what it
+// found; a warm rerun may differ from the cold run only there.
+var cacheCounters = []string{"cache", "cache_hit", "cache_hits", "reused", "resimulated"}
+
+// storeMisses sums every "misses" counter inside a "cache" block and
+// reports how many blocks it saw.
+func storeMisses(t *testing.T, normalized string) (misses float64, blocks int) {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal([]byte(normalized), &v); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(any)
+	walk = func(n any) {
+		switch x := n.(type) {
+		case map[string]any:
+			if c, ok := x["cache"].(map[string]any); ok {
+				m, _ := c["misses"].(float64)
+				misses += m
+				blocks++
+			}
+			for _, vv := range x {
+				walk(vv)
+			}
+		case []any:
+			for _, vv := range x {
+				walk(vv)
+			}
+		}
+	}
+	walk(v)
+	return misses, blocks
+}
+
+// TestWarmRerunMatchesCold: a second `campaign -order 2` and `patch
+// -order 2` over the same -cache-dir are answered from the store with
+// no misses, print the cold run's JSON except for the cache counters,
+// and write the cold run's hardened ELF (the default-models patch
+// golden's). All four outputs are pinned, cache counters included, so a
+// change to the store's entry layout cannot move what either pass
+// reports.
+func TestWarmRerunMatchesCold(t *testing.T) {
+	bin, good, bad := writeCase(t, cases.OTPAuth())
+	dir := filepath.Join(t.TempDir(), "cache")
+	campaign := func() string {
+		var out bytes.Buffer
+		if err := cmdCampaign([]string{"-good", good, "-bad", bad, "-order", "2", "-workers", "2",
+			"-q", "-json", "-cache-dir", dir, bin}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return normalizeJSON(t, out.Bytes())
+	}
+	patch := func(hard string) (string, []byte) {
+		var out bytes.Buffer
+		if err := cmdPatch([]string{"-good", good, "-bad", bad, "-order", "2",
+			"-o", hard, "-json", "-cache-dir", dir, bin}, &out); err != nil {
+			t.Fatal(err)
+		}
+		img, err := os.ReadFile(hard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return normalizeJSON(t, out.Bytes()), img
+	}
+	coldCampaign := campaign()
+	coldPatch, coldELF := patch(bin + ".cold")
+	warmCampaign := campaign()
+	warmPatch, warmELF := patch(bin + ".warm")
+
+	checkGolden(t, "rerun_otpauth_campaign_cold.json", coldCampaign)
+	checkGolden(t, "rerun_otpauth_campaign_warm.json", warmCampaign)
+	checkGolden(t, "rerun_otpauth_patch_cold.json", coldPatch)
+	checkGolden(t, "rerun_otpauth_patch_warm.json", warmPatch)
+	for _, run := range []struct{ name, cold, warm string }{
+		{"campaign", coldCampaign, warmCampaign},
+		{"patch", coldPatch, warmPatch},
+	} {
+		if cold, warm := normalizeJSON(t, []byte(run.cold), cacheCounters...), normalizeJSON(t, []byte(run.warm), cacheCounters...); cold != warm {
+			t.Errorf("warm %s differs from cold beyond the cache counters\n--- warm ---\n%s\n--- cold ---\n%s", run.name, warm, cold)
+		}
+		if misses, blocks := storeMisses(t, run.warm); blocks == 0 || misses != 0 {
+			t.Errorf("warm %s: %v store misses over %d cache blocks, want 0 misses", run.name, misses, blocks)
+		}
+	}
+	if !bytes.Equal(coldELF, warmELF) {
+		t.Error("warm patch wrote a different hardened ELF")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "patch_otpauth_order2_default.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(warmELF); hex.EncodeToString(sum[:])+"\n" != string(want) {
+		t.Errorf("hardened ELF sha256 %x, want the default-models patch golden %s", sum, want)
 	}
 }

@@ -23,6 +23,7 @@ package campaign
 
 import (
 	"bytes"
+	"sync"
 	"sync/atomic"
 
 	"github.com/r2r/reinforce/internal/elf"
@@ -42,7 +43,14 @@ type Memo struct {
 	goodIn    string // campaign inputs the records assume
 	badIn     string
 	limit     uint64 // injection step budget the records ran under
-	records   map[fault.Fault]Record
+	sel       []fault.Fault
+	records   []Record // records[i] is the evidence behind sel[i]
+
+	// index maps a fault of sel to its position. It is built by the
+	// first lookup, so a patch run whose every iteration is a store hit
+	// (and never consults its previous memo) never builds it.
+	indexOnce sync.Once
+	index     map[fault.Fault]int
 }
 
 // buildImage lays a binary's sections into zero-filled page images and
@@ -68,23 +76,20 @@ func buildImage(bin *elf.Binary) (map[uint64][]byte, map[uint64]bool) {
 }
 
 // newMemo assembles the memo for a finished campaign: the shard-local
-// fault selection zipped with its records. img/data is the binary's
-// page image (from buildImage), passed in so one solo() pass builds it
-// exactly once.
+// fault selection and its records, index-aligned (the fault index is
+// left to the first lookup). img/data is the binary's page image (from
+// buildImage), passed in so one solo() pass builds it exactly once.
 func newMemo(c fault.Campaign, good fault.Observable, limit uint64, sel []fault.Fault, records []Record, img map[uint64][]byte, data map[uint64]bool) *Memo {
-	m := &Memo{
+	return &Memo{
 		image:     img,
 		dataPages: data,
 		good:      good,
 		goodIn:    string(c.Good),
 		badIn:     string(c.Bad),
 		limit:     limit,
-		records:   make(map[fault.Fault]Record, len(sel)),
+		sel:       sel,
+		records:   records,
 	}
-	for i, f := range sel {
-		m.records[f] = records[i]
-	}
-	return m
 }
 
 // diff compares the memo's binary image against a new campaign's and
@@ -123,10 +128,17 @@ func (m *Memo) diff(img map[uint64][]byte, data map[uint64]bool) (changed map[ui
 //     (a smaller budget would cut it into a crash); a crash stays a
 //     crash under any budget — cutting it earlier still crashes it.
 func (m *Memo) lookup(f fault.Fault, changed map[uint64]bool, limit uint64) (Record, bool) {
-	rec, ok := m.records[f]
+	m.indexOnce.Do(func() {
+		m.index = make(map[fault.Fault]int, len(m.sel))
+		for i, g := range m.sel {
+			m.index[g] = i
+		}
+	})
+	i, ok := m.index[f]
 	if !ok {
 		return Record{}, false
 	}
+	rec := m.records[i]
 	for _, pa := range rec.Pages {
 		if changed[pa] {
 			return Record{}, false
@@ -156,6 +168,16 @@ type executor struct {
 
 	stats  fault.PruneStats
 	pruner *fault.PairPruner // built by the first stage that simulates, shared by the later ones
+	fd     string            // digest of the session's fault list, once computed
+}
+
+// faultsDigest digests the session's fault list on first use; every
+// stage of one run stores it.
+func (e *executor) faultsDigest() string {
+	if e.fd == "" {
+		e.fd = digestFaults(e.s.Faults())
+	}
+	return e.fd
 }
 
 // pruneStats returns the accumulated pruning accounting, or nil when
@@ -229,13 +251,11 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 	// digest only serve the store: the memo-only path skips both.
 	var commit func(*Entry) error
 	var plan Plan
-	var fd string
 	if e.store != nil {
 		plan = NewPlan(c, shard, 1, 0)
-		fd = digestFaults(e.s.Faults())
 		entry, lead := e.store.Acquire(plan.Key)
 		if entry != nil {
-			inj, tally, err := rebuildSolo(entry, fd, good, bad, limit, sel)
+			inj, tally, err := rebuildSolo(entry, e.faultsDigest(), good, bad, limit, sel)
 			if err == nil {
 				if progress != nil {
 					progress(len(sel), len(sel))
@@ -286,7 +306,7 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 	if e.store != nil {
 		stats.Misses = 1
 		entry := &Entry{
-			Key: plan.Key, FaultsDigest: fd,
+			Key: plan.Key, FaultsDigest: e.faultsDigest(),
 			GoodOracle: good, BadOracle: bad, Limit: limit,
 			Records: records,
 		}
@@ -392,7 +412,7 @@ func stage[T fault.Sequence](e *executor, c fault.Campaign, order, maxSeqs int, 
 	sel, outcomes, tally := run()
 	stats := CacheStats{Misses: 1}
 	saved := &Entry{
-		Key: plan.Key, FaultsDigest: digestFaults(e.s.Faults()), SeqDigest: sd,
+		Key: plan.Key, FaultsDigest: e.faultsDigest(), SeqDigest: sd,
 		GoodOracle: good, BadOracle: bad, Limit: limit,
 		Outcomes: outcomes,
 	}

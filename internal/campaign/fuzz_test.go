@@ -1,9 +1,15 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/r2r/reinforce/internal/fault"
 )
 
 // FuzzParseShard: any input either fails with an error or yields a
@@ -43,6 +49,74 @@ func FuzzParseShard(f *testing.F) {
 			if err != nil || again != sh {
 				t.Fatalf("round-trip of %+v: %+v, %v", sh, again, err)
 			}
+		}
+	})
+}
+
+// FuzzStoreEntry: arbitrary bytes stored as a key's entry file either
+// miss or decode to an entry that keeps every column invariant — never
+// a panic. A decoded entry re-saves and re-reads to an equal entry.
+func FuzzStoreEntry(f *testing.F) {
+	golden, err := filepath.Glob(filepath.Join(entryGoldenDir, "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range golden {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		key := strings.TrimSuffix(filepath.Base(path), ".json")
+		f.Add(bytes.Replace(doc, []byte(`"key":"`+key+`"`), []byte(`"key":"k"`), 1))
+	}
+	for _, doc := range []string{
+		entryDoc("iSc", "[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"),
+		entryDoc("iScd", "[ 5 , 9,7,0 ]", "[]", "[[],[1]]", "[1,0,1,0]"),
+		entryDoc("", "[]", "null", "null", "[]"),
+		entryDoc("iSc", "[5,9,7]", "[2,1]", "[[4096]]", "[0,0,1]"),
+		fmt.Sprintf(`{"schema":%d,"key":"k","faults_digest":"","good_oracle":{"Stdout":"","ExitCode":0},`+
+			`"bad_oracle":{"Stdout":"","ExitCode":0},"injection_step_limit":0,"seq_digest":"sd","outcomes":"dcSi"}`, planSchema),
+		`{"schema":3,"key":"k","records":[{"outcome":"ignored","steps":5,"pages":[4096]}]}`,
+		"",
+	} {
+		f.Add([]byte(doc))
+	}
+	// Iterations of one process run one at a time, so they share two
+	// directories: one holding the fuzzed file, one the re-saved entry.
+	dir, resaved := f.TempDir(), f.TempDir()
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "k.json"), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, ok := newTestStore(t, dir).Lookup("k")
+		if !ok {
+			return
+		}
+		if e.Schema != planSchema || e.Key != "k" {
+			t.Fatalf("decoded header schema %d key %q", e.Schema, e.Key)
+		}
+		if len(e.Records) > 0 && len(e.Outcomes) > 0 {
+			t.Fatal("entry decoded with both order-1 records and a sequence outcome column")
+		}
+		for _, r := range e.Records {
+			if r.Outcome > fault.OutcomeDetected {
+				t.Fatalf("record outcome %d", r.Outcome)
+			}
+		}
+		for _, o := range e.Outcomes {
+			if o > fault.OutcomeDetected {
+				t.Fatalf("sequence outcome %d", o)
+			}
+		}
+		if err := newTestStore(t, resaved).Save(e); err != nil {
+			t.Fatalf("re-saving a decoded entry: %v", err)
+		}
+		back, ok := newTestStore(t, resaved).Lookup("k")
+		if !ok {
+			t.Fatal("re-saved entry does not decode")
+		}
+		if !reflect.DeepEqual(e, back) {
+			t.Fatalf("re-saved entry drifted:\n%+v\n%+v", e, back)
 		}
 	})
 }

@@ -11,7 +11,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"hash"
+	"strconv"
 
 	"github.com/r2r/reinforce/internal/fault"
 )
@@ -28,8 +29,10 @@ import (
 // semantics) instead of returning -EFAULT, changing outcomes of faults
 // that corrupt a length register; 3 = the pair and triple stages share
 // one entry layout (sequence-list digest plus one outcome column) in
-// place of per-order fields.
-const planSchema = 3
+// place of per-order fields; 4 = columnar entries (one outcome letter
+// per injection for every order, order-1 evidence as step, budget-cut,
+// and interned page-set columns) in place of per-fault JSON records.
+const planSchema = 4
 
 // Plan is a content-addressed campaign execution: the campaign itself
 // plus the execution parameters that change its results (shard, fault
@@ -81,28 +84,78 @@ func NewPlan(c fault.Campaign, shard Shard, order, maxPairs int) Plan {
 // a fault list it was not computed from (a second line of defense
 // behind the plan key, guarding schema drift in enumeration itself).
 func digestFaults(faults []fault.Fault) string {
-	h := sha256.New()
+	d := newFaultDigest()
 	for _, f := range faults {
-		writeFault(h, f)
+		d.add(f)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return d.sum()
 }
 
 // digestSeqs content-addresses an enumerated multi-fault sequence list.
 func digestSeqs[T fault.Sequence](list []T) string {
-	h := sha256.New()
+	d := newFaultDigest()
 	for _, it := range list {
-		for _, f := range it.Faults() {
-			writeFault(h, f)
+		seq, n := it.Seq()
+		for _, f := range seq[:n] {
+			d.add(f)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return d.sum()
 }
 
-// writeFault serializes every identity field of a fault, explicitly —
+// digestChunk is how many serialized bytes a faultDigest buffers
+// before handing them to the hash; one serialized fault is at most 102
+// bytes, so the buffer never regrows.
+const digestChunk = 4096
+
+// faultDigest hashes a stream of faults through one reused buffer, so
+// digesting a list costs no allocation per fault.
+type faultDigest struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newFaultDigest() *faultDigest {
+	return &faultDigest{h: sha256.New(), buf: make([]byte, 0, digestChunk+128)}
+}
+
+func (d *faultDigest) add(f fault.Fault) {
+	d.buf = appendFault(d.buf, f)
+	if len(d.buf) >= digestChunk {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
+}
+
+func (d *faultDigest) sum() string {
+	d.h.Write(d.buf)
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// appendFault serializes every identity field of a fault, explicitly —
 // adding a Fault field without extending this list is caught by the
-// store round-trip tests.
-func writeFault(w io.Writer, f fault.Fault) {
-	fmt.Fprintf(w, "%d|%d|%x|%d|%d|%d|%t|%d|%d\n",
-		f.Model, f.TraceIndex, f.Addr, f.Op, f.Cond, f.Bit, f.Transient, f.Reg, f.Window)
+// store round-trip tests. The bytes must stay those the fault digest
+// has hashed since planSchema 1, the fmt format
+// "%d|%d|%x|%d|%d|%d|%t|%d|%d\n" over Model, TraceIndex, Addr, Op,
+// Cond, Bit, Transient, Reg, Window (TestFaultDigestMatchesFprintf),
+// or a digest change needs a planSchema bump.
+func appendFault(b []byte, f fault.Fault) []byte {
+	b = strconv.AppendUint(b, uint64(f.Model), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(f.TraceIndex), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, f.Addr, 16)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(f.Op), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(f.Cond), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(f.Bit), 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, f.Transient)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(f.Reg), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(f.Window), 10)
+	return append(b, '\n')
 }

@@ -11,12 +11,17 @@
 package campaign
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,34 +30,264 @@ import (
 )
 
 // Record is the stored evidence behind one fault's outcome — the
-// serialized form of a fault.SimRecord. Pages is the run's code
+// in-memory form of a fault.SimRecord. Pages is the run's code
 // footprint; Steps/LimitHit qualify the outcome against a different
-// injection step budget (see Memo.lookup for the reuse rule).
+// injection step budget (see Memo.lookup for the reuse rule). Records
+// decoded from disk share the Pages slices of equal footprints, so
+// Pages is read-only.
 type Record struct {
-	Outcome  fault.Outcome `json:"outcome"`
-	Steps    uint64        `json:"steps,omitempty"`
-	LimitHit bool          `json:"limit_hit,omitempty"`
-	Pages    []uint64      `json:"pages,omitempty"`
+	Steps    uint64
+	Pages    []uint64
+	Outcome  fault.Outcome
+	LimitHit bool
 }
 
 // Entry is one stored campaign result: the outcome of every injection
 // of one plan, in shard-local order, plus the digests and oracles that
 // gate its reuse. An order-1 entry carries per-fault Records; a
 // multi-fault stage's entry (order 2 or 3) carries its sequence list's
-// digest and one outcome column instead.
+// digest and one outcome column instead. MarshalJSON and UnmarshalJSON
+// define the on-disk layout (see entryJSON).
 type Entry struct {
-	Schema       int    `json:"schema"`
-	Key          string `json:"key"`
-	FaultsDigest string `json:"faults_digest"`
+	Schema       int
+	Key          string
+	FaultsDigest string
 
-	GoodOracle fault.Observable `json:"good_oracle"`
-	BadOracle  fault.Observable `json:"bad_oracle"`
-	Limit      uint64           `json:"injection_step_limit"`
+	GoodOracle fault.Observable
+	BadOracle  fault.Observable
+	Limit      uint64
 
-	Records []Record `json:"records"`
+	Records []Record
 
-	SeqDigest string          `json:"seq_digest,omitempty"`
-	Outcomes  []fault.Outcome `json:"outcomes,omitempty"`
+	SeqDigest string
+	Outcomes  []fault.Outcome
+}
+
+// entryJSON is an Entry's on-disk layout at planSchema 4: the header,
+// then the per-injection evidence as columns in shard-local injection
+// order, so a stored campaign decodes without reflecting over one JSON
+// record per fault.
+//
+//   - outcomes holds one outcomeLetters letter per injection, for
+//     entries of every order;
+//   - steps, limit_hit, page_sets and page_set carry order-1 evidence,
+//     and steps is present exactly in order-1 entries: each run's step
+//     count, the ascending indices of budget-cut runs, each distinct
+//     footprint page list once (in order of first use), and each
+//     injection's index into page_sets.
+type entryJSON struct {
+	Schema       int              `json:"schema"`
+	Key          string           `json:"key"`
+	FaultsDigest string           `json:"faults_digest"`
+	GoodOracle   fault.Observable `json:"good_oracle"`
+	BadOracle    fault.Observable `json:"bad_oracle"`
+	Limit        uint64           `json:"injection_step_limit"`
+	SeqDigest    string           `json:"seq_digest,omitempty"`
+	Outcomes     string           `json:"outcomes"`
+	Steps        uints            `json:"steps,omitempty"`
+	LimitHit     uints            `json:"limit_hit,omitempty"`
+	PageSets     []uints          `json:"page_sets,omitempty"`
+	PageSet      uints            `json:"page_set,omitempty"`
+}
+
+// outcomeLetters spells the outcome column: the letter at index o
+// stands for fault.Outcome(o).
+const outcomeLetters = "iScd"
+
+// errBadEntry marks a store document (errBadColumn: a number column)
+// that breaks the entry layout; Lookup treats it as absent.
+var (
+	errBadEntry  = errors.New("campaign: malformed store entry")
+	errBadColumn = fmt.Errorf("%w: want an array of unsigned integers", errBadEntry)
+)
+
+// MarshalJSON renders the entry in its on-disk column layout, interning
+// each distinct footprint page list once.
+func (e Entry) MarshalJSON() ([]byte, error) {
+	if len(e.Records) > 0 && len(e.Outcomes) > 0 {
+		return nil, fmt.Errorf("%w: both per-fault records and a sequence outcome column", errBadEntry)
+	}
+	w := entryJSON{
+		Schema: e.Schema, Key: e.Key, FaultsDigest: e.FaultsDigest,
+		GoodOracle: e.GoodOracle, BadOracle: e.BadOracle, Limit: e.Limit,
+		SeqDigest: e.SeqDigest,
+	}
+	letters := make([]byte, 0, len(e.Records)+len(e.Outcomes))
+	letter := func(o fault.Outcome) error {
+		if int(o) >= len(outcomeLetters) {
+			return fmt.Errorf("%w: outcome %d", errBadEntry, o)
+		}
+		letters = append(letters, outcomeLetters[o])
+		return nil
+	}
+	for _, o := range e.Outcomes {
+		if err := letter(o); err != nil {
+			return nil, err
+		}
+	}
+	if len(e.Records) > 0 {
+		w.Steps = make(uints, len(e.Records))
+		w.PageSet = make(uints, len(e.Records))
+		ids := make(map[string]uint64)
+		var key []byte
+		for i, r := range e.Records {
+			if err := letter(r.Outcome); err != nil {
+				return nil, err
+			}
+			w.Steps[i] = r.Steps
+			if r.LimitHit {
+				w.LimitHit = append(w.LimitHit, uint64(i))
+			}
+			key = key[:0]
+			for _, pa := range r.Pages {
+				key = binary.LittleEndian.AppendUint64(key, pa)
+			}
+			id, ok := ids[string(key)]
+			if !ok {
+				id = uint64(len(w.PageSets))
+				ids[string(key)] = id
+				w.PageSets = append(w.PageSets, r.Pages)
+			}
+			w.PageSet[i] = id
+		}
+	}
+	w.Outcomes = string(letters)
+	return json.Marshal(&w)
+}
+
+// UnmarshalJSON parses the on-disk column layout and checks every
+// column invariant: evidence columns as long as the outcome column,
+// page-set indices in range, budget-cut indices strictly ascending and
+// in range, and only outcome letters in the outcome column. A document
+// that breaks one is an error, never a partial entry.
+func (e *Entry) UnmarshalJSON(data []byte) error {
+	var w entryJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	n := len(w.Outcomes)
+	outcomes := make([]fault.Outcome, n)
+	for i := 0; i < n; i++ {
+		o := strings.IndexByte(outcomeLetters, w.Outcomes[i])
+		if o < 0 {
+			return fmt.Errorf("%w: outcome letter %q", errBadEntry, w.Outcomes[i])
+		}
+		outcomes[i] = fault.Outcome(o)
+	}
+	out := Entry{
+		Schema: w.Schema, Key: w.Key, FaultsDigest: w.FaultsDigest,
+		GoodOracle: w.GoodOracle, BadOracle: w.BadOracle, Limit: w.Limit,
+		SeqDigest: w.SeqDigest,
+	}
+	if w.Steps == nil {
+		if len(w.LimitHit) > 0 || len(w.PageSets) > 0 || len(w.PageSet) > 0 {
+			return fmt.Errorf("%w: evidence columns without steps", errBadEntry)
+		}
+		if n > 0 {
+			out.Outcomes = outcomes
+		}
+		*e = out
+		return nil
+	}
+	if len(w.Steps) != n || len(w.PageSet) != n {
+		return fmt.Errorf("%w: evidence columns of %d/%d values for %d outcomes", errBadEntry, len(w.Steps), len(w.PageSet), n)
+	}
+	records := make([]Record, n)
+	for i := range records {
+		id := w.PageSet[i]
+		if id >= uint64(len(w.PageSets)) {
+			return fmt.Errorf("%w: page set %d of %d", errBadEntry, id, len(w.PageSets))
+		}
+		records[i] = Record{Steps: w.Steps[i], Outcome: outcomes[i]}
+		if pages := w.PageSets[id]; len(pages) > 0 {
+			records[i].Pages = pages
+		}
+	}
+	for j, i := range w.LimitHit {
+		if i >= uint64(n) || j > 0 && i <= w.LimitHit[j-1] {
+			return fmt.Errorf("%w: limit_hit index %d out of order or range", errBadEntry, i)
+		}
+		records[i].LimitHit = true
+	}
+	if n > 0 {
+		out.Records = records
+	}
+	*e = out
+	return nil
+}
+
+// uints is the number column type of the entry layout: a JSON array
+// of unsigned integers, rendered and parsed by hand instead of by
+// reflection per element.
+type uints []uint64
+
+// MarshalJSON renders the column as a JSON array.
+func (u uints) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 2+6*len(u))
+	b = append(b, '[')
+	for i, v := range u {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, v, 10)
+	}
+	return append(b, ']'), nil
+}
+
+// UnmarshalJSON parses a JSON array of integers in [0, 2^64); null
+// leaves the column absent (nil), and any other value is an error.
+func (u *uints) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*u = nil
+		return nil
+	}
+	if len(data) < 2 || data[0] != '[' {
+		return errBadColumn
+	}
+	out := make(uints, 0, bytes.Count(data, []byte{','})+1)
+	i := skipSpace(data, 1)
+	if i < len(data) && data[i] != ']' {
+		for {
+			start := i
+			var v uint64
+			for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+				d := uint64(data[i] - '0')
+				if v > (math.MaxUint64-d)/10 {
+					return errBadColumn
+				}
+				v = v*10 + d
+			}
+			if i == start {
+				return errBadColumn
+			}
+			out = append(out, v)
+			if i = skipSpace(data, i); i >= len(data) {
+				return errBadColumn
+			}
+			if data[i] == ']' {
+				break
+			}
+			if data[i] != ',' {
+				return errBadColumn
+			}
+			i = skipSpace(data, i+1)
+		}
+	}
+	// data[i] is the closing bracket, which must end the value.
+	if skipSpace(data, i+1) != len(data) {
+		return errBadColumn
+	}
+	*u = out
+	return nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte of data
+// at or after i.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // CacheStats counts how a run's work was answered. Hits/Misses count
@@ -243,8 +478,10 @@ func (st *Store) Lookup(key string) (*Entry, bool) {
 	if st.dir != "" {
 		data, err := os.ReadFile(st.path(key))
 		if err == nil {
+			// UnmarshalJSON validates the document itself; going through
+			// json.Unmarshal would only scan it once more.
 			var e Entry
-			if json.Unmarshal(data, &e) == nil && e.Schema == planSchema && e.Key == key {
+			if e.UnmarshalJSON(data) == nil && e.Schema == planSchema && e.Key == key {
 				st.insert(key, &e)
 				st.hits.Add(1)
 				return &e, true
@@ -294,7 +531,7 @@ func (st *Store) Save(e *Entry) error {
 // crashed or racing process never leaves a half-written entry that
 // Lookup could misread.
 func (st *Store) writeFile(e *Entry) error {
-	data, err := json.Marshal(e)
+	data, err := e.MarshalJSON()
 	if err != nil {
 		return err
 	}

@@ -212,17 +212,28 @@ func Run(c Campaign) (*Report, error) {
 // to each selected model's registered spec. Each model enumerates with
 // a fresh dedup scope, so multi-model fault lists concatenate exactly
 // like independent single-model campaigns (the FilterModels guarantee).
+// A counting pass sizes the list first, so the filling pass allocates
+// it once instead of regrowing it (bit-flip lists run to tens of
+// thousands of faults); both passes reset the dedup scope per model,
+// so they emit the same faults.
 func enumerate(c Campaign, badTrace *trace.Trace, insts map[uint64]*isa.Inst) ([]Fault, error) {
-	var out []Fault
-	ctx := &EnumContext{Campaign: &c, Trace: badTrace, insts: insts}
-	for _, model := range c.Models {
-		spec := SpecOf(model)
-		if spec == nil {
+	specs := make([]ModelSpec, len(c.Models))
+	for i, model := range c.Models {
+		if specs[i] = SpecOf(model); specs[i] == nil {
 			return nil, fmt.Errorf("%w: model %d", ErrUnknownModel, model)
 		}
-		ctx.seen = make(map[uint64]map[int]bool)
-		spec.Enumerate(ctx, func(f Fault) { out = append(out, f) })
 	}
+	ctx := &EnumContext{Campaign: &c, Trace: badTrace, insts: insts}
+	pass := func(emit func(Fault)) {
+		for _, spec := range specs {
+			ctx.seen = make(map[uint64]map[int]bool)
+			spec.Enumerate(ctx, emit)
+		}
+	}
+	n := 0
+	pass(func(Fault) { n++ })
+	out := make([]Fault, 0, n)
+	pass(func(f Fault) { out = append(out, f) })
 	return out, nil
 }
 

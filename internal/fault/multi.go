@@ -40,7 +40,8 @@ func (p FaultPair) String() string {
 // Faults lists the pair's faults in trace order.
 func (p FaultPair) Faults() []Fault { return []Fault{p.First, p.Second} }
 
-func (p FaultPair) seq() ([3]Fault, int) { return [3]Fault{p.First, p.Second}, 2 }
+// Seq returns the pair's faults by value, with their count.
+func (p FaultPair) Seq() ([3]Fault, int) { return [3]Fault{p.First, p.Second}, 2 }
 
 // FaultTriple is an ordered triple of faults injected into one run;
 // trace order is strictly First < Second < Third.
@@ -58,15 +59,17 @@ func (t FaultTriple) String() string {
 // Faults lists the triple's faults in trace order.
 func (t FaultTriple) Faults() []Fault { return []Fault{t.First, t.Second, t.Third} }
 
-func (t FaultTriple) seq() ([3]Fault, int) { return [3]Fault{t.First, t.Second, t.Third}, 3 }
+// Seq returns the triple's faults by value, with their count.
+func (t FaultTriple) Seq() ([3]Fault, int) { return [3]Fault{t.First, t.Second, t.Third}, 3 }
 
-// Sequence is the element type of a multi-fault work list. The engine
-// reads an element's faults through seq, which returns them by value:
-// Faults' slice would cost one allocation per sequence in the hot loop.
+// Sequence is the element type of a multi-fault work list. Hot loops
+// (the engine, the store's sequence digest) read an element's faults
+// through Seq, which returns them by value: Faults' slice would cost
+// one allocation per sequence.
 type Sequence interface {
 	FaultPair | FaultTriple
 	Faults() []Fault
-	seq() ([3]Fault, int)
+	Seq() ([3]Fault, int)
 }
 
 // PairInjection is the result of simulating one fault pair.
@@ -204,7 +207,7 @@ func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIn
 	var groups []*group
 	var loose []int
 	for i, it := range sel {
-		fs, n := it.seq()
+		fs, n := it.Seq()
 		faults := fs[:n]
 		end, ok := effectEnd(faults[0])
 		for _, f := range faults[1:] {
@@ -251,7 +254,7 @@ func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIn
 				continue
 			}
 			i := loose[u-len(groups)]
-			fs, n := sel[i].seq()
+			fs, n := sel[i].Seq()
 			pr.sim.Add(1)
 			record(i, s.SimulateSeq(fs[:n]...))
 		}
