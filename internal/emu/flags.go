@@ -40,24 +40,38 @@ func (f flagState) setSZP(r uint64, w uint8) {
 	f.set(isa.FlagPF, bits.OnesCount8(uint8(r))&1 == 0)
 }
 
+// addCarry returns r = a + b + carryIn at width w (a and b already
+// masked) and the carry out of the top bit: ADD/ADC's CF.
+func addCarry(a, b, carryIn uint64, w uint8) (uint64, bool) {
+	if w == 8 {
+		r, c1 := bits.Add64(a, b, 0)
+		r, c2 := bits.Add64(r, carryIn, 0)
+		return r, c1+c2 != 0
+	}
+	mask := widthMask(w)
+	full := a + b + carryIn
+	return full & mask, full > mask
+}
+
+// subBorrow returns r = a - b - borrowIn at width w (a and b already
+// masked) and the borrow out of the top bit: SUB/SBB/CMP's CF.
+func subBorrow(a, b, borrowIn uint64, w uint8) (uint64, bool) {
+	if w == 8 {
+		r, b1 := bits.Sub64(a, b, 0)
+		r, b2 := bits.Sub64(r, borrowIn, 0)
+		return r, b1+b2 != 0
+	}
+	need := b + borrowIn
+	return (a - need) & widthMask(w), a < need
+}
+
 // addFlags computes r = a + b + carryIn at width w and sets CF/OF/AF/SZP
 // per the x86 ADD/ADC definitions.
 func (f flagState) addFlags(a, b, carryIn uint64, w uint8) uint64 {
 	mask := widthMask(w)
 	a &= mask
 	b &= mask
-	var r uint64
-	var cf bool
-	if w == 8 {
-		var c1, c2 uint64
-		r, c1 = bits.Add64(a, b, 0)
-		r, c2 = bits.Add64(r, carryIn, 0)
-		cf = c1+c2 != 0
-	} else {
-		full := a + b + carryIn
-		r = full & mask
-		cf = full > mask
-	}
+	r, cf := addCarry(a, b, carryIn, w)
 	f.set(isa.FlagCF, cf)
 	f.set(isa.FlagOF, (^(a^b)&(a^r))&signBit(w) != 0)
 	f.set(isa.FlagAF, (a^b^r)&0x10 != 0)
@@ -71,18 +85,7 @@ func (f flagState) subFlags(a, b, borrowIn uint64, w uint8) uint64 {
 	mask := widthMask(w)
 	a &= mask
 	b &= mask
-	var r uint64
-	var cf bool
-	if w == 8 {
-		var b1, b2 uint64
-		r, b1 = bits.Sub64(a, b, 0)
-		r, b2 = bits.Sub64(r, borrowIn, 0)
-		cf = b1+b2 != 0
-	} else {
-		need := b + borrowIn
-		cf = a < need
-		r = (a - need) & mask
-	}
+	r, cf := subBorrow(a, b, borrowIn, w)
 	f.set(isa.FlagCF, cf)
 	f.set(isa.FlagOF, ((a^b)&(a^r))&signBit(w) != 0)
 	f.set(isa.FlagAF, (a^b^r)&0x10 != 0)
@@ -121,20 +124,46 @@ func (f flagState) decFlags(a uint64, w uint8) uint64 {
 	return r
 }
 
+// shiftCarry returns a shifted by count (1..63) at width w (a already
+// masked) and the last bit shifted out: SHL/SHR/SAR's result and CF.
+// Counts beyond the width shift everything out; SAR then fills with
+// the sign.
+func shiftCarry(op isa.Op, a uint64, count uint, w uint8) (uint64, bool) {
+	bitsW := uint(w) * 8
+	switch op {
+	case isa.SHL:
+		var cf bool
+		if count <= bitsW {
+			cf = a&(1<<(bitsW-count)) != 0
+		}
+		return (a << count) & widthMask(w), cf
+	case isa.SHR:
+		var cf bool
+		if count <= bitsW {
+			cf = a&(1<<(count-1)) != 0
+		}
+		return a >> count, cf
+	default: // SAR
+		// Sign-extend a to 64 bits first.
+		sa := int64(a<<(64-bitsW)) >> (64 - bitsW)
+		var cf bool
+		if count <= bitsW {
+			cf = (sa>>(count-1))&1 != 0
+		} else {
+			cf = sa < 0
+		}
+		return uint64(sa>>count) & widthMask(w), cf
+	}
+}
+
 // shlFlags computes a << count and sets CF to the last bit shifted out;
 // OF follows the count==1 definition, else cleared for determinism.
 func (f flagState) shlFlags(a uint64, count uint, w uint8) uint64 {
-	mask := widthMask(w)
-	a &= mask
+	a &= widthMask(w)
 	if count == 0 {
 		return a
 	}
-	bitsW := uint(w) * 8
-	var cf bool
-	if count <= bitsW {
-		cf = a&(1<<(bitsW-count)) != 0
-	}
-	r := (a << count) & mask
+	r, cf := shiftCarry(isa.SHL, a, count, w)
 	f.set(isa.FlagCF, cf)
 	if count == 1 {
 		f.set(isa.FlagOF, (r&signBit(w) != 0) != cf)
@@ -148,16 +177,11 @@ func (f flagState) shlFlags(a uint64, count uint, w uint8) uint64 {
 
 // shrFlags computes a >> count (logical) with CF = last bit out.
 func (f flagState) shrFlags(a uint64, count uint, w uint8) uint64 {
-	mask := widthMask(w)
-	a &= mask
+	a &= widthMask(w)
 	if count == 0 {
 		return a
 	}
-	var cf bool
-	if count <= uint(w)*8 {
-		cf = a&(1<<(count-1)) != 0
-	}
-	r := a >> count
+	r, cf := shiftCarry(isa.SHR, a, count, w)
 	f.set(isa.FlagCF, cf)
 	if count == 1 {
 		f.set(isa.FlagOF, a&signBit(w) != 0)
@@ -171,24 +195,11 @@ func (f flagState) shrFlags(a uint64, count uint, w uint8) uint64 {
 
 // sarFlags computes a >> count (arithmetic) with CF = last bit out.
 func (f flagState) sarFlags(a uint64, count uint, w uint8) uint64 {
-	mask := widthMask(w)
-	a &= mask
+	a &= widthMask(w)
 	if count == 0 {
 		return a
 	}
-	bitsW := uint(w) * 8
-	// Sign-extend a to 64 bits first.
-	sa := int64(a<<(64-bitsW)) >> (64 - bitsW)
-	var cf bool
-	if count <= bitsW {
-		cf = (sa>>(count-1))&1 != 0
-	} else {
-		cf = sa < 0
-	}
-	if count >= 64 {
-		count = 63
-	}
-	r := uint64(sa>>count) & mask
+	r, cf := shiftCarry(isa.SAR, a, count, w)
 	f.set(isa.FlagCF, cf)
 	f.set(isa.FlagOF, false)
 	f.set(isa.FlagAF, false)
@@ -196,44 +207,149 @@ func (f flagState) sarFlags(a uint64, count uint, w uint8) uint64 {
 	return r
 }
 
+// imul returns the two-operand signed product truncated to width w and
+// whether it overflowed (the product does not fit the width): IMUL's
+// result and CF=OF.
+func imul(a, b uint64, w uint8) (uint64, bool) {
+	bitsW := uint(w) * 8
+	sa := int64(a<<(64-bitsW)) >> (64 - bitsW)
+	sb := int64(b<<(64-bitsW)) >> (64 - bitsW)
+	if w != 8 {
+		p := sa * sb
+		r := uint64(p) & widthMask(w)
+		back := int64(r<<(64-bitsW)) >> (64 - bitsW)
+		return r, back != p
+	}
+	hi, lo := bits.Mul64(uint64(sa), uint64(sb))
+	// For signed multiply the product fits iff the signed high word is
+	// the sign extension of lo. Correct hi for signed operands
+	// (bits.Mul64 is unsigned): hi_signed = hi - (a<0 ? b : 0) - (b<0 ? a : 0).
+	signExt := uint64(0)
+	if lo&(1<<63) != 0 {
+		signExt = ^uint64(0)
+	}
+	if sa < 0 {
+		hi -= uint64(sb)
+	}
+	if sb < 0 {
+		hi -= uint64(sa)
+	}
+	return lo, hi != signExt
+}
+
 // imulFlags computes the two-operand signed multiply and sets CF=OF when
 // the product does not fit the destination width. SZP are set from the
 // result for determinism (architecturally undefined).
 func (f flagState) imulFlags(a, b uint64, w uint8) uint64 {
-	bitsW := uint(w) * 8
-	sa := int64(a<<(64-bitsW)) >> (64 - bitsW)
-	sb := int64(b<<(64-bitsW)) >> (64 - bitsW)
-	var overflow bool
-	var r uint64
-	if w == 8 {
-		hi, lo := bits.Mul64(uint64(sa), uint64(sb))
-		r = lo
-		// For signed multiply the product fits iff hi is the sign
-		// extension of lo.
-		signExt := uint64(0)
-		if lo&(1<<63) != 0 {
-			signExt = ^uint64(0)
-		}
-		overflow = hi != signExt
-		// Correct hi for signed operands (bits.Mul64 is unsigned):
-		// hi_signed = hi - (a<0 ? b : 0) - (b<0 ? a : 0).
-		hiS := hi
-		if sa < 0 {
-			hiS -= uint64(sb)
-		}
-		if sb < 0 {
-			hiS -= uint64(sa)
-		}
-		overflow = hiS != signExt
-	} else {
-		p := sa * sb
-		r = uint64(p) & widthMask(w)
-		back := int64(r<<(64-bitsW)) >> (64 - bitsW)
-		overflow = back != p
-	}
+	r, overflow := imul(a, b, w)
 	f.set(isa.FlagCF, overflow)
 	f.set(isa.FlagOF, overflow)
 	f.set(isa.FlagAF, false)
 	f.setSZP(r, w)
 	return r
+}
+
+// Lazy flags. The micro-op fast path does not compute RFLAGS for each
+// flag-writing uop; it records the uop's inputs in Machine.cc and
+// computes flags only when something reads them (see execUop). Pending
+// records never outlive runFast, so Rflags is exact everywhere else.
+
+// Flag-record kinds: which eager flag function materializes the record.
+// ccNone means Rflags is exact. NEG records as ccSub of (0, a), exactly
+// the subFlags call exec makes.
+const (
+	ccNone uint8 = iota
+	ccAdd
+	ccSub // sub, cmp, neg
+	ccLogic
+	ccImul
+	ccInc
+	ccDec
+	ccShl
+	ccShr
+	ccSar
+)
+
+// flagRecord is a pending RFLAGS update: the last flag-writing uop's
+// kind, width, masked operands (b is the count for shifts) and masked
+// result, plus CF computed when the record was written (for INC/DEC
+// the carry they preserve). Every kind's flag function writes all six
+// arithmetic flags — INC/DEC all but CF, which the record supplies — so
+// materializing a record never depends on the Rflags it overwrites.
+type flagRecord struct {
+	a, b, r uint64
+	kind    uint8
+	width   uint8
+	cf      bool
+}
+
+// carry returns the current CF: the pending record's, else Rflags'.
+func (m *Machine) carry() bool {
+	if m.cc.kind != ccNone {
+		return m.cc.cf
+	}
+	return m.Rflags&isa.FlagCF != 0
+}
+
+// flushFlags materializes a pending flag record into Rflags by calling
+// the eager flag function with the recorded operands, so the bits are
+// the interpreter's by construction.
+func (m *Machine) flushFlags() {
+	c := &m.cc
+	if c.kind == ccNone {
+		return
+	}
+	f := flagState{&m.Rflags}
+	switch c.kind {
+	case ccAdd:
+		f.addFlags(c.a, c.b, 0, c.width)
+	case ccSub:
+		f.subFlags(c.a, c.b, 0, c.width)
+	case ccLogic:
+		f.logicFlags(c.r, c.width)
+	case ccImul:
+		f.imulFlags(c.a, c.b, c.width)
+	case ccInc:
+		f.set(isa.FlagCF, c.cf)
+		f.incFlags(c.a, c.width)
+	case ccDec:
+		f.set(isa.FlagCF, c.cf)
+		f.decFlags(c.a, c.width)
+	case ccShl:
+		f.shlFlags(c.a, uint(c.b), c.width)
+	case ccShr:
+		f.shrFlags(c.a, uint(c.b), c.width)
+	case ccSar:
+		f.sarFlags(c.a, uint(c.b), c.width)
+	}
+	c.kind = ccNone
+}
+
+// cond evaluates condition c on the machine's flags. The conditions
+// built from ZF, CF and SF alone (E, NE, B, AE, BE, A, S, NS — nearly
+// every branch compiled code takes) are answered straight from a
+// pending record's result and carry; the rest materialize it first.
+func (m *Machine) cond(c isa.Cond) bool {
+	if cc := &m.cc; cc.kind != ccNone {
+		switch c {
+		case isa.CondE:
+			return cc.r == 0
+		case isa.CondNE:
+			return cc.r != 0
+		case isa.CondB:
+			return cc.cf
+		case isa.CondAE:
+			return !cc.cf
+		case isa.CondBE:
+			return cc.cf || cc.r == 0
+		case isa.CondA:
+			return !cc.cf && cc.r != 0
+		case isa.CondS:
+			return cc.r&signBit(cc.width) != 0
+		case isa.CondNS:
+			return cc.r&signBit(cc.width) == 0
+		}
+		m.flushFlags()
+	}
+	return isa.CondHolds(c, m.Rflags)
 }

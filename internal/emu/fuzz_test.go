@@ -1,10 +1,13 @@
 package emu
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"github.com/r2r/reinforce/internal/asm"
 	"github.com/r2r/reinforce/internal/elf"
 )
 
@@ -163,6 +166,98 @@ func FuzzUopTranslator(f *testing.F) {
 		sameRun(t, "single-step, page log", rsl, esl, rs, es)
 		if !maps.Equal(logF, logS) {
 			t.Fatalf("page log divergence: fast=%v slow=%v", logF, logS)
+		}
+	})
+}
+
+// flagProbeWriters are the flag writers FuzzUopStateParity's seeds put
+// in front of every flag reader, one seed program each: every record
+// kind, ADC/SBB (which materialize), INC/DEC carrying a CMP's pending
+// CF, and a generic (interpreted) INC that must see that CF too.
+var flagProbeWriters = []string{
+	"add rax, rbx", "sub rax, rbx", "cmp rbx, rax", "and rax, rbx",
+	"or eax, ebx", "xor al, bl", "test rax, rbx", "imul rax, rbx",
+	"neg rax", "inc rax", "dec eax", "shl rax, 3", "shr rax, 1",
+	"sar eax, 7", "adc rax, rbx", "sbb al, bl",
+	"cmp rbx, rax\n\tinc rax", "cmp rax, rbx\n\tdec al",
+	"cmp rbx, rax\n\tinc qword ptr [rsp-16]",
+}
+
+// flagProbe is a program that executes writer before each flag reader
+// the fast path has: Jcc and SETcc on all 16 conditions (answered from
+// the record or after materializing it), a shift by 0 between writer
+// and reader, ADC and SBB, PUSHFQ, a POPFQ that overwrites a pending
+// record, and the exit syscall, which copies RFLAGS into R11. Branch
+// outcomes fold into r10 and SETcc results into r13, so a wrong
+// condition changes the final state.
+func flagProbe(writer string) string {
+	conds := []string{"o", "no", "b", "ae", "e", "ne", "be", "a", "s", "ns", "p", "np", "l", "ge", "le", "g"}
+	var b strings.Builder
+	b.WriteString(".text\n_start:\n\tmov rax, 0x7fffffff\n\tmov rbx, 0x80000001\n\tmov r9, 0x8d5\n")
+	step := func(body string) {
+		fmt.Fprintf(&b, "\tadd rax, 0x1234567\n\timul rbx, rax\n\t%s\n%s", writer, body)
+	}
+	for i, c := range conds {
+		step(fmt.Sprintf("\tj%s t%d\n\tlea r10, [r10+1]\nt%d:\n\tlea r10, [r10+r10]\n", c, i, i))
+		step(fmt.Sprintf("\tshl rdx, 0\n\tset%s cl\n\tlea r13, [r13+r13]\n\tlea r13, [r13+rcx]\n", c))
+	}
+	step("\tadc r14, rbx\n")
+	step("\tsbb r15, rax\n")
+	step("\tpushfq\n\tpop r12\n")
+	step("\tpush r9\n\tpopfq\n\tsetle cl\n\tja z0\n\tlea r10, [r10+1]\nz0:\n")
+	step("\tmov edi, 0\n\tmov eax, 60\n\tsyscall\n")
+	return b.String()
+}
+
+// FuzzUopStateParity: full-state differential of the fast path against
+// the single-step interpreter at pause points. FuzzUopTranslator
+// compares only results, steps and output, so a stale RFLAGS at a pause
+// (a lazy flag record runFast did not materialize) would pass it — yet
+// the continuation memo and the pair pruner digest machines exactly
+// there. Both engines run arbitrary code to RunUntil(stop) and must
+// agree on the state digest; then both run to completion and must
+// agree on digest, result and error text.
+func FuzzUopStateParity(f *testing.F) {
+	for i, w := range flagProbeWriters {
+		bin, err := asm.Assemble(flagProbe(w), nil)
+		if err != nil {
+			f.Fatalf("writer %q: %v", w, err)
+		}
+		code := bin.Section(".text").Data
+		f.Add(code, uint16(0))
+		f.Add(code, uint16(7+13*i))
+		f.Add(code, uint16(len(code)))
+	}
+	f.Add([]byte{0xEB, 0xFE}, uint16(100)) // jmp self: pause inside a hang
+	f.Fuzz(func(t *testing.T, code []byte, stop uint16) {
+		if len(code) == 0 || len(code) > 4096 {
+			return
+		}
+		bin := &elf.Binary{
+			Entry: 0x401000,
+			Sections: []*elf.Section{
+				{Name: ".text", Addr: 0x401000, Data: append([]byte(nil), code...), Flags: elf.FlagRead | elf.FlagWrite | elf.FlagExec},
+				{Name: ".data", Addr: 0x600000, Data: make([]byte, 4096), Flags: elf.FlagRead | elf.FlagWrite},
+			},
+		}
+		mf := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096})
+		ms := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: true})
+		defer mf.Release()
+		defer ms.Release()
+		rf, doneF, ef := mf.RunUntil(uint64(stop))
+		rs, doneS, es := ms.RunUntil(uint64(stop))
+		sameRun(t, "pause", rf, ef, rs, es)
+		if doneF != doneS {
+			t.Fatalf("pause at %d: done fast=%v slow=%v", stop, doneF, doneS)
+		}
+		if mf.StateDigest() != ms.StateDigest() {
+			t.Fatalf("pause at %d: state digests differ (rflags fast %#x, slow %#x)", stop, mf.Rflags, ms.Rflags)
+		}
+		rf, ef = mf.Run()
+		rs, es = ms.Run()
+		sameRun(t, "run", rf, ef, rs, es)
+		if mf.StateDigest() != ms.StateDigest() {
+			t.Fatalf("final state digests differ (rflags fast %#x, slow %#x)", mf.Rflags, ms.Rflags)
 		}
 	})
 }

@@ -210,6 +210,14 @@ type Machine struct {
 	Rflags uint64
 	Mem    *Memory
 
+	// cc is the micro-op fast path's pending flag record (lazy flags,
+	// flags.go): flag-writing uops record their inputs here instead of
+	// computing RFLAGS, and readers materialize it into Rflags only when
+	// they need bits the record does not answer directly. runFast
+	// materializes it before every return, so outside runFast it is
+	// always empty and Rflags is exact.
+	cc flagRecord
+
 	Stdin  []byte
 	inPos  int
 	Stdout []byte
@@ -235,12 +243,15 @@ type Machine struct {
 
 	fetchBuf [decode.MaxInstLen]byte
 
-	// Decoded-instruction cache, keyed by address and invalidated when
+	// Decoded-instruction cache, keyed by address and cleared when
 	// Memory.CodeGeneration changes (pokes, bit flips, self-modifying
 	// stores). Fault campaigns execute the same instructions millions
 	// of times; decoding once per address is the difference between
-	// minutes and seconds per campaign. Allocated lazily: machines fully
-	// served by a shared Program never touch it.
+	// minutes and seconds per campaign. Allocated lazily (machines fully
+	// served by a shared Program never touch it) and kept, cleared,
+	// across Release and the machine pool (see Release), so interpreting
+	// machines do not allocate a fresh map each. DecodeCache detaches
+	// the map it hands out, so a donated map is never cleared or pooled.
 	icache    map[uint64]*isa.Inst
 	icacheGen uint64
 
@@ -424,10 +435,12 @@ func (m *Machine) Step() error {
 		in = m.icacheBase.lookup(m.RIP)
 	}
 	if in == nil {
-		if m.icache == nil || gen != m.icacheGen {
+		if m.icache == nil {
 			m.icache = make(map[uint64]*isa.Inst, 64)
-			m.icacheGen = gen
+		} else if gen != m.icacheGen {
+			clear(m.icache)
 		}
+		m.icacheGen = gen
 		in = m.icache[m.RIP]
 	}
 	if in == nil {

@@ -34,10 +34,16 @@ var (
 // allocating.
 var privPool = sync.Pool{New: func() any { return new(privProg) }}
 
-// resumeMachine returns a pooled, zeroed Machine shell.
+// maxPooledICache bounds the decode maps the machine pool keeps: a map
+// that grew past it (a long interpreted run over a large binary) is
+// dropped instead of being cleared and handed to every later machine.
+const maxPooledICache = 1024
+
+// resumeMachine returns a pooled, zeroed Machine shell. The shell keeps
+// its empty decode map (see Release).
 func resumeMachine() *Machine {
 	m := machinePool.Get().(*Machine)
-	*m = Machine{}
+	*m = Machine{icache: m.icache}
 	return m
 }
 
@@ -73,6 +79,14 @@ func (m *Machine) Release() {
 	pages := mem.pages // keep the cleared map's buckets
 	*mem = Memory{pages: pages}
 	memoryPool.Put(mem)
-	*m = Machine{}
+	// Keep the decode map too, emptied: its entries were decoded from
+	// this machine's code. A map handed out by DecodeCache is no longer
+	// the machine's, so it is never cleared here.
+	ic := m.icache
+	if len(ic) > maxPooledICache {
+		ic = nil
+	}
+	clear(ic)
+	*m = Machine{icache: ic}
 	machinePool.Put(m)
 }

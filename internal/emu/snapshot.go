@@ -149,10 +149,15 @@ func (s *Snapshot) Resume(cfg Config) *Machine {
 	return m
 }
 
-// DecodeCache exposes the machine's decoded-instruction cache and the
+// DecodeCache hands out the machine's decoded-instruction cache and the
 // code generation it is valid for, so a finished golden run can donate
-// its decode work to a Snapshot (via TranslateProgram). The caller must
-// not mutate the map or the instructions it points to.
+// its decode work to a Snapshot (via TranslateProgram). The map is
+// detached from the machine: the machine decodes into a new map if it
+// keeps interpreting, and neither a code change nor Release ever clears
+// or pools the map handed out. The caller must not mutate the map or
+// the instructions it points to.
 func (m *Machine) DecodeCache() (map[uint64]*isa.Inst, uint64) {
-	return m.icache, m.icacheGen
+	c := m.icache
+	m.icache = nil
+	return c, m.icacheGen
 }

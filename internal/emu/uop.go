@@ -36,9 +36,12 @@
 // instruction with the step already counted exactly like Step, RunUntil
 // boundaries pause at precise step counts, and a uop that may write
 // memory re-checks the code generation so self-modifying stores drop
-// back to the interpreter before a stale block executes. The
-// differential fuzz targets (FuzzUopTranslator, FuzzProgramOverlay)
-// and the campaign parity tests enforce the contract.
+// back to the interpreter before a stale block executes. Arithmetic
+// flags are lazy (flagRecord, see execUop) and materialized before
+// runFast returns, so RFLAGS is exact at every pause. The differential
+// fuzz targets (FuzzUopTranslator, FuzzProgramOverlay,
+// FuzzUopStateParity) and the campaign parity tests enforce the
+// contract.
 package emu
 
 import (
@@ -310,53 +313,72 @@ func translateInst(in *isa.Inst, u *uop) {
 	}
 }
 
-// aluCompute evaluates an ALU uop's result and flags exactly like the
-// corresponding exec cases. For CMP and TEST the result is discarded
-// by the caller; TEST sets flags here like exec's dedicated case.
-func (m *Machine) aluCompute(op isa.Op, a, b uint64, w uint8) uint64 {
-	f := flagState{&m.Rflags}
+// alu evaluates an ALU uop's result exactly like the corresponding
+// exec case and leaves its flags as a pending record (Machine.cc). ADC
+// and SBB read CF, so they materialize and compute eagerly. For CMP and
+// TEST the caller discards the result.
+func (m *Machine) alu(op isa.Op, a, b uint64, w uint8) uint64 {
+	mask := widthMask(w)
+	a &= mask
+	b &= mask
+	var r uint64
+	var cf bool
+	kind := ccLogic
 	switch op {
 	case isa.ADD:
-		return f.addFlags(a, b, 0, w)
-	case isa.ADC:
+		r, cf = addCarry(a, b, 0, w)
+		kind = ccAdd
+	case isa.SUB, isa.CMP:
+		r, cf = subBorrow(a, b, 0, w)
+		kind = ccSub
+	case isa.AND, isa.TEST:
+		r = a & b
+	case isa.OR:
+		r = a | b
+	case isa.XOR:
+		r = a ^ b
+	case isa.IMUL:
+		r, cf = imul(a, b, w)
+		kind = ccImul
+	case isa.ADC, isa.SBB:
+		m.flushFlags()
+		f := flagState{&m.Rflags}
 		carry := uint64(0)
 		if m.Rflags&isa.FlagCF != 0 {
 			carry = 1
 		}
-		return f.addFlags(a, b, carry, w)
-	case isa.SUB, isa.CMP:
-		return f.subFlags(a, b, 0, w)
-	case isa.SBB:
-		borrow := uint64(0)
-		if m.Rflags&isa.FlagCF != 0 {
-			borrow = 1
+		if op == isa.ADC {
+			return f.addFlags(a, b, carry, w)
 		}
-		return f.subFlags(a, b, borrow, w)
-	case isa.AND:
-		r := (a & b) & widthMask(w)
-		f.logicFlags(r, w)
-		return r
-	case isa.OR:
-		r := (a | b) & widthMask(w)
-		f.logicFlags(r, w)
-		return r
-	case isa.XOR:
-		r := (a ^ b) & widthMask(w)
-		f.logicFlags(r, w)
-		return r
-	case isa.TEST:
-		f.logicFlags(a&b&widthMask(w), w)
+		return f.subFlags(a, b, carry, w)
+	default:
 		return 0
-	case isa.IMUL:
-		return f.imulFlags(a, b, w)
 	}
-	return 0
+	m.cc = flagRecord{a: a, b: b, r: r, kind: kind, width: w, cf: cf}
+	return r
+}
+
+// shiftKind maps a shift op to its flag-record kind.
+func shiftKind(op isa.Op) uint8 {
+	switch op {
+	case isa.SHL:
+		return ccShl
+	case isa.SHR:
+		return ccShr
+	}
+	return ccSar
 }
 
 // execUop executes one micro-op. Non-control-flow uops do not update
 // RIP (the block runner maintains it lazily); control-flow uops
 // (uFlagCF) set RIP exactly like exec. On error the caller restores
 // RIP to u.addr, matching the interpreter's state after a failed exec.
+//
+// Flags are lazy: flag-writing uops leave a record in m.cc instead of
+// RFLAGS, Jcc and SETcc answer the common conditions from it (cond),
+// and every other reader materializes it first (flushFlags). A
+// memory-destination ALU uop writes its record before the store, so a
+// faulting store leaves the flags exec would have left.
 func (m *Machine) execUop(u *uop) error {
 	switch u.kind {
 	case uNop:
@@ -397,12 +419,12 @@ func (m *Machine) execUop(u *uop) error {
 		m.setReg(u.dst, m.uaddr(u), u.width)
 
 	case uAluRR:
-		r := m.aluCompute(u.op, m.reg(u.dst, u.width), m.reg(u.src, u.width2), u.width)
+		r := m.alu(u.op, m.reg(u.dst, u.width), m.reg(u.src, u.width2), u.width)
 		if u.op != isa.CMP && u.op != isa.TEST {
 			m.setReg(u.dst, r, u.width)
 		}
 	case uAluRI:
-		r := m.aluCompute(u.op, m.reg(u.dst, u.width), uint64(u.imm), u.width)
+		r := m.alu(u.op, m.reg(u.dst, u.width), uint64(u.imm), u.width)
 		if u.op != isa.CMP && u.op != isa.TEST {
 			m.setReg(u.dst, r, u.width)
 		}
@@ -411,7 +433,7 @@ func (m *Machine) execUop(u *uop) error {
 		if err != nil {
 			return err
 		}
-		r := m.aluCompute(u.op, m.reg(u.dst, u.width), b, u.width)
+		r := m.alu(u.op, m.reg(u.dst, u.width), b, u.width)
 		if u.op != isa.CMP && u.op != isa.TEST {
 			m.setReg(u.dst, r, u.width)
 		}
@@ -425,39 +447,42 @@ func (m *Machine) execUop(u *uop) error {
 		if u.kind == uAluMR {
 			b = m.reg(u.src, u.width2)
 		}
-		r := m.aluCompute(u.op, a, b, u.width)
+		r := m.alu(u.op, a, b, u.width)
 		if u.op != isa.CMP && u.op != isa.TEST {
 			return m.Mem.WriteUint(addr, r, u.width)
 		}
 
 	case uShiftR:
-		f := flagState{&m.Rflags}
+		// A zero count writes the register (zero-extending a 32-bit
+		// destination) but no flags.
 		a := m.reg(u.dst, u.width)
-		count := uint(u.imm)
-		var r uint64
-		switch u.op {
-		case isa.SHL:
-			r = f.shlFlags(a, count, u.width)
-		case isa.SHR:
-			r = f.shrFlags(a, count, u.width)
-		case isa.SAR:
-			r = f.sarFlags(a, count, u.width)
+		r := a
+		if count := uint(u.imm); count != 0 {
+			var cf bool
+			r, cf = shiftCarry(u.op, a, count, u.width)
+			m.cc = flagRecord{a: a, b: uint64(count), r: r, kind: shiftKind(u.op), width: u.width, cf: cf}
 		}
 		m.setReg(u.dst, r, u.width)
 
 	case uUnaryR:
-		f := flagState{&m.Rflags}
 		a := m.reg(u.dst, u.width)
+		mask := widthMask(u.width)
 		var r uint64
 		switch u.op {
 		case isa.NOT:
-			r = ^a & widthMask(u.width)
+			r = ^a & mask
 		case isa.NEG:
-			r = f.subFlags(0, a, 0, u.width)
+			var cf bool
+			r, cf = subBorrow(0, a, 0, u.width)
+			m.cc = flagRecord{b: a, r: r, kind: ccSub, width: u.width, cf: cf}
 		case isa.INC:
-			r = f.incFlags(a, u.width)
+			// INC and DEC preserve CF: carry it into the new record
+			// without materializing the old one.
+			r = (a + 1) & mask
+			m.cc = flagRecord{a: a, r: r, kind: ccInc, width: u.width, cf: m.carry()}
 		case isa.DEC:
-			r = f.decFlags(a, u.width)
+			r = (a - 1) & mask
+			m.cc = flagRecord{a: a, r: r, kind: ccDec, width: u.width, cf: m.carry()}
 		}
 		m.setReg(u.dst, r, u.width)
 
@@ -470,17 +495,19 @@ func (m *Machine) execUop(u *uop) error {
 		}
 		m.Regs[u.dst] = v
 	case uPushfq:
+		m.flushFlags()
 		return m.push64(m.Rflags)
 	case uPopfq:
 		v, err := m.pop64()
 		if err != nil {
 			return err
 		}
+		m.cc.kind = ccNone // overwritten whole: never materialized
 		m.Rflags = isa.FlagsFixed | (v & isa.FlagsArithMask)
 
 	case uSetccR:
 		v := uint64(0)
-		if isa.CondHolds(u.cond, m.Rflags) {
+		if m.cond(u.cond) {
 			v = 1
 		}
 		m.setReg(u.dst, v, u.width)
@@ -488,7 +515,7 @@ func (m *Machine) execUop(u *uop) error {
 	case uJmp:
 		m.RIP = u.target
 	case uJcc:
-		if isa.CondHolds(u.cond, m.Rflags) {
+		if m.cond(u.cond) {
 			m.RIP = u.target
 		} else {
 			m.RIP = u.next
@@ -505,12 +532,14 @@ func (m *Machine) execUop(u *uop) error {
 		}
 		m.RIP = v
 	case uSyscall:
+		m.flushFlags() // syscall copies RFLAGS into R11
 		if err := m.syscall(u.next); err != nil {
 			return err
 		}
 		m.RIP = u.next
 
-	default: // uGeneric
+	default: // uGeneric: exec reads and writes Rflags eagerly
+		m.flushFlags()
 		return m.exec(u.inst)
 	}
 	return nil
@@ -867,7 +896,18 @@ func (m *Machine) fastLimit(stop uint64) uint64 {
 // faulting instruction and the step counted, exactly like Step. With a
 // page log attached, each uop logs the pages of its first and last
 // encoded byte before its step counts, like Step does.
+//
+// Every return materializes the pending flag record, so whenever
+// runFast is not running Rflags is exact: Step, hooks, snapshots,
+// state digests and results never see a record.
 func (m *Machine) runFast(limit uint64) (bool, error) {
+	moved, err := m.runUops(limit)
+	m.flushFlags()
+	return moved, err
+}
+
+// runUops is runFast's loop; it may return with a flag record pending.
+func (m *Machine) runUops(limit uint64) (bool, error) {
 	uops, i, stop := m.fastLookup(m.RIP)
 	if i < 0 {
 		return false, nil

@@ -2,6 +2,7 @@ package emu_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/cases"
@@ -129,32 +130,134 @@ func TestFastPathSnapshotResumeParity(t *testing.T) {
 	sameResult(t, "fork", rf, ef, rs, es)
 }
 
+// TestFastPathStatePauses: the fast path materializes its lazy flags
+// whenever it pauses, and the continuation memo and the pair pruner
+// digest machines exactly there. For every catalog binary and both
+// inputs, a fast-path machine paused at every step must have the same
+// state digest as the single-step machine at that step.
+func TestFastPathStatePauses(t *testing.T) {
+	for _, c := range cases.Corpus() {
+		t.Run(c.Name, func(t *testing.T) {
+			bin, err := c.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range [][]byte{c.Good, c.Bad} {
+				fast := emu.New(bin, emu.Config{Stdin: in})
+				slow := emu.New(bin, emu.Config{Stdin: in, SingleStep: true})
+				for step := uint64(1); ; step++ {
+					rf, doneF, ef := fast.RunUntil(step)
+					rs, doneS, es := slow.RunUntil(step)
+					if fast.StateDigest() != slow.StateDigest() {
+						t.Fatalf("input %q: state digests differ at step %d (rflags fast %#x, slow %#x)",
+							in, step, fast.Rflags, slow.Rflags)
+					}
+					if doneF != doneS {
+						t.Fatalf("input %q: step %d: done fast=%v slow=%v", in, step, doneF, doneS)
+					}
+					if doneF {
+						sameResult(t, string(in), rf, ef, rs, es)
+						break
+					}
+				}
+				fast.Release()
+				slow.Release()
+			}
+		})
+	}
+}
+
 // TestReleaseReuseIdentical: recycling machines through Release must
 // never leak state between runs — a pooled machine replays exactly
-// like a fresh one.
+// like a fresh one. Every iteration, on both inputs, is held to a
+// reference run on a machine that never went back to the pools:
+// result and final state digest. Some iterations first run a machine
+// whose code was bit-flipped and single-stepped, so its decode map is
+// full of mutated instructions when it is released: a pooled map that
+// kept them would decode the next machine's code wrongly.
 func TestReleaseReuseIdentical(t *testing.T) {
 	c := cases.Pincheck()
 	bin, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, eref := emu.New(bin, emu.Config{Stdin: c.Good}).Run()
-	for i := 0; i < 32; i++ {
-		in, want, ewant := c.Good, ref, eref
-		if i%2 == 1 {
-			in = c.Bad
-		}
+	type ref struct {
+		res emu.Result
+		err error
+		d   [32]byte
+	}
+	inputs := [][]byte{c.Good, c.Bad}
+	refs := make([]ref, len(inputs))
+	for i, in := range inputs {
 		m := emu.New(bin, emu.Config{Stdin: in})
-		res, err := m.Run()
-		if i%2 == 1 {
-			// Alternating inputs through the same pools: only compare
-			// the invariant halves.
-			if err == nil != (res.Exited) && !res.Exited {
-				t.Fatalf("iteration %d: inconsistent result", i)
+		refs[i].res, refs[i].err = m.Run()
+		refs[i].d = m.StateDigest()
+	}
+	text := bin.Section(".text")
+	for i := 0; i < 48; i++ {
+		if i%3 == 2 {
+			// Dirty the pools: a single-stepping machine that flipped a
+			// code bit decodes mutated instructions into its map.
+			m := emu.New(bin, emu.Config{Stdin: inputs[i%2], SingleStep: true, StepLimit: 4096})
+			if err := m.Mem.FlipBit(text.Addr+uint64(i*7)%uint64(len(text.Data)), uint(i%8)); err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			sameResult(t, "pooled rerun", res, err, want, ewant)
+			m.Run()
+			m.Release()
 		}
+		for k, in := range inputs {
+			single := i%2 == 1
+			m := emu.New(bin, emu.Config{Stdin: in, SingleStep: single})
+			res, err := m.Run()
+			d := m.StateDigest()
+			m.Release()
+			label := fmt.Sprintf("iteration %d input %q single-step %v", i, in, single)
+			sameResult(t, label, res, err, refs[k].res, refs[k].err)
+			if d != refs[k].d {
+				t.Fatalf("%s: final state digest differs from the fresh machine's", label)
+			}
+		}
+	}
+}
+
+// TestDecodeCacheSurvivesPool: a decode map handed out by DecodeCache
+// (the fault session's reference run donates it to the shared Program
+// and keeps reading it) belongs to the caller. Neither Release nor the
+// machines that later reuse the pooled shell may clear or refill it.
+func TestDecodeCacheSurvivesPool(t *testing.T) {
+	c := cases.Pincheck()
+	bin, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := emu.New(bin, emu.Config{Stdin: c.Bad, SingleStep: true})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cache, _ := m.DecodeCache()
+	if len(cache) == 0 {
+		t.Fatal("single-stepped run decoded nothing")
+	}
+	want := make(map[uint64]isa.Inst, len(cache))
+	for a, in := range cache {
+		want[a] = *in
+	}
+	m.Release()
+	text := bin.Section(".text")
+	for i := 0; i < 16; i++ {
+		m := emu.New(bin, emu.Config{Stdin: c.Good, SingleStep: true, StepLimit: 4096})
+		if err := m.Mem.FlipBit(text.Addr+uint64(i*5)%uint64(len(text.Data)), uint(i%8)); err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
 		m.Release()
+	}
+	if len(cache) != len(want) {
+		t.Fatalf("donated decode map has %d entries after pool reuse, want %d", len(cache), len(want))
+	}
+	for a, in := range cache {
+		if w, ok := want[a]; !ok || *in != w {
+			t.Fatalf("donated decode map changed at %#x", a)
+		}
 	}
 }

@@ -94,55 +94,68 @@ const (
 )
 
 // EnumeratePairs builds the deterministic order-2 work list from a
-// completed order-1 sweep (see enumerateSeqs), stopping at max pairs
-// (0 means DefaultMaxPairs).
+// completed order-1 sweep (see walkSeqs), stopping at max pairs (0
+// means DefaultMaxPairs).
 func EnumeratePairs(solo []Injection, max int) []FaultPair {
 	if max <= 0 {
 		max = DefaultMaxPairs
 	}
-	var out []FaultPair
-	enumerateSeqs(solo, 2, max, func(f []Fault) {
+	cand := seqCandidates(solo)
+	out := make([]FaultPair, 0, walkSeqs(cand, 2, max, nil))
+	walkSeqs(cand, 2, max, func(f []Fault) {
 		out = append(out, FaultPair{First: f[0], Second: f[1]})
 	})
 	return out
 }
 
 // EnumerateTriples builds the deterministic order-3 work list from a
-// completed order-1 sweep (see enumerateSeqs), stopping at max triples
-// (0 means DefaultMaxTriples).
+// completed order-1 sweep (see walkSeqs), stopping at max triples (0
+// means DefaultMaxTriples).
 func EnumerateTriples(solo []Injection, max int) []FaultTriple {
 	if max <= 0 {
 		max = DefaultMaxTriples
 	}
-	var out []FaultTriple
-	enumerateSeqs(solo, 3, max, func(f []Fault) {
+	cand := seqCandidates(solo)
+	out := make([]FaultTriple, 0, walkSeqs(cand, 3, max, nil))
+	walkSeqs(cand, 3, max, func(f []Fault) {
 		out = append(out, FaultTriple{First: f[0], Second: f[1], Third: f[2]})
 	})
 	return out
 }
 
-// enumerateSeqs is the one k-fault enumerator, pruned and
-// budget-capped:
-//
-//   - every component is drawn only from faults whose solo outcome was
-//     detected or ignored — a fault that already succeeds alone needs no
-//     partner, and a fault that crashes alone leaves no program state
-//     for a later fault to steer;
-//   - each fault must strike strictly later in the trace than the one
-//     before it, which both orders the injections physically and keeps
-//     one of each symmetric permutation;
-//   - enumeration walks candidates in campaign order (first fault
-//     outermost, last innermost) and stops after max sequences, so the
-//     same solo sweep always yields the same work list.
-//
-// emit receives a buffer that is reused across calls.
-func enumerateSeqs(solo []Injection, k, max int, emit func([]Fault)) {
-	var cand []Fault
+// seqCandidates returns, in campaign order, the faults sequences draw
+// their components from: every fault whose solo outcome was detected
+// or ignored — a fault that already succeeds alone needs no partner,
+// and a fault that crashes alone leaves no program state for a later
+// fault to steer.
+func seqCandidates(solo []Injection) []Fault {
+	keep := func(o Outcome) bool { return o == OutcomeDetected || o == OutcomeIgnored }
+	n := 0
 	for _, inj := range solo {
-		if inj.Outcome == OutcomeDetected || inj.Outcome == OutcomeIgnored {
+		if keep(inj.Outcome) {
+			n++
+		}
+	}
+	cand := make([]Fault, 0, n)
+	for _, inj := range solo {
+		if keep(inj.Outcome) {
 			cand = append(cand, inj.Fault)
 		}
 	}
+	return cand
+}
+
+// walkSeqs is the one k-fault enumerator, budget-capped: it walks the
+// length-k sequences over cand in which each fault strikes strictly
+// later in the trace than the one before it — which both orders the
+// injections physically and keeps one of each symmetric permutation —
+// in campaign order (first fault outermost, last innermost), and stops
+// after max sequences, so the same solo sweep always yields the same
+// work list. It returns the number of sequences walked; emit, when
+// non-nil, receives each one in a buffer reused across calls, so the
+// enumerators count with a nil emit and then fill a list allocated
+// once.
+func walkSeqs(cand []Fault, k, max int, emit func([]Fault)) int {
 	seq := make([]Fault, k)
 	n := 0
 	var walk func(depth int) bool
@@ -158,7 +171,9 @@ func enumerateSeqs(solo []Injection, k, max int, emit func([]Fault)) {
 				}
 				continue
 			}
-			emit(seq)
+			if emit != nil {
+				emit(seq)
+			}
 			if n++; n >= max {
 				return false
 			}
@@ -166,6 +181,7 @@ func enumerateSeqs(solo []Injection, k, max int, emit func([]Fault)) {
 		return true
 	}
 	walk(0)
+	return n
 }
 
 // group is one node of the first-fault snapshot tree: every selected

@@ -2,7 +2,10 @@ package fault
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"github.com/r2r/reinforce/internal/cases"
 )
 
 func tripleSession(t *testing.T, models ...Model) (*Session, []Injection, []FaultTriple) {
@@ -115,5 +118,79 @@ func TestExecuteTripleShardBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(merged, want) {
 		t.Error("recombined triple shards differ from per-triple simulation")
+	}
+}
+
+// appendSeqs is the reference k-fault enumeration: the walk
+// EnumeratePairs and EnumerateTriples make, growing its list by append.
+func appendSeqs(solo []Injection, k, max int) [][]Fault {
+	var cand []Fault
+	for _, inj := range solo {
+		if inj.Outcome == OutcomeDetected || inj.Outcome == OutcomeIgnored {
+			cand = append(cand, inj.Fault)
+		}
+	}
+	var out [][]Fault
+	seq := make([]Fault, k)
+	var walk func(depth int) bool
+	walk = func(depth int) bool {
+		for _, f := range cand {
+			if depth > 0 && f.TraceIndex <= seq[depth-1].TraceIndex {
+				continue
+			}
+			seq[depth] = f
+			if depth+1 < k {
+				if !walk(depth + 1) {
+					return false
+				}
+				continue
+			}
+			out = append(out, slices.Clone(seq))
+			if len(out) >= max {
+				return false
+			}
+		}
+		return true
+	}
+	walk(0)
+	return out
+}
+
+// TestEnumerateSeqsMatchAppend: the enumerators count their sequences
+// under the cap and fill a list allocated once; the list must equal
+// the append-built one — same sequences, same order — for every
+// catalog case at orders 2 and 3 under several caps, with no spare
+// capacity.
+func TestEnumerateSeqsMatchAppend(t *testing.T) {
+	for _, c := range cases.Corpus() {
+		t.Run(c.Name, func(t *testing.T) {
+			s, err := NewSession(Campaign{Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad})
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo, _ := s.ExecuteShard(0, 1, 0, nil)
+			for _, max := range []int{1, 7, 100, DefaultMaxTriples, DefaultMaxPairs, 1 << 16} {
+				pairs := EnumeratePairs(solo, max)
+				want2 := appendSeqs(solo, 2, max)
+				if len(pairs) != len(want2) || cap(pairs) != len(pairs) {
+					t.Fatalf("max %d: %d pairs (cap %d), append-built %d", max, len(pairs), cap(pairs), len(want2))
+				}
+				for i, p := range pairs {
+					if p.Faults()[0] != want2[i][0] || p.Faults()[1] != want2[i][1] {
+						t.Fatalf("max %d: pair %d is %v, append-built %v", max, i, p, want2[i])
+					}
+				}
+				triples := EnumerateTriples(solo, max)
+				want3 := appendSeqs(solo, 3, max)
+				if len(triples) != len(want3) || cap(triples) != len(triples) {
+					t.Fatalf("max %d: %d triples (cap %d), append-built %d", max, len(triples), cap(triples), len(want3))
+				}
+				for i, tr := range triples {
+					if !slices.Equal(tr.Faults(), want3[i]) {
+						t.Fatalf("max %d: triple %d is %v, append-built %v", max, i, tr, want3[i])
+					}
+				}
+			}
+		})
 	}
 }
