@@ -142,12 +142,12 @@ type Options struct {
 	// test-enforced alongside the worker/shard determinism guarantees.
 	Store *Store
 
-	// Pool, when non-nil, is the shared execution pool the run's
-	// sessions execute on (see WorkerPool) instead of spawning private
-	// per-stage goroutine sets — the corpus scheduler's injection
-	// point. Like Workers, it never changes results, only where the
-	// simulations run; it is not part of the plan key.
-	Pool fault.Pool
+	// pool, when non-nil, is the shared WorkerPool the run's sessions
+	// execute on instead of a private pool per stage — set by RunCorpus
+	// so concurrent cells share one worker budget. Like Workers, it
+	// never changes results, only where the simulations run; it is not
+	// part of the plan key.
+	pool *fault.WorkerPool
 
 	// newSession, when set, replaces fault.NewSession for the run —
 	// the corpus runner's hook for reusing one session across the
@@ -169,8 +169,8 @@ func (opt Options) session(c fault.Campaign) (*fault.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Pool != nil {
-		s.SetPool(opt.Pool)
+	if opt.pool != nil {
+		s.SetPool(opt.pool)
 	}
 	return s, nil
 }
@@ -470,20 +470,26 @@ func budget(max, def int) int {
 // (shards[i] produced with Shard{i, len(shards)}) into a report
 // bit-identical to the unsharded run. Every shard carries the same
 // (unsharded) solo report; the pair lists recombine round-robin. The
-// triple shards of an order-3 campaign do not merge here.
+// shards of an order-3 campaign are rejected: each carries the full
+// pair list and only its share of the triples.
 func MergeOrder2(shards []*Order2Report) (*Order2Report, error) {
 	n := len(shards)
 	if n == 0 {
 		return nil, errors.New("campaign: no shards to merge")
+	}
+	for i, sh := range shards {
+		if sh == nil {
+			return nil, fmt.Errorf("campaign: shard %d is nil", i)
+		}
+		if sh.Triples != nil {
+			return nil, fmt.Errorf("campaign: shard %d is an order-3 shard; order-3 shards do not merge", i)
+		}
 	}
 	if n == 1 {
 		return shards[0], nil
 	}
 	total := 0
 	for i, sh := range shards {
-		if sh == nil {
-			return nil, fmt.Errorf("campaign: shard %d is nil", i)
-		}
 		if sh.Solo.GoodOracle != shards[0].Solo.GoodOracle ||
 			sh.Solo.BadOracle != shards[0].Solo.BadOracle ||
 			len(sh.Solo.Injections) != len(shards[0].Solo.Injections) {

@@ -321,6 +321,22 @@ func TestOrder2ShardRecombination(t *testing.T) {
 	if _, err := MergeOrder2([]*Order2Report{truncated, full}); err == nil {
 		t.Error("size-inconsistent pair shards accepted")
 	}
+	// Order-3 shards each carry the full pair list beside their share of
+	// the triples: merging them as pair shards would double every pair
+	// and drop the triples.
+	o3 := make([]*Order2Report, 2)
+	for i := range o3 {
+		res, err := RunOrder3(camp, Options{Shard: Shard{Index: i, Count: 2}, MaxPairs: 300, MaxTriples: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o3[i] = res.Report
+	}
+	if m, err := MergeOrder2(o3); err == nil {
+		t.Errorf("order-3 shards merged as pair shards: %d pairs, triples nil %v", len(m.Pairs), m.Triples == nil)
+	} else if !strings.Contains(err.Error(), "order-3") {
+		t.Errorf("order-3 shard merge: unexpected error %v", err)
+	}
 }
 
 // TestSummarizePerModel: the per-model breakdown partitions the

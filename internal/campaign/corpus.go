@@ -12,12 +12,13 @@
 // Cells are grouped into per-case chains (the memo chain and the
 // store's order-over-order reuse both follow a case's job order, so a
 // chain must run sequentially); with ParallelCells > 1 the chains run
-// concurrently on one shared work-stealing WorkerPool whose budget is
-// Options.Workers. Results are deterministic either way — every cell
-// lands at its fixed position in Results, and every constituent
-// campaign is bit-identical across worker counts, chunking, stealing,
-// and store replay — so the parallel sweep's reports match the
-// sequential runner's bit for bit.
+// concurrently on one shared fault.WorkerPool whose budget is
+// Options.Workers: each cell stage submits one batch, and a batch that
+// runs dry hands its slots to the others' tails. Results are
+// deterministic either way — every cell lands at its fixed position in
+// Results, and every constituent campaign is bit-identical across
+// worker counts, chunking, slot handoffs, and store replay — so the
+// parallel sweep's reports match the sequential runner's bit for bit.
 package campaign
 
 import (
@@ -64,8 +65,7 @@ type CorpusOptions struct {
 	// (<= 1: strictly sequential, the historical behavior). The cells
 	// of one case always run in sequence — the memo chain demands it —
 	// so the bound is over distinct cases. All concurrent cells share
-	// one WorkerPool of Options.Workers workers (or Options.Pool when
-	// the caller provides one).
+	// one fault.WorkerPool of Options.Workers workers.
 	ParallelCells int
 }
 
@@ -145,13 +145,9 @@ func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 		parallel = len(chains)
 	}
 	if parallel > 1 {
-		// All concurrent cells draw from one worker budget; chains
-		// that finish early steal into the stragglers' chunk queues.
-		if opt.Pool == nil {
-			pool := NewWorkerPool(opt.Workers)
-			defer pool.Close()
-			opt.Pool = pool
-		}
+		// All concurrent cells draw from one worker budget; slots a
+		// finished stage frees go to the stragglers' batches.
+		opt.pool = fault.NewWorkerPool(opt.Workers)
 		// Options.Progress promises serialized delivery; with chains
 		// interleaving, serialize here (per-cell monotonicity is
 		// progressFunc's, which each cell stage owns privately).
@@ -351,3 +347,8 @@ func (r *CorpusResult) Errs() []error {
 	}
 	return out
 }
+
+// NewWorkerPool returns fault.NewWorkerPool(workers). It remains only
+// for bench/layers, whose pool probe calls it; RunCorpus builds its
+// shared pool with fault.NewWorkerPool directly.
+func NewWorkerPool(workers int) *fault.WorkerPool { return fault.NewWorkerPool(workers) }

@@ -1,8 +1,8 @@
-// The differential soundness harness for the work-stealing corpus
-// scheduler: the same corpus sweep executed sequentially and with
-// concurrent case chains on a shared worker pool must produce
-// bit-identical results — every cell, every order, regardless of the
-// worker budget, chunk sizing, steal interleavings, or store state.
+// The differential soundness harness for the corpus scheduler: the
+// same corpus sweep executed sequentially and with concurrent case
+// chains on a shared worker pool must produce bit-identical results —
+// every cell, every order, regardless of the worker budget, chunk
+// sizing, slot handoffs between cells, or store state.
 // This is the contract that makes `-parallel-cells` safe to use
 // anywhere the sequential runner was.
 //
@@ -86,27 +86,6 @@ func TestSchedulerDifferentialCorpus(t *testing.T) {
 		parallel := runSchedCorpus(t, label, jobs, opt(len(jobs), workers))
 		campaigntest.AssertCorpusEqual(t, label, sequential, parallel)
 	}
-}
-
-// TestSchedulerSharedPoolInvariance: an explicit caller-owned
-// WorkerPool shared across the whole sweep (the `r2r corpus` shape,
-// where -workers is a global budget, not a per-cell one) changes
-// nothing about the results.
-func TestSchedulerSharedPoolInvariance(t *testing.T) {
-	jobs := schedCorpusJobs(t, [][]fault.Model{{fault.ModelSkip}})
-	base := campaign.CorpusOptions{
-		Options: campaign.Options{MaxPairs: schedMaxPairs},
-		Orders:  []int{1, 2},
-	}
-	sequential := runSchedCorpus(t, "sequential", jobs, base)
-
-	pool := campaign.NewWorkerPool(4)
-	defer pool.Close()
-	shared := base
-	shared.Pool = pool
-	shared.ParallelCells = len(jobs)
-	parallel := runSchedCorpus(t, "shared pool", jobs, shared)
-	campaigntest.AssertCorpusEqual(t, "shared pool", sequential, parallel)
 }
 
 // TestSchedulerWarmStoreReplay: a parallel-cells sweep over a

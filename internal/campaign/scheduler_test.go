@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// TestWorkerPoolExecute: Execute covers [0, n) exactly once, for unit
-// counts around the chunking thresholds and worker budgets above and
-// below the unit count.
+// TestWorkerPoolExecute: the pool campaign.NewWorkerPool hands out
+// covers [0, n) exactly once, for unit counts around the chunking
+// thresholds and worker budgets above and below the unit count, and
+// stays usable until its no-op Close.
 func TestWorkerPoolExecute(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		pool := NewWorkerPool(workers)
@@ -29,49 +30,6 @@ func TestWorkerPoolExecute(t *testing.T) {
 			}
 		}
 		pool.Close()
-	}
-}
-
-// TestWorkerPoolConcurrentSources: many goroutines submit Executes at
-// once — the corpus shape, one source per concurrently running cell
-// stage — and every unit of every source runs exactly once.
-func TestWorkerPoolConcurrentSources(t *testing.T) {
-	pool := NewWorkerPool(4)
-	defer pool.Close()
-	const sources, units = 16, 257
-	counts := make([][]atomic.Int32, sources)
-	var wg sync.WaitGroup
-	for s := 0; s < sources; s++ {
-		counts[s] = make([]atomic.Int32, units)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			pool.Execute(units, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					counts[s][i].Add(1)
-				}
-			})
-		}(s)
-	}
-	wg.Wait()
-	for s := range counts {
-		for i := range counts[s] {
-			if got := counts[s][i].Load(); got != 1 {
-				t.Fatalf("source %d unit %d ran %d times", s, i, got)
-			}
-		}
-	}
-}
-
-// TestWorkerPoolClosedRunsInline: Execute on a closed pool degrades to
-// inline execution instead of deadlocking or dropping work.
-func TestWorkerPoolClosedRunsInline(t *testing.T) {
-	pool := NewWorkerPool(2)
-	pool.Close()
-	ran := 0
-	pool.Execute(10, func(lo, hi int) { ran += hi - lo })
-	if ran != 10 {
-		t.Fatalf("closed pool ran %d of 10 units", ran)
 	}
 }
 

@@ -116,7 +116,7 @@ func (s *Session) inertWindow(f Fault) (writes static.LiveSet, cont uint64, ok b
 // session; safe for concurrent use.
 func (s *Session) refOutcome() Outcome {
 	s.inert.refOnce.Do(func() {
-		m := s.ckpts[0].Resume(s.config())
+		m := s.checkpointFor(0).Resume(s.config())
 		res, err := m.Run()
 		s.inert.ref = classify(res, err, s.good)
 		m.Release()

@@ -173,7 +173,7 @@ func TestMemoWaitsForHookWindows(t *testing.T) {
 				m.RIP = 0 // unmapped: the fetch faults
 			}
 		}, at, at+1)
-		if got := s.finish(s.rungFor(uint64(f.TraceIndex)).Resume(late)); got != OutcomeCrash {
+		if got := s.finish(s.checkpointFor(uint64(f.TraceIndex)).Resume(late)); got != OutcomeCrash {
 			t.Fatalf("%v with a hook at step %d: outcome %v, want crash", f, at, got)
 		}
 		return
@@ -194,7 +194,7 @@ func TestMemoSkipsWindowlessHooks(t *testing.T) {
 	for _, f := range s.Faults() {
 		cfg := s.config(f)
 		cfg.AddStepHook(func(*emu.Machine, *isa.Inst) emu.StepAction { return emu.ActContinue })
-		s.finish(s.rungFor(uint64(f.TraceIndex)).Resume(cfg))
+		s.finish(s.checkpointFor(uint64(f.TraceIndex)).Resume(cfg))
 	}
 	if len(s.memo.outcomes) != entries || s.memo.hits.Load() != hits {
 		t.Errorf("windowless runs touched the memo: entries %d -> %d, hits %d -> %d",

@@ -309,7 +309,7 @@ func (s *Session) runGroup(pr *PairPruner, g *group, record func(i int, o Outcom
 		pr.inert.Add(int64(len(g.idx)))
 		return
 	}
-	m := s.rungFor(uint64(g.first.TraceIndex)).Resume(s.config(g.first))
+	m := s.checkpointFor(uint64(g.first.TraceIndex)).Resume(s.config(g.first))
 	res, done, err := m.RunUntil(g.end)
 	if done {
 		// The first-fault run ended (exit, crash, or step limit) before

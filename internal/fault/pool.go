@@ -1,17 +1,17 @@
 // Execution substrate: every campaign stage (the order-1 fault sweep,
-// the order-2/3 snapshot trees) runs its independent work units
-// through a Pool. The default pool spawns a private goroutine set per
-// call — the engine's historical shape — while a session with an
-// injected pool (Session.SetPool) shares one process-wide worker
-// budget with every other campaign running beside it, the corpus
-// scheduler's work-stealing substrate (see internal/campaign).
+// the order-2/3 snapshot trees) runs its independent work units on a
+// WorkerPool. A session without an injected pool runs each stage on a
+// private pool of its worker count; a session with one (Session.SetPool)
+// shares that pool's budget with every other session running beside it
+// — the corpus scheduler's shape (see internal/campaign).
 //
 // Work is claimed in dynamically sized chunks from an atomic cursor
 // (guided self-scheduling): chunks start large, amortizing claim
 // overhead, and shrink as the queue drains, so one expensive chunk at
 // the tail cannot straggle a whole stage. Results always land at
 // fixed, cursor-independent positions, so chunking — like worker
-// count — never changes a report bit.
+// count, and like which batch's goroutine held a slot when — never
+// changes a report bit.
 package fault
 
 import (
@@ -20,18 +20,9 @@ import (
 	"sync/atomic"
 )
 
-// Pool executes batches of independent work units. Execute invokes run
-// on disjoint index ranges [lo, hi) covering [0, n), possibly
-// concurrently from multiple goroutines, and returns only after every
-// unit has run. run must be safe for concurrent invocation on disjoint
-// ranges.
-type Pool interface {
-	Execute(n int, run func(lo, hi int))
-}
-
 // maxChunk bounds a single claim so a worker never hoards a large
 // prefix of the queue: a stage is always split finely enough for late
-// joiners (or thieves from other cells) to help with the tail.
+// joiners (or another batch's freed slots) to help with the tail.
 const maxChunk = 64
 
 // chunkSpan is the dynamic chunk-size policy: an equal share of the
@@ -53,9 +44,8 @@ func chunkSpan(remaining, workers int) int {
 }
 
 // ChunkCursor hands out dynamically sized, disjoint index ranges of
-// [0, n) to concurrent claimants — the lock-free work queue behind
-// both the default pool and the corpus scheduler's per-cell deques.
-// The zero value is a drained cursor.
+// [0, n) to concurrent claimants — the lock-free work queue of one
+// WorkerPool batch. The zero value is a drained cursor.
 type ChunkCursor struct {
 	next    atomic.Int64
 	n       int
@@ -91,46 +81,49 @@ func (c *ChunkCursor) Grab() (lo, hi int, ok bool) {
 	}
 }
 
-// Remaining reports how many units have not been claimed yet. Advisory
-// only — concurrent Grab calls may drain it at any moment.
-func (c *ChunkCursor) Remaining() int {
-	r := c.n - int(c.next.Load())
-	if r < 0 {
-		return 0
-	}
-	return r
+// WorkerPool executes batches of independent work units under one
+// concurrency budget: at most budget goroutines run work at any moment,
+// across every batch submitted to the pool. Safe for concurrent use.
+//
+// Each Execute builds one ChunkCursor over its batch and starts
+// min(budget, n) goroutines; each takes a slot from the pool before it
+// claims chunks, drains the cursor, and gives the slot back. Concurrent
+// batches therefore share the budget: a goroutine keeps to its own
+// batch while it lasts (affinity — one session's warm state), and a
+// batch that runs dry hands its slots to the waiting goroutines of the
+// others, which then finish their tails with the whole budget.
+type WorkerPool struct {
+	slots chan struct{}
 }
 
-// goPool is the default execution substrate: a private worker set
-// spawned per Execute call, claiming chunks from a shared cursor. It
-// reproduces the engine's historical scheduling exactly (workers ×
-// atomic cursor), with chunked claiming in place of per-item claiming.
-type goPool struct {
-	workers int
-}
-
-// Execute runs the batch on min(workers, n) goroutines.
-func (p goPool) Execute(n int, run func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := p.workers
+// NewWorkerPool returns a pool with the given concurrency budget
+// (values <= 0 mean GOMAXPROCS). No goroutine outlives a batch, so the
+// pool needs no shutdown.
+func NewWorkerPool(workers int) *WorkerPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		run(0, n)
+	return &WorkerPool{slots: make(chan struct{}, workers)}
+}
+
+// Execute invokes run on disjoint index ranges [lo, hi) covering
+// [0, n), possibly concurrently from several goroutines, and returns
+// once every unit has run. run must be safe for concurrent invocation
+// on disjoint ranges, and must not call Execute on the same pool: the
+// inner batch would wait for a slot its own caller holds.
+func (p *WorkerPool) Execute(n int, run func(lo, hi int)) {
+	if n <= 0 {
 		return
 	}
+	workers := min(cap(p.slots), n)
 	cur := NewChunkCursor(n, workers)
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			p.slots <- struct{}{}
+			defer func() { <-p.slots }()
 			for {
 				lo, hi, ok := cur.Grab()
 				if !ok {
@@ -143,21 +136,24 @@ func (p goPool) Execute(n int, run func(lo, hi int)) {
 	wg.Wait()
 }
 
-// SetPool injects a shared execution pool: every subsequent
-// ExecuteShard/ExecuteSequences call runs its work
-// units on it instead of spawning a private goroutine set, so many
-// sessions can share one process-wide worker budget. The per-call
-// workers arguments then only size chunks; the pool owns concurrency.
-// Results are bit-identical either way. Call before executing, not
-// concurrently with it.
-func (s *Session) SetPool(p Pool) { s.sched = p }
+// Close is a no-op: no goroutine outlives the batch that started it.
+// It remains only for bench/layers, which closes the pool it probes.
+func (p *WorkerPool) Close() {}
 
-// executePool resolves the substrate one stage runs on: the injected
-// shared pool when one is set, a private per-call goroutine set
+// SetPool injects a shared execution pool: every subsequent
+// ExecuteShard/ExecuteSequences call runs its work units on it instead
+// of on a private pool, so many sessions can share one process-wide
+// worker budget. The per-call workers arguments are then ignored: the
+// pool owns concurrency. Results are bit-identical either way.
+// Call before executing, not concurrently with it.
+func (s *Session) SetPool(p *WorkerPool) { s.sched = p }
+
+// executePool resolves the pool one stage runs on: the injected shared
+// pool when one is set, a private pool of the stage's worker count
 // otherwise.
-func (s *Session) executePool(workers int) Pool {
+func (s *Session) executePool(workers int) *WorkerPool {
 	if s.sched != nil {
 		return s.sched
 	}
-	return goPool{workers: s.workerCount(workers)}
+	return NewWorkerPool(s.workerCount(workers))
 }

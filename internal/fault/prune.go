@@ -278,7 +278,7 @@ func (pr *PairPruner) refDigestAt(step uint64) [32]byte {
 	}
 	pr.mu.Unlock()
 	rd.once.Do(func() {
-		m := pr.s.rungFor(step).Resume(pr.s.config())
+		m := pr.s.checkpointFor(step).Resume(pr.s.config())
 		m.RunUntil(step)
 		rd.d = m.StateDigest()
 		m.Release()

@@ -18,7 +18,11 @@ import (
 // checkpointInterval steps so injections replay at most one interval of
 // prefix instead of the whole trace. When a long run would exceed
 // maxCheckpoints, every other checkpoint is dropped and the interval
-// doubles, bounding memory at O(maxCheckpoints) page tables.
+// doubles, bounding memory at O(maxCheckpoints) page tables. The
+// interval thus stays at or below 512 steps until the trace passes
+// 131,072 steps — beyond the catalog traces (19 to 405 steps) and their
+// hardened builds (under 50k) — so the chain needs no on-demand
+// densification.
 const (
 	checkpointInterval = 64
 	maxCheckpoints     = 256
@@ -45,7 +49,11 @@ type Session struct {
 	bad    Observable
 	trace  *trace.Trace
 	faults []Fault
-	ckpts  []*emu.Snapshot // ascending by step; ckpts[0] is the entry state
+
+	// ckpts is the session's one snapshot chain along the reference
+	// trajectory, ascending by step (ckpts[0] is the entry state).
+	// Immutable after NewSession, so checkpointFor reads it lock-free.
+	ckpts []*emu.Snapshot
 
 	// prog is the reference run's code artifact — its decoded
 	// instructions and their micro-op translation — seeded into every
@@ -54,15 +62,10 @@ type Session struct {
 	// neither re-decode nor re-translate outside their fault windows.
 	prog *emu.Program
 
-	// ladder holds reference-trajectory snapshots for prefix replay:
-	// the fixed-interval checkpoints plus the rungs rungFor bisects
-	// into oversized gaps, reused campaign-wide.
-	ladder *ladder
-
 	// refPages is the reference run's code-page footprint: each fetched
 	// page mapped to the step count at its first fetch. SimulateRecord
-	// slices it at an injection's snapshot step to account for the
-	// golden prefix the forked run inherits.
+	// slices it at an injection's fault step to account for the golden
+	// prefix the forked run inherits.
 	refPages map[uint64]uint64
 
 	// probes caches the fetchable instruction bytes at each traced
@@ -75,11 +78,10 @@ type Session struct {
 	// reference run left code unmutated.
 	inert inertState
 
-	// sched, when set via SetPool, is the shared execution pool every
-	// shard/pair/triple stage runs on instead of a private per-call
-	// goroutine set — the seam the corpus work-stealing scheduler
-	// injects through.
-	sched Pool
+	// sched, when set via SetPool, is the shared WorkerPool every
+	// shard/pair/triple stage runs on instead of a private pool of its
+	// own worker count — how corpus cells share one worker budget.
+	sched *WorkerPool
 
 	// memo is the continuation memo (memo.go) shared by every faulted
 	// run the session finishes: runs that reach an equal state at the
@@ -119,14 +121,14 @@ func NewSession(c Campaign) (*Session, error) {
 	if goodIn == nil {
 		goodIn = []byte{}
 	}
-	gm := base.Resume(emu.Config{Stdin: goodIn, StepLimit: c.StepLimit, RecordTrace: true, SingleStep: c.SingleStep})
+	gm := base.Resume(emu.Config{Stdin: goodIn, StepLimit: c.StepLimit, SingleStep: c.SingleStep})
 	goodRes, goodErr := gm.Run()
 	if goodErr != nil {
 		return nil, fmt.Errorf("%w: good input: %v", ErrBadRun, goodErr)
 	}
 
 	s := &Session{c: c, ckpts: []*emu.Snapshot{base}}
-	rm := base.Resume(emu.Config{StepLimit: c.StepLimit, RecordTrace: true, RecordPages: true, SingleStep: c.SingleStep})
+	rm := base.Resume(emu.Config{StepLimit: c.StepLimit, RecordTrace: true, RecordPages: true})
 	badRes, badErr := s.runReference(rm)
 	if badErr != nil {
 		return nil, fmt.Errorf("%w: bad input: %v", ErrBadRun, badErr)
@@ -148,7 +150,6 @@ func NewSession(c Campaign) (*Session, error) {
 	for _, cp := range s.ckpts {
 		cp.SeedProgram(s.prog)
 	}
-	s.ladder = newLadder(s.ckpts)
 
 	ref := max(goodRes.Steps, badRes.Steps)
 	if s.c.InjectionStepLimit == 0 {
@@ -318,19 +319,19 @@ func (s *Session) Report(injections []Injection) *Report {
 	}
 }
 
-// checkpointFor returns the latest snapshot taken at or before the
-// given trace index.
-func (s *Session) checkpointFor(traceIndex uint64) *emu.Snapshot {
-	lo, hi := 0, len(s.ckpts)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if s.ckpts[mid].Steps() <= traceIndex {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+// checkpointFor returns the latest checkpoint taken at or before step,
+// the snapshot every resume of the reference trajectory starts from.
+// The step is capped at the injection budget so a resumed machine can
+// never start beyond its own StepLimit (which would change how
+// budget-cut runs report their step counts).
+func (s *Session) checkpointFor(step uint64) *emu.Snapshot {
+	if lim := s.c.InjectionStepLimit; lim > 0 && step > lim-1 {
+		step = lim - 1
 	}
-	return s.ckpts[lo]
+	i := sort.Search(len(s.ckpts), func(i int) bool {
+		return s.ckpts[i].Steps() > step
+	})
+	return s.ckpts[i-1]
 }
 
 // config builds the emulator configuration of one faulted run: the
@@ -401,7 +402,7 @@ func (s *Session) SimulateSeq(faults ...Fault) Outcome {
 	for _, f := range faults[1:] {
 		first = min(first, f.TraceIndex)
 	}
-	return s.finish(s.rungFor(uint64(first)).Resume(s.config(faults...)))
+	return s.finish(s.checkpointFor(uint64(first)).Resume(s.config(faults...)))
 }
 
 // InjectionLimit returns the per-injection step budget the session runs
@@ -462,16 +463,15 @@ func (s *Session) preScreenRecord(f Fault) SimRecord {
 // simulateRecordDynamic is the evidence-recording simulation core
 // behind SimulateRecord, minus the decode pre-screen.
 func (s *Session) simulateRecordDynamic(f Fault) SimRecord {
-	ck := s.rungFor(uint64(f.TraceIndex))
 	cfg := s.config(f)
 	cfg.RecordPages = true
-	m := ck.Resume(cfg)
+	m := s.checkpointFor(uint64(f.TraceIndex)).Resume(cfg)
 	res, err := m.Run()
-	// The prefix bound must be deterministic, and ladder rung positions
-	// are not (they depend on which injections ran first): account the
-	// prefix up to the fault step itself, a superset of any rung's
-	// actual prefix, so the recorded evidence is worker-schedule
-	// independent.
+	// Account the golden prefix up to the fault step itself (capped like
+	// checkpointFor), a superset of the resumed checkpoint's actual
+	// prefix. Checkpoint positions are deterministic, so either bound
+	// would be schedule-independent, but this one decides the recorded
+	// page sets and so the store entries: changing it would change them.
 	bound := uint64(f.TraceIndex)
 	if lim := s.c.InjectionStepLimit; lim > 0 && bound > lim-1 {
 		bound = lim - 1
@@ -613,14 +613,14 @@ func ShardSelect[T any](items []T, index, count int) []T {
 
 // runShard is the engine's shared execution core: it selects the
 // round-robin shard of items and simulates it in dynamically sized
-// chunks claimed from the pool (a private goroutine set by default,
-// the corpus work-stealing scheduler when injected). Outcomes land at
-// fixed positions and the tally is order-insensitive, so results are
-// bit-identical regardless of worker count, chunking, or stealing.
+// chunks claimed from the pool (a private WorkerPool by default, the
+// corpus's shared one when injected). Outcomes land at fixed positions
+// and the tally is order-insensitive, so results are bit-identical
+// regardless of worker count, chunking, or which batch held the slots.
 // The order-1 fault sweep runs on it; the multi-fault tree
 // (ExecuteSequences) shares its pool and chunking but groups its work
 // units by first fault.
-func runShard[T any](items []T, shardIndex, shardCount int, pool Pool, sim func(T) Outcome, progress func(done, total int)) ([]T, []Outcome, Tally) {
+func runShard[T any](items []T, shardIndex, shardCount int, pool *WorkerPool, sim func(T) Outcome, progress func(done, total int)) ([]T, []Outcome, Tally) {
 	sel := ShardSelect(items, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))
 	if len(sel) == 0 {

@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/asm"
+	"github.com/r2r/reinforce/internal/emu"
 )
 
 // TestSnapshotPathMatchesColdPath is the engine's ground truth: every
@@ -195,6 +197,147 @@ func TestFilterModels(t *testing.T) {
 		got := both.FilterModels(m)
 		if !reflect.DeepEqual(got.Injections, solo.Injections) {
 			t.Errorf("%s: filtered view differs from single-model campaign", m)
+		}
+	}
+}
+
+// longLoop folds a 12,000-iteration countdown into rbx (four steps per
+// iteration), then checks the sum before comparing the input byte: a
+// reference trace of about 48k steps, long enough that the checkpoint
+// chain thins twice, with faults along it that are ignored, detected,
+// crash, or succeed.
+const longLoop = `
+.text
+_start:
+	mov rax, 0
+	mov rdi, 0
+	lea rsi, [rip+buf]
+	mov rdx, 1
+	syscall
+	xor rbx, rbx
+	mov rcx, 12000
+count:
+	add rbx, rcx
+	mov [rip+acc], rbx
+	dec rcx
+	jne count
+	cmp rbx, 72006000
+	jne tampered
+	movzx rax, byte ptr [rip+buf]
+	cmp rax, 'y'
+	jne deny
+	mov rax, 60
+	mov rdi, 0
+	syscall
+deny:
+	mov rax, 60
+	mov rdi, 1
+	syscall
+tampered:
+	mov rax, 60
+	mov rdi, 42
+	syscall
+.bss
+buf: .zero 1
+acc: .zero 8
+`
+
+// TestCheckpointChainLongTrace: on a trace long enough to thin the
+// checkpoint chain, the chain starts at the entry state, ascends, stays
+// within maxCheckpoints and leaves no gap wider than its final
+// interval; every resume from it — faults sampled along the whole
+// trace, past the thinning points included — classifies like a cold
+// run. Under an injection budget that ends mid-trace, checkpointFor
+// caps late faults at the budget, so budget-cut runs report the cold
+// run's step count.
+func TestCheckpointChainLongTrace(t *testing.T) {
+	bin, err := asm.Assemble(longLoop, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp := Campaign{
+		Binary: bin, Good: []byte("y"), Bad: []byte("n"),
+		Models:     []Model{ModelSkip, ModelBitFlip},
+		DedupSites: true, // small fault list; the samples below span the trace
+	}
+	s, err := NewSession(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := s.trace.Entries
+	if len(entries) < 40000 {
+		t.Fatalf("reference trace has %d steps, want >= 40000", len(entries))
+	}
+	ck := s.ckpts
+	if len(ck) > maxCheckpoints || ck[0].Steps() != 0 {
+		t.Fatalf("%d checkpoints starting at step %d, want <= %d starting at 0", len(ck), ck[0].Steps(), maxCheckpoints)
+	}
+	final := ck[len(ck)-1].Steps() - ck[len(ck)-2].Steps()
+	if final <= checkpointInterval {
+		t.Fatalf("final interval %d: the chain never thinned", final)
+	}
+	for i := 1; i < len(ck); i++ {
+		if gap := ck[i].Steps() - ck[i-1].Steps(); gap == 0 || gap > final {
+			t.Fatalf("checkpoints %d..%d: gap %d (final interval %d)", i-1, i, gap, final)
+		}
+	}
+	if tail := uint64(len(entries)) - ck[len(ck)-1].Steps(); tail > final {
+		t.Fatalf("trace ends %d steps past the last checkpoint (final interval %d)", tail, final)
+	}
+
+	// Evenly spaced samples plus the steps around the two thinning
+	// points and the trace end, each faulted by a skip and a bit flip.
+	var at []int
+	for i := 0; i < len(entries); i += len(entries) / 24 {
+		at = append(at, i)
+	}
+	for _, i := range []int{16383, 16384, 16385, 32767, 32768, 32769, len(entries) - 2, len(entries) - 1} {
+		at = append(at, i)
+	}
+	var faults []Fault
+	for _, i := range at {
+		e := entries[i]
+		faults = append(faults,
+			Fault{Model: ModelSkip, TraceIndex: i, Addr: e.Addr, Op: e.Op, Cond: e.Cond},
+			Fault{Model: ModelBitFlip, TraceIndex: i, Addr: e.Addr, Op: e.Op, Cond: e.Cond, Bit: (7 * i) % (e.Len * 8)})
+	}
+	seen := map[Outcome]bool{}
+	for _, f := range faults {
+		warm, cold := s.Simulate(f), s.SimulateCold(f)
+		if warm != cold {
+			t.Errorf("%v: snapshot path %v, cold path %v", f, warm, cold)
+		}
+		seen[warm] = true
+	}
+	if len(seen) < 3 {
+		t.Errorf("samples reached only outcomes %v", seen)
+	}
+
+	// A budget that ends mid-trace, past the first thinning point.
+	camp.InjectionStepLimit = 30001
+	s, err = NewSession(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := s.checkpointFor(uint64(len(entries) - 1))
+	if late.Steps() == 0 || late.Steps() > camp.InjectionStepLimit-1 || late != s.checkpointFor(camp.InjectionStepLimit-1) {
+		t.Fatalf("late fault resumes at step %d under budget %d", late.Steps(), camp.InjectionStepLimit)
+	}
+	for _, f := range faults {
+		rec := s.SimulateRecord(f)
+		cfg := s.config(f)
+		cfg.Stdin = camp.Bad
+		m := emu.New(bin, cfg)
+		res, err := m.Run()
+		m.Release()
+		limitHit := errors.Is(err, emu.ErrStepLimit)
+		if rec.Steps == 0 {
+			continue // decode pre-screen: no run to compare
+		}
+		if rec.Outcome != classify(res, err, s.good) || rec.Steps != res.Steps || rec.LimitHit != limitHit {
+			t.Errorf("%v under budget %d: record %v/%d steps/limit %v, cold %v/%d steps/limit %v",
+				f, camp.InjectionStepLimit, rec.Outcome, rec.Steps, rec.LimitHit,
+				classify(res, err, s.good), res.Steps, limitHit)
 		}
 	}
 }
