@@ -530,31 +530,16 @@ func cmdCampaign(args []string, out io.Writer) error {
 		// binary's own order-1 sweep, so there is no batch fast path.
 		for _, job := range jobs {
 			start := time.Now()
-			var rep *campaign.Order2Report
-			var cache campaign.CacheStats
-			var prune *fault.PruneStats
-			if store != nil {
-				res, err := campaign.RunOrder2Incremental(job.Campaign, opt, nil)
-				if err != nil {
-					return fmt.Errorf("%s: %w", job.Name, err)
-				}
-				rep, cache, prune = res.Report, res.Cache, res.Prune
-			} else {
-				// No cache requested: RunOrder2Result keeps the plain
-				// simulation hot path (no footprint recording) while
-				// still surfacing the prune accounting.
-				res, err := campaign.RunOrder2Result(job.Campaign, opt)
-				if err != nil {
-					return fmt.Errorf("%s: %w", job.Name, err)
-				}
-				rep, prune = res.Report, res.Prune
+			res, err := campaign.RunOrder2Result(job.Campaign, opt)
+			if err != nil {
+				return fmt.Errorf("%s: %w", job.Name, err)
 			}
-			sum := campaign.SummarizeOrder2(job.Name, rep)
+			sum := campaign.SummarizeOrder2(job.Name, res.Report)
 			sum.ElapsedMS = time.Since(start).Milliseconds()
 			if store != nil {
-				sum.Cache = &cache
+				sum.Cache = &res.Cache
 			}
-			sum.Prune = prune
+			sum.Prune = res.Prune
 			sums = append(sums, sum)
 		}
 	} else {
@@ -615,12 +600,6 @@ func cmdCorpus(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if store != nil {
-		// Batch disk writes behind the sweep; Close flushes what's
-		// still pending before the summaries are written.
-		store.EnableWriteBehind(0, 0)
-		defer store.Close()
-	}
 
 	var jobs []campaign.CorpusJob
 	for _, c := range selected {
@@ -656,11 +635,6 @@ func cmdCorpus(args []string, out io.Writer) error {
 		// Surface every failing cell, not just the first — the sweep
 		// deliberately continued past each one.
 		return errors.Join(errs...)
-	}
-	if store != nil {
-		// Flush the write-behind queue before the summaries go out, so
-		// a warm re-run over the same -cache-dir sees every entry.
-		store.Close()
 	}
 	if err := stopProf(); err != nil {
 		return err

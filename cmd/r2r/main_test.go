@@ -282,6 +282,58 @@ func TestCorpusOrder3JSONGolden(t *testing.T) {
 	checkGolden(t, "corpus_order3.json", got)
 }
 
+// TestCorpusReportsBlockedEntryWrites: when a corpus run over a
+// -cache-dir cannot persist its entries (each entry file replaced by a
+// directory of the same name, which blocks the rename even for root),
+// every cell and the aggregate report the failed writes in their
+// cache block, and the verdicts still match the run that wrote them.
+func TestCorpusReportsBlockedEntryWrites(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	corpus := func() []byte {
+		var out bytes.Buffer
+		if err := cmdCorpus([]string{"-cases", "pincheck", "-order", "2", "-q", "-json", "-cache-dir", dir}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	first := corpus()
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("first run stored no entries (%v)", err)
+	}
+	for _, path := range entries {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := corpus()
+
+	var rows []struct {
+		Name  string `json:"name"`
+		Cache *struct {
+			WriteErrors int `json:"write_errors"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal(blocked, &rows); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"pincheck/o1": 1, "pincheck/o2": 1, "corpus": 2}
+	if len(rows) != len(want) {
+		t.Fatalf("%d summary rows, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		if r.Cache == nil || r.Cache.WriteErrors != want[r.Name] {
+			t.Errorf("%s: cache block %+v, want write_errors %d", r.Name, r.Cache, want[r.Name])
+		}
+	}
+	if a, b := normalizeJSON(t, first, "cache"), normalizeJSON(t, blocked, "cache"); a != b {
+		t.Errorf("verdicts changed when entry writes failed\n--- blocked ---\n%s\n--- first ---\n%s", b, a)
+	}
+}
+
 // TestCorpusRejectsUsageErrors: the corpus command classifies bad
 // input as usage (exit 2 in main), not runtime failure.
 func TestCorpusRejectsUsageErrors(t *testing.T) {

@@ -245,16 +245,12 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 		return img, dataPages
 	}
 
-	// Singleflight: concurrent cells computing the same plan key (same
-	// binary, options, shard, order) elect one leader; the rest are
-	// served its committed entry as a hit. The plan key and the fault
-	// digest only serve the store: the memo-only path skips both.
-	var commit func(*Entry) error
+	// The plan key and the fault digest only serve the store: the
+	// memo-only path skips both.
 	var plan Plan
 	if e.store != nil {
 		plan = NewPlan(c, shard, 1, 0)
-		entry, lead := e.store.Acquire(plan.Key)
-		if entry != nil {
+		if entry, ok := e.store.Lookup(plan.Key); ok {
 			inj, tally, err := rebuildSolo(entry, e.faultsDigest(), good, bad, limit, sel)
 			if err == nil {
 				if progress != nil {
@@ -269,7 +265,6 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 			}
 			// Stale entry (schema drift): fall through and re-simulate.
 		}
-		commit = lead
 	}
 
 	var changed map[uint64]bool
@@ -305,19 +300,11 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 	stats := CacheStats{Reused: int(reused.Load()), Resimulated: int(resim.Load())}
 	if e.store != nil {
 		stats.Misses = 1
-		entry := &Entry{
+		if err := e.store.Save(&Entry{
 			Key: plan.Key, FaultsDigest: e.faultsDigest(),
 			GoodOracle: good, BadOracle: bad, Limit: limit,
 			Records: records,
-		}
-		err := error(nil)
-		if commit != nil {
-			err = commit(entry)
-		} else {
-			// Stale-hit resimulation: no flight held, save directly.
-			err = e.store.Save(entry)
-		}
-		if err != nil {
+		}); err != nil {
 			stats.WriteErrors++
 		}
 	}
@@ -393,8 +380,7 @@ func stage[T fault.Sequence](e *executor, c fault.Campaign, order, maxSeqs int, 
 	good, bad := e.s.Oracles()
 	limit := e.s.InjectionLimit()
 
-	entry, commit := e.store.Acquire(plan.Key)
-	if entry != nil {
+	if entry, ok := e.store.Lookup(plan.Key); ok {
 		if entry.SeqDigest == sd && entry.GoodOracle == good && entry.BadOracle == bad &&
 			entry.Limit == limit && len(entry.Outcomes) == len(sel) {
 			var tally fault.Tally
@@ -411,18 +397,11 @@ func stage[T fault.Sequence](e *executor, c fault.Campaign, order, maxSeqs int, 
 
 	sel, outcomes, tally := run()
 	stats := CacheStats{Misses: 1}
-	saved := &Entry{
+	if err := e.store.Save(&Entry{
 		Key: plan.Key, FaultsDigest: e.faultsDigest(), SeqDigest: sd,
 		GoodOracle: good, BadOracle: bad, Limit: limit,
 		Outcomes: outcomes,
-	}
-	err := error(nil)
-	if commit != nil {
-		err = commit(saved)
-	} else {
-		err = e.store.Save(saved)
-	}
-	if err != nil {
+	}); err != nil {
 		stats.WriteErrors++
 	}
 	return sel, outcomes, tally, stats

@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"github.com/r2r/reinforce/internal/fault"
 )
 
 // TestWorkerPoolExecute: the pool campaign.NewWorkerPool hands out
@@ -33,176 +35,141 @@ func TestWorkerPoolExecute(t *testing.T) {
 	}
 }
 
-// TestStoreSingleflight: N concurrent Acquires of one absent key elect
-// exactly one leader; after its commit every waiter gets the entry as
-// a hit, and the store performed one Save total.
-func TestStoreSingleflight(t *testing.T) {
-	st, err := NewStore("")
+// TestStoreSaveWriteError: a disk write that fails (here the rename,
+// blocked by a directory under the entry's name, which fails even for
+// root) surfaces from Save, and the entry still answers Lookup from
+// memory.
+func TestStoreSaveWriteError(t *testing.T) {
+	dir := t.TempDir()
+	st := newTestStore(t, dir)
+	if err := os.Mkdir(st.path("x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(&Entry{Key: "x", FaultsDigest: "fd"}); err == nil {
+		t.Fatal("Save over a blocked entry path returned no error")
+	}
+	if e, ok := st.Lookup("x"); !ok || e.FaultsDigest != "fd" {
+		t.Fatalf("entry not answered from memory after a failed write: %+v", e)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "entry-*.tmp")); len(tmp) != 0 {
+		t.Fatalf("failed write left temp files %v", tmp)
+	}
+}
+
+// TestStoreConcurrentSaveLookup: two writer stores and a reader store
+// share one directory, as concurrent processes over one -cache-dir do.
+// Writers save shared and private keys with per-writer entries while
+// the reader (capped at one resident entry, so its lookups go to disk)
+// reads them. Once a Save of a key has returned, every later lookup of
+// it must hit and return one of the saved entries: a torn or
+// half-replaced file would decode as a miss or a foreign entry.
+func TestStoreConcurrentSaveLookup(t *testing.T) {
+	dir := t.TempDir()
+	writers := []*Store{newTestStore(t, dir), newTestStore(t, dir)}
+	reader, err := NewStoreCapped(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const goroutines = 16
-	var computations atomic.Int32
-	var wg sync.WaitGroup
-	entries := make([]*Entry, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
+	const (
+		savers = 8
+		shared = 4
+		rounds = 8
+	)
+	// entry builds writer w's entry for key, a fresh value per Save
+	// (Save stamps the schema). Writers differ in digest and length, so
+	// a mix of two writes cannot decode as either.
+	entry := func(key string, w int) *Entry {
+		recs := make([]Record, 3+5*w)
+		for i := range recs {
+			recs[i] = Record{Outcome: fault.Outcome(i % 4), Steps: uint64(100*w + i), Pages: []uint64{uint64(w+1) << 12}}
+		}
+		return &Entry{Key: key, FaultsDigest: fmt.Sprintf("writer-%d", w), Limit: 99, Records: recs}
+	}
+	// encode renders an entry for comparison; reader goroutines call it,
+	// so a failure is t.Error, not t.Fatal.
+	encode := func(e *Entry) string {
+		c := *e
+		c.Schema = planSchema
+		data, err := c.MarshalJSON()
+		if err != nil {
+			t.Error(err)
+		}
+		return string(data)
+	}
+	var keys []string
+	want := map[string]map[string]bool{} // key → encodings of its saved entries
+	for k := 0; k < shared; k++ {
+		key := fmt.Sprintf("shared-%d", k)
+		keys = append(keys, key)
+		want[key] = map[string]bool{encode(entry(key, 0)): true, encode(entry(key, 1)): true}
+	}
+	for g := 0; g < savers; g++ {
+		key := fmt.Sprintf("private-%d", g)
+		keys = append(keys, key)
+		want[key] = map[string]bool{encode(entry(key, g%len(writers))): true}
+	}
+	saved := make(map[string]*atomic.Bool, len(keys))
+	for _, k := range keys {
+		saved[k] = new(atomic.Bool)
+	}
+	check := func(st *Store, key string, mustHit bool) {
+		e, ok := st.Lookup(key)
+		if !ok {
+			if mustHit {
+				t.Errorf("lookup of %s missed after a Save returned", key)
+			}
+			return
+		}
+		if !want[key][encode(e)] {
+			t.Errorf("lookup of %s returned an entry no writer saved: %+v", key, e)
+		}
+	}
+
+	var saving, reading sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := keys[i%len(keys)]
+				check(reader, key, saved[key].Load())
+			}
+		}(r)
+	}
+	for g := 0; g < savers; g++ {
+		saving.Add(1)
 		go func(g int) {
-			defer wg.Done()
-			e, commit := st.Acquire("shared-key")
-			if commit != nil {
-				computations.Add(1)
-				e = &Entry{Key: "shared-key", FaultsDigest: "fd"}
-				if err := commit(e); err != nil {
-					t.Errorf("commit: %v", err)
+			defer saving.Done()
+			w := g % len(writers)
+			mine := []string{fmt.Sprintf("private-%d", g)}
+			for k := 0; k < shared; k++ {
+				mine = append(mine, fmt.Sprintf("shared-%d", (g+k)%shared))
+			}
+			for i := 0; i < rounds; i++ {
+				for _, key := range mine {
+					if err := writers[w].Save(entry(key, w)); err != nil {
+						t.Errorf("writer %d: save %s: %v", w, key, err)
+					}
+					saved[key].Store(true)
 				}
 			}
-			entries[g] = e
 		}(g)
 	}
-	wg.Wait()
-	if got := computations.Load(); got != 1 {
-		t.Fatalf("%d computations for one key, want 1", got)
-	}
-	for g, e := range entries {
-		if e == nil || e.FaultsDigest != "fd" {
-			t.Fatalf("goroutine %d got entry %+v", g, e)
-		}
-	}
-	if s := st.Stats(); s.Saves != 1 {
-		t.Fatalf("store saved %d entries, want 1 (stats %+v)", s.Saves, s)
-	}
-}
+	saving.Wait()
+	close(stop)
+	reading.Wait()
 
-// TestStoreSingleflightAbandon: a leader that commits nil releases its
-// waiters to re-race; a later leader can still complete the key, so a
-// failed computation never wedges it.
-func TestStoreSingleflightAbandon(t *testing.T) {
-	st, err := NewStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, commit := st.Acquire("k")
-	if commit == nil {
-		t.Fatal("first Acquire of an absent key did not lead")
-	}
-	waited := make(chan *Entry)
-	go func() {
-		e, c := st.Acquire("k")
-		if c != nil {
-			e = &Entry{Key: "k"}
-			c(e)
-		}
-		waited <- e
-	}()
-	if err := commit(nil); err != nil {
-		t.Fatalf("abandoning commit errored: %v", err)
-	}
-	select {
-	case e := <-waited:
-		if e == nil {
-			t.Fatal("waiter got no entry after re-racing an abandoned flight")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiter wedged on an abandoned flight")
-	}
-	if e, c := st.Acquire("k"); c != nil || e == nil {
-		t.Fatal("completed key not answered from the store")
-	}
-}
-
-// TestStoreWriteBehind: with write-behind enabled, Save defers disk
-// I/O (lookups still hit from memory), repeated saves of one key
-// dedup, reaching the batch size kicks a flush, and Close drains the
-// rest so a fresh store over the same directory sees everything.
-func TestStoreWriteBehind(t *testing.T) {
-	dir := t.TempDir()
-	st := newTestStore(t, dir)
-	// A huge interval isolates the size-triggered and Close-triggered
-	// flush paths from timer luck.
-	st.EnableWriteBehind(4, time.Hour)
-
-	onDisk := func() int {
-		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(files)
-	}
-	if err := st.Save(&Entry{Key: "a", FaultsDigest: "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(&Entry{Key: "a", FaultsDigest: "v2"}); err != nil {
-		t.Fatal(err) // same key: dedup, newest wins
-	}
-	if n := onDisk(); n != 0 {
-		t.Fatalf("%d entries on disk before any flush trigger", n)
-	}
-	if e, ok := st.Lookup("a"); !ok || e.FaultsDigest != "v2" {
-		t.Fatalf("pending entry not visible to Lookup: %+v", e)
-	}
-	// Fill to the batch size; the flusher should drain without Flush.
-	for _, k := range []string{"b", "c", "d"} {
-		if err := st.Save(&Entry{Key: k}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for onDisk() < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("batch-size flush never happened (%d files)", onDisk())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := st.Save(&Entry{Key: "e"}); err != nil {
-		t.Fatal(err)
-	}
-	st.Close() // drains "e"
-	if n := onDisk(); n != 5 {
-		t.Fatalf("%d entries on disk after Close, want 5", n)
-	}
-	if s := st.Stats(); s.WriteErrors != 0 {
-		t.Fatalf("write errors: %+v", s)
-	}
-	// Newest-wins reached the disk, and a fresh store reads it back.
 	fresh := newTestStore(t, dir)
-	if e, ok := fresh.Lookup("a"); !ok || e.FaultsDigest != "v2" {
-		t.Fatalf("fresh store read %+v for deduped key", e)
+	for _, key := range keys {
+		check(fresh, key, true)
 	}
-	// The store stays usable after Close, with synchronous saves.
-	if err := st.Save(&Entry{Key: "f"}); err != nil {
-		t.Fatal(err)
-	}
-	if n := onDisk(); n != 6 {
-		t.Fatalf("post-Close save not synchronous (%d files)", n)
-	}
-}
-
-// TestStoreWriteBehindErrorCounting: flush failures land in
-// Stats().WriteErrors instead of surfacing from Save — and do not
-// poison the in-memory copy.
-func TestStoreWriteBehindErrorCounting(t *testing.T) {
-	dir := t.TempDir()
-	st := newTestStore(t, dir)
-	st.EnableWriteBehind(4, time.Hour)
-	if err := st.Save(&Entry{Key: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	// Make the directory unwritable so the deferred write fails.
-	if err := os.Chmod(dir, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chmod(dir, 0o755)
-	st.Close()
-	if os.Getuid() == 0 {
-		// Root ignores permission bits; the failure path is untestable
-		// this way, but the accounting fields still must exist.
-		t.Skip("running as root: cannot provoke a write failure via permissions")
-	}
-	if s := st.Stats(); s.WriteErrors == 0 {
-		t.Fatalf("failed flush not counted: %+v", s)
-	}
-	if _, ok := st.Lookup("x"); !ok {
-		t.Fatal("in-memory entry lost on flush failure")
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "entry-*.tmp")); len(tmp) != 0 {
+		t.Fatalf("temp files left behind: %v", tmp)
 	}
 }

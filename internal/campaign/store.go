@@ -24,7 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/r2r/reinforce/internal/fault"
 )
@@ -339,33 +338,6 @@ type Store struct {
 	// Lifetime counters, atomic so Stats() can be read while shards
 	// execute (Lookup/Save run concurrently from worker goroutines).
 	hits, misses, saves atomic.Int64
-
-	// Singleflight state: concurrent Acquire calls for one plan key
-	// elect a single computing leader; the rest wait for its commit.
-	flightMu sync.Mutex
-	inflight map[string]*flight
-
-	// Write-behind state (see EnableWriteBehind). pending holds
-	// entries accepted by Save but not yet persisted, deduped by key;
-	// order preserves first-enqueue order for the flusher.
-	wbMu       sync.Mutex
-	wbEnabled  bool
-	wbBatch    int
-	wbInterval time.Duration
-	pending    map[string]*Entry
-	pendingKey []string
-	wbKick     chan struct{}
-	wbStop     chan struct{}
-	wbDone     chan struct{}
-	writeErrs  atomic.Int64
-}
-
-// flight is one in-progress computation of a plan key's entry. done is
-// closed at commit; e is the committed entry (nil when the leader
-// abandoned the flight).
-type flight struct {
-	done chan struct{}
-	e    *Entry
 }
 
 // StoreStats is a point-in-time snapshot of a store's lifetime
@@ -378,20 +350,15 @@ type StoreStats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Saves  int64 `json:"saves"`
-
-	// WriteErrors counts write-behind flushes that failed to persist
-	// an entry (results unaffected; the plan re-executes next run).
-	WriteErrors int64 `json:"write_errors,omitempty"`
 }
 
 // Stats snapshots the store's lifetime counters. Safe to call at any
 // time, including while campaigns execute against the store.
 func (st *Store) Stats() StoreStats {
 	return StoreStats{
-		Hits:        st.hits.Load(),
-		Misses:      st.misses.Load(),
-		Saves:       st.saves.Load(),
-		WriteErrors: st.writeErrs.Load(),
+		Hits:   st.hits.Load(),
+		Misses: st.misses.Load(),
+		Saves:  st.saves.Load(),
 	}
 }
 
@@ -425,11 +392,10 @@ func NewStoreCapped(dir string, memEntries int) (*Store, error) {
 		}
 	}
 	return &Store{
-		dir:      dir,
-		limit:    memEntries,
-		mem:      make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*flight),
+		dir:   dir,
+		limit: memEntries,
+		mem:   make(map[string]*list.Element),
+		lru:   list.New(),
 	}, nil
 }
 
@@ -492,38 +458,20 @@ func (st *Store) Lookup(key string) (*Entry, bool) {
 	return nil, false
 }
 
-// Save records an entry under its key, in memory and (when configured)
-// on disk. The memory insert is always synchronous, so subsequent
-// Lookups hit. The disk write is synchronous and atomic (temp file +
-// rename) by default; with write-behind enabled (EnableWriteBehind) it
-// is deferred to the flusher and Save never blocks on I/O.
+// Save records an entry under its key: in memory, so subsequent
+// Lookups hit, and then, for a disk-backed store, on disk before it
+// returns (writeFile: temp file + rename). A failed write returns its
+// error but leaves the in-memory entry in place; the run's results are
+// unaffected, and only a later process re-executes the plan.
 func (st *Store) Save(e *Entry) error {
 	e.Schema = planSchema
 	st.saves.Add(1)
 	st.mu.Lock()
 	st.insert(e.Key, e)
-	dir := st.dir
 	st.mu.Unlock()
-	if dir == "" {
+	if st.dir == "" {
 		return nil
 	}
-	st.wbMu.Lock()
-	if st.wbEnabled {
-		if _, queued := st.pending[e.Key]; !queued {
-			st.pendingKey = append(st.pendingKey, e.Key)
-		}
-		st.pending[e.Key] = e
-		kick := len(st.pending) >= st.wbBatch
-		st.wbMu.Unlock()
-		if kick {
-			select {
-			case st.wbKick <- struct{}{}:
-			default:
-			}
-		}
-		return nil
-	}
-	st.wbMu.Unlock()
 	return st.writeFile(e)
 }
 
@@ -555,148 +503,9 @@ func (st *Store) writeFile(e *Entry) error {
 	return nil
 }
 
-// Acquire is the singleflight entry point concurrent corpus cells use:
-// it either returns the stored entry (commit == nil), or elects the
-// caller the key's computing leader and returns a commit function the
-// leader must invoke exactly once — with the computed entry to Save
-// and release the waiters (commit returns the Save error), or with nil
-// to abandon the flight (waiters then re-race for leadership, so a
-// failed leader never wedges a key). Concurrent Acquires of one key
-// thus cost one computation total.
-func (st *Store) Acquire(key string) (*Entry, func(*Entry) error) {
-	for {
-		st.flightMu.Lock()
-		if f, ok := st.inflight[key]; ok {
-			st.flightMu.Unlock()
-			<-f.done
-			if f.e != nil {
-				st.hits.Add(1)
-				return f.e, nil
-			}
-			continue
-		}
-		// No flight in progress: consult the cache while still holding
-		// the flight lock, so a committing leader cannot slip between
-		// our miss and our own leadership claim.
-		if e, ok := st.Lookup(key); ok {
-			st.flightMu.Unlock()
-			return e, nil
-		}
-		f := &flight{done: make(chan struct{})}
-		st.inflight[key] = f
-		st.flightMu.Unlock()
-		commit := func(e *Entry) error {
-			var err error
-			if e != nil {
-				err = st.Save(e)
-			}
-			st.flightMu.Lock()
-			delete(st.inflight, key)
-			f.e = e
-			st.flightMu.Unlock()
-			close(f.done)
-			return err
-		}
-		return nil, commit
-	}
-}
-
-// EnableWriteBehind switches a disk-backed store to asynchronous
-// batched persistence: Save queues entries (deduped by key, newest
-// wins) and a flusher goroutine writes them out when the batch reaches
-// maxBatch entries or interval elapses, whichever comes first
-// (defaults: 16 entries, 100ms). Failed writes count into
-// Stats().WriteErrors instead of surfacing from Save. Call Flush or
-// Close before reading the directory from another process. No-op on
-// an in-memory store or when already enabled.
-func (st *Store) EnableWriteBehind(maxBatch int, interval time.Duration) {
-	if maxBatch <= 0 {
-		maxBatch = 16
-	}
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	st.wbMu.Lock()
-	defer st.wbMu.Unlock()
-	if st.dir == "" || st.wbEnabled {
-		return
-	}
-	st.wbEnabled = true
-	st.wbBatch = maxBatch
-	st.wbInterval = interval
-	st.pending = make(map[string]*Entry)
-	st.wbKick = make(chan struct{}, 1)
-	st.wbStop = make(chan struct{})
-	st.wbDone = make(chan struct{})
-	go st.flusher()
-}
-
-// flusher is the write-behind drain loop: flush on batch-size kicks,
-// on the interval tick, and once more on Close.
-func (st *Store) flusher() {
-	defer close(st.wbDone)
-	ticker := time.NewTicker(st.wbInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-st.wbKick:
-			st.flushPending()
-		case <-ticker.C:
-			st.flushPending()
-		case <-st.wbStop:
-			st.flushPending()
-			return
-		}
-	}
-}
-
-// flushPending grabs the queued batch and persists it outside the
-// queue lock; write failures count into writeErrs. Safe to call from
-// any goroutine — concurrent calls drain disjoint batches.
-func (st *Store) flushPending() {
-	st.wbMu.Lock()
-	keys := st.pendingKey
-	st.pendingKey = nil
-	batch := make([]*Entry, 0, len(keys))
-	for _, k := range keys {
-		batch = append(batch, st.pending[k])
-		delete(st.pending, k)
-	}
-	st.wbMu.Unlock()
-	for _, e := range batch {
-		if err := st.writeFile(e); err != nil {
-			st.writeErrs.Add(1)
-		}
-	}
-}
-
-// Flush synchronously persists every queued write-behind entry. No-op
-// without write-behind.
-func (st *Store) Flush() {
-	st.wbMu.Lock()
-	enabled := st.wbEnabled
-	st.wbMu.Unlock()
-	if enabled {
-		st.flushPending()
-	}
-}
-
-// Close flushes queued writes and stops the write-behind flusher; the
-// store remains usable afterwards with synchronous saves. No-op
-// without write-behind.
-func (st *Store) Close() {
-	st.wbMu.Lock()
-	if !st.wbEnabled {
-		st.wbMu.Unlock()
-		return
-	}
-	st.wbEnabled = false
-	stop, done := st.wbStop, st.wbDone
-	st.wbMu.Unlock()
-	close(stop)
-	<-done
-	st.flushPending()
-}
+// Close is a no-op: Save is synchronous, so nothing is ever pending.
+// The method remains only for bench/layers' store probe.
+func (st *Store) Close() {}
 
 // errStale marks a store entry that no longer matches the session it
 // would be zipped against (enumeration drift, oracle change); callers
