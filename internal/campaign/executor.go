@@ -273,15 +273,10 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 		gateImg, gateData := image()
 		changed, useMemo = memoGate(c, prev, good, gateImg, gateData)
 	}
-	pos := make(map[fault.Fault]int, len(sel))
-	for i, f := range sel {
-		pos[f] = i
-	}
 	records := make([]Record, len(sel))
 	var reused, resim atomic.Int64
 	_, simRecord, flush := e.soloSim()
-	sim := func(f fault.Fault) fault.Outcome {
-		i := pos[f]
+	sim := func(i int, f fault.Fault) fault.Outcome {
 		if useMemo {
 			if rec, ok := prev.lookup(f, changed, limit); ok {
 				records[i] = rec
@@ -294,7 +289,7 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 		resim.Add(1)
 		return sr.Outcome
 	}
-	injections, tally := e.s.ExecuteShardSim(shard.Index, shard.Count, workers, sim, progress)
+	injections, tally := e.s.ExecuteShardIndexed(shard.Index, shard.Count, workers, sim, progress)
 	flush()
 
 	stats := CacheStats{Reused: int(reused.Load()), Resimulated: int(resim.Load())}

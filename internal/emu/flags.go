@@ -220,21 +220,23 @@ func imul(a, b uint64, w uint8) (uint64, bool) {
 		back := int64(r<<(64-bitsW)) >> (64 - bitsW)
 		return r, back != p
 	}
-	hi, lo := bits.Mul64(uint64(sa), uint64(sb))
+	return imul64(a, b)
+}
+
+// imul64 is imul at width 8: the low 64 bits of the signed product and
+// whether the product overflowed them.
+func imul64(a, b uint64) (uint64, bool) {
+	hi, lo := bits.Mul64(a, b)
 	// For signed multiply the product fits iff the signed high word is
 	// the sign extension of lo. Correct hi for signed operands
 	// (bits.Mul64 is unsigned): hi_signed = hi - (a<0 ? b : 0) - (b<0 ? a : 0).
-	signExt := uint64(0)
-	if lo&(1<<63) != 0 {
-		signExt = ^uint64(0)
+	if int64(a) < 0 {
+		hi -= b
 	}
-	if sa < 0 {
-		hi -= uint64(sb)
+	if int64(b) < 0 {
+		hi -= a
 	}
-	if sb < 0 {
-		hi -= uint64(sa)
-	}
-	return lo, hi != signExt
+	return lo, hi != uint64(int64(lo)>>63)
 }
 
 // imulFlags computes the two-operand signed multiply and sets CF=OF when
@@ -251,7 +253,7 @@ func (f flagState) imulFlags(a, b uint64, w uint8) uint64 {
 
 // Lazy flags. The micro-op fast path does not compute RFLAGS for each
 // flag-writing uop; it records the uop's inputs in Machine.cc and
-// computes flags only when something reads them (see execUop). Pending
+// computes flags only when something reads them (see runUops). Pending
 // records never outlive runFast, so Rflags is exact everywhere else.
 
 // Flag-record kinds: which eager flag function materializes the record.
@@ -281,6 +283,11 @@ type flagRecord struct {
 	kind    uint8
 	width   uint8
 	cf      bool
+}
+
+// set writes the record field by field.
+func (c *flagRecord) set(kind, w uint8, a, b, r uint64, cf bool) {
+	c.a, c.b, c.r, c.kind, c.width, c.cf = a, b, r, kind, w, cf
 }
 
 // carry returns the current CF: the pending record's, else Rflags'.

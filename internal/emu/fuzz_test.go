@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -209,6 +210,71 @@ func flagProbe(writer string) string {
 	return b.String()
 }
 
+// byteLoadProbes are straight-line programs around the run loop's
+// in-place byte load, each with the step index of its first load:
+// FuzzUopStateParity pauses every one before, at and after that load.
+// The .data page is materialized and in its TLB slot from the start; a
+// stack page far below RSP is mapped but never written, so it reads 0
+// through ReadUint and stays unmaterialized; address 0x10 is unmapped;
+// and three stack pages 16 pages apart share one TLB slot — two
+// written, one never — and are loaded in turn, evicting each other.
+var byteLoadProbes = []struct {
+	src  string
+	load int
+}{
+	{`mov rbx, 0x600000
+	mov byte ptr [rbx+5], 0xa7
+	movzx eax, byte ptr [rbx+5]
+	movzx rcx, byte ptr [rbx+6]
+	add rax, rcx
+	mov edi, eax`, 2},
+	{`lea rbx, [rsp-0x10000]
+	movzx eax, byte ptr [rbx]
+	movzx ecx, byte ptr [rbx+0x7ff]
+	or eax, ecx
+	mov edi, eax`, 1},
+	{`mov rbx, 0x10
+	mov ecx, 3
+	movzx eax, byte ptr [rbx]
+	mov edi, eax`, 2},
+	{`lea rbx, [rsp-0x2000]
+	mov byte ptr [rbx], 0x11
+	mov byte ptr [rbx-0x10000], 0x22
+	mov ecx, 4
+again:
+	movzx eax, byte ptr [rbx]
+	movzx edx, byte ptr [rbx-0x10000]
+	movzx esi, byte ptr [rbx-0x20000]
+	add r8, rax
+	add r8, rdx
+	add r8, rsi
+	dec ecx
+	jne again
+	mov rdi, r8`, 4},
+}
+
+// byteLoadProbe assembles probe into a text section that exits with
+// the status the probe leaves in edi.
+func byteLoadProbe(tb testing.TB, probe string) []byte {
+	tb.Helper()
+	bin, err := asm.Assemble(".text\n_start:\n\t"+probe+"\n\tmov eax, 60\n\tsyscall\n", nil)
+	if err != nil {
+		tb.Fatalf("probe %q: %v", probe, err)
+	}
+	return bin.Section(".text").Data
+}
+
+// stateParityBinary is the layout FuzzUopStateParity runs code in.
+func stateParityBinary(code []byte) *elf.Binary {
+	return &elf.Binary{
+		Entry: 0x401000,
+		Sections: []*elf.Section{
+			{Name: ".text", Addr: 0x401000, Data: append([]byte(nil), code...), Flags: elf.FlagRead | elf.FlagWrite | elf.FlagExec},
+			{Name: ".data", Addr: 0x600000, Data: make([]byte, 4096), Flags: elf.FlagRead | elf.FlagWrite},
+		},
+	}
+}
+
 // FuzzUopStateParity: full-state differential of the fast path against
 // the single-step interpreter at pause points. FuzzUopTranslator
 // compares only results, steps and output, so a stale RFLAGS at a pause
@@ -228,38 +294,88 @@ func FuzzUopStateParity(f *testing.F) {
 		f.Add(code, uint16(7+13*i))
 		f.Add(code, uint16(len(code)))
 	}
+	for _, p := range byteLoadProbes {
+		code := byteLoadProbe(f, p.src)
+		for stop := p.load - 1; stop <= p.load+2; stop++ {
+			f.Add(code, uint16(stop))
+		}
+	}
 	f.Add([]byte{0xEB, 0xFE}, uint16(100)) // jmp self: pause inside a hang
 	f.Fuzz(func(t *testing.T, code []byte, stop uint16) {
 		if len(code) == 0 || len(code) > 4096 {
 			return
 		}
-		bin := &elf.Binary{
-			Entry: 0x401000,
-			Sections: []*elf.Section{
-				{Name: ".text", Addr: 0x401000, Data: append([]byte(nil), code...), Flags: elf.FlagRead | elf.FlagWrite | elf.FlagExec},
-				{Name: ".data", Addr: 0x600000, Data: make([]byte, 4096), Flags: elf.FlagRead | elf.FlagWrite},
-			},
-		}
-		mf := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096})
-		ms := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: true})
-		defer mf.Release()
-		defer ms.Release()
-		rf, doneF, ef := mf.RunUntil(uint64(stop))
-		rs, doneS, es := ms.RunUntil(uint64(stop))
-		sameRun(t, "pause", rf, ef, rs, es)
-		if doneF != doneS {
-			t.Fatalf("pause at %d: done fast=%v slow=%v", stop, doneF, doneS)
-		}
-		if mf.StateDigest() != ms.StateDigest() {
-			t.Fatalf("pause at %d: state digests differ (rflags fast %#x, slow %#x)", stop, mf.Rflags, ms.Rflags)
-		}
-		rf, ef = mf.Run()
-		rs, es = ms.Run()
-		sameRun(t, "run", rf, ef, rs, es)
-		if mf.StateDigest() != ms.StateDigest() {
-			t.Fatalf("final state digests differ (rflags fast %#x, slow %#x)", mf.Rflags, ms.Rflags)
-		}
+		checkStateParity(t, stateParityBinary(code), uint64(stop))
 	})
+}
+
+// checkStateParity runs bin on the fast path and single-stepped to
+// RunUntil(stop), then to completion, and requires the same result,
+// error text and state digest at both points.
+func checkStateParity(t *testing.T, bin *elf.Binary, stop uint64) {
+	t.Helper()
+	mf := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096})
+	ms := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: true})
+	defer mf.Release()
+	defer ms.Release()
+	rf, doneF, ef := mf.RunUntil(stop)
+	rs, doneS, es := ms.RunUntil(stop)
+	sameRun(t, "pause", rf, ef, rs, es)
+	if doneF != doneS {
+		t.Fatalf("pause at %d: done fast=%v slow=%v", stop, doneF, doneS)
+	}
+	if mf.StateDigest() != ms.StateDigest() {
+		t.Fatalf("pause at %d: state digests differ (rflags fast %#x, slow %#x)", stop, mf.Rflags, ms.Rflags)
+	}
+	rf, ef = mf.Run()
+	rs, es = ms.Run()
+	sameRun(t, "run", rf, ef, rs, es)
+	if mf.StateDigest() != ms.StateDigest() {
+		t.Fatalf("final state digests differ (rflags fast %#x, slow %#x)", mf.Rflags, ms.Rflags)
+	}
+}
+
+// TestByteLoadEdges: the run loop's in-place byte load must fault where
+// ReadUint does — on a page in its TLB slot that is not readable (a
+// write-only data section, execute-only code reading itself) — and a
+// load from a mapped page nobody wrote must read 0 without
+// materializing it, on both engines.
+func TestByteLoadEdges(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		probe      string
+		text, data uint32
+	}{
+		{"write-only data", "mov rbx, 0x600000\n\tmovzx eax, byte ptr [rbx]\n\tmov edi, eax", elf.FlagRead | elf.FlagExec, elf.FlagWrite},
+		{"execute-only code", "movzx eax, byte ptr [rip+_start]\n\tmov edi, eax", elf.FlagExec, elf.FlagRead | elf.FlagWrite},
+	} {
+		bin := stateParityBinary(byteLoadProbe(t, c.probe))
+		bin.Sections[0].Flags, bin.Sections[1].Flags = c.text, c.data
+		for stop := uint64(0); stop <= 3; stop++ {
+			checkStateParity(t, bin, stop)
+		}
+		m := New(bin, Config{})
+		_, err := m.Run()
+		var mf *MemFault
+		if !errors.As(err, &mf) || mf.Kind != AccessRead {
+			t.Errorf("%s: run ended with %v, want a read fault", c.name, err)
+		}
+		m.Release()
+	}
+
+	bin := stateParityBinary(byteLoadProbe(t, byteLoadProbes[1].src))
+	for _, single := range []bool{false, true} {
+		m := New(bin, Config{SingleStep: single})
+		res, err := m.Run()
+		if err != nil || res.ExitCode != 0 {
+			t.Errorf("single-step %v: unwritten stack page: exit %d, %v", single, res.ExitCode, err)
+		}
+		pa := (DefaultStackTop - 64 - 0x10000) &^ uint64(pageSize-1)
+		if m.Mem.lookupPage(pa) != nil {
+			t.Errorf("single-step %v: a byte load materialized stack page %#x", single, pa)
+		}
+		m.Release()
+	}
 }
 
 // sameRun requires a run to match the single-step reference: error

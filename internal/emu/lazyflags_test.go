@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/asm"
@@ -34,8 +35,8 @@ func regInst(op isa.Op, w uint8, count int64) isa.Inst {
 
 // lazyPair runs instruction sequences on two machines started from the
 // same registers and RFLAGS: eager through the interpreter's exec (the
-// spec), lazy through the translated micro-op, leaving flag records
-// pending between instructions exactly as runFast does.
+// spec), lazy through the run loop, leaving flag records pending
+// between instructions exactly as runFast does.
 type lazyPair struct {
 	eager, lazy Machine
 }
@@ -47,12 +48,44 @@ func newLazyPair(rflags, a, b uint64) *lazyPair {
 		m.Regs[isa.RAX] = a
 		m.Regs[isa.RBX] = b
 	}
+	p.lazy.Mem = NewMemory()
 	return p
 }
 
+// loopProgram translates in followed by a NOP at its fall-through
+// address: a two-uop stream for runInLoop.
+func loopProgram(in isa.Inst) *Program {
+	nop := isa.Inst{Op: isa.NOP, Addr: in.Addr + uint64(in.EncLen), EncLen: 1, Cond: isa.NoCond}
+	return TranslateProgram(map[uint64]*isa.Inst{in.Addr: &in, nop.Addr: &nop}, 0)
+}
+
+// runInLoop executes the first uop of p (see loopProgram) on m through
+// runUops with a step limit that stops before the NOP, so a flag
+// record the uop writes stays pending as it would between two uops. A
+// branch out of the program ends the loop at the target: m's address
+// space maps no code to translate there.
+func runInLoop(m *Machine, p *Program) error {
+	m.prog = p
+	m.RIP = p.base
+	_, err := m.runUops(m.Steps + 1)
+	return err
+}
+
+// jccPrograms holds one Jcc per condition, branching from jccAddr to
+// jccTarget, each as a loopProgram.
+const jccAddr, jccTarget = 0x401000, 0x402000
+
+var jccPrograms = func() (ps [16]*Program) {
+	for c := range ps {
+		ps[c] = loopProgram(isa.Inst{Op: isa.JCC, Cond: isa.Cond(c), Addr: jccAddr, EncLen: 2, Target: jccTarget})
+	}
+	return ps
+}()
+
 // step executes in on both machines and checks the lazy side against
 // the eager one without materializing: registers, the record's CF, and
-// all 16 conditions answered from the record.
+// all 16 conditions answered from the record — by a Jcc run through
+// the loop and by cond, SETcc's reader.
 func (p *lazyPair) step(t *testing.T, in isa.Inst, label func() string) {
 	t.Helper()
 	var u uop
@@ -64,8 +97,12 @@ func (p *lazyPair) step(t *testing.T, in isa.Inst, label func() string) {
 	if err := p.eager.exec(&in); err != nil {
 		t.Fatalf("%s: exec: %v", label(), err)
 	}
-	if err := p.lazy.execUop(&u); err != nil {
-		t.Fatalf("%s: execUop: %v", label(), err)
+	steps := p.lazy.Steps
+	if err := runInLoop(&p.lazy, loopProgram(in)); err != nil {
+		t.Fatalf("%s: run loop: %v", label(), err)
+	}
+	if p.lazy.Steps != steps+1 || p.lazy.RIP != in.Addr+uint64(in.EncLen) {
+		t.Fatalf("%s: loop stopped at step %d, rip %#x; want step %d at the nop", label(), p.lazy.Steps, p.lazy.RIP, steps+1)
 	}
 	if p.lazy.Regs != p.eager.Regs {
 		t.Fatalf("%s: registers differ: lazy=%#x eager=%#x", label(), p.lazy.Regs[:2], p.eager.Regs[:2])
@@ -89,10 +126,18 @@ func (p *lazyPair) step(t *testing.T, in isa.Inst, label func() string) {
 		}
 	}
 	for c := isa.Cond(0); c < 16; c++ {
-		cc, rf := p.lazy.cc, p.lazy.Rflags
+		want := isa.CondHolds(c, p.eager.Rflags)
+		cc, rf, steps := p.lazy.cc, p.lazy.Rflags, p.lazy.Steps
+		if err := runInLoop(&p.lazy, jccPrograms[c]); err != nil {
+			t.Fatalf("%s: j%v: %v", label(), c, err)
+		}
+		if taken := p.lazy.RIP == jccTarget; taken != want {
+			t.Fatalf("%s: j%v taken = %v from the record, cond %v on eager rflags %#x", label(), c, taken, want, p.eager.Rflags)
+		}
+		p.lazy.cc, p.lazy.Rflags, p.lazy.Steps = cc, rf, steps
 		got := p.lazy.cond(c)
 		p.lazy.cc, p.lazy.Rflags = cc, rf
-		if want := isa.CondHolds(c, p.eager.Rflags); got != want {
+		if got != want {
 			t.Fatalf("%s: cond %v = %v from the record, %v on eager rflags %#x", label(), c, got, want, p.eager.Rflags)
 		}
 	}
@@ -124,11 +169,12 @@ var shiftCounts = []int64{0, 1, 2, 7, 8, 9, 31, 32, 33, 63}
 // interpreter's flag function. For every writer kind at widths 1, 4 and
 // 8, over edge and random operands under random initial RFLAGS, and
 // with INC, DEC, ADC, SBB and a shift by 0 chained after every kind
-// (INC/DEC carry CF through the pending record), the micro-op must
-// produce exec's registers, its record's CF must be exec's CF, every
-// condition answered from the record must hold exactly when
-// isa.CondHolds does on exec's RFLAGS, and materializing the record
-// must produce exec's RFLAGS.
+// (INC/DEC carry CF through the pending record), the micro-op run
+// through the loop must produce exec's registers, its record's CF must
+// be exec's CF, every condition answered from the record must hold
+// exactly when isa.CondHolds does on exec's RFLAGS, and materializing
+// the record must produce exec's RFLAGS. Width 8 covers the loop's
+// in-place 64-bit cases, width 1 and 4 the general forms.
 func TestLazyFlagsMatchEager(t *testing.T) {
 	r := rand.New(rand.NewSource(0x1a2f))
 	widths := []uint8{1, 4, 8}
@@ -218,15 +264,46 @@ buf: .zero 170000
 
 // BenchmarkFastPathHotLoop times stepping alone on the micro-op fast
 // path: one fresh machine per op runs the flag-heavy hash loop above,
-// so set-up is a rounding error next to the loop's million steps.
+// so set-up is a rounding error next to the loop's million steps. The
+// buffer is .bss that is never written, so every load misses
+// ReadUint's fast path (no page is materialized) and pays its
+// permission check and zero fill.
 func BenchmarkFastPathHotLoop(b *testing.B) {
-	bin, err := asm.Assemble(hotLoopSrc, nil)
+	benchHashLoop(b, hotLoopSrc, nil)
+}
+
+// dispatchLoopSrc is hotLoopSrc after a read syscall fills the buffer
+// from stdin.
+var dispatchLoopSrc = strings.Replace(hotLoopSrc, "_start:\n", `_start:
+	mov eax, 0
+	mov edi, 0
+	lea rsi, [rip+buf]
+	mov edx, 170000
+	syscall
+`, 1)
+
+// BenchmarkFastPathDispatch times the same loop over a buffer a read
+// syscall filled: every load hits a materialized page, as nearly all
+// loads of the catalog's fault sweeps do, so the loop measures micro-op
+// dispatch rather than ReadUint's miss path.
+func BenchmarkFastPathDispatch(b *testing.B) {
+	stdin := make([]byte, 170000)
+	for i := range stdin {
+		stdin[i] = byte(i*131 + 7)
+	}
+	benchHashLoop(b, dispatchLoopSrc, stdin)
+}
+
+// benchHashLoop runs src to its exit on a fresh machine per op and
+// reports the time per emulated step.
+func benchHashLoop(b *testing.B, src string, stdin []byte) {
+	bin, err := asm.Assemble(src, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var steps uint64
 	for i := 0; i < b.N; i++ {
-		m := New(bin, Config{})
+		m := New(bin, Config{Stdin: stdin})
 		res, err := m.Run()
 		if err != nil || !res.Exited {
 			b.Fatalf("run: exited=%v err=%v", res.Exited, err)

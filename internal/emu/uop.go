@@ -37,7 +37,7 @@
 // boundaries pause at precise step counts, and a uop that may write
 // memory re-checks the code generation so self-modifying stores drop
 // back to the interpreter before a stale block executes. Arithmetic
-// flags are lazy (flagRecord, see execUop) and materialized before
+// flags are lazy (flagRecord, see runUops) and materialized before
 // runFast returns, so RFLAGS is exact at every pause. The differential
 // fuzz targets (FuzzUopTranslator, FuzzProgramOverlay,
 // FuzzUopStateParity) and the campaign parity tests enforce the
@@ -49,6 +49,7 @@ import (
 	"slices"
 
 	"github.com/r2r/reinforce/internal/decode"
+	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/isa"
 )
 
@@ -316,7 +317,8 @@ func translateInst(in *isa.Inst, u *uop) {
 // alu evaluates an ALU uop's result exactly like the corresponding
 // exec case and leaves its flags as a pending record (Machine.cc). ADC
 // and SBB read CF, so they materialize and compute eagerly. For CMP and
-// TEST the caller discards the result.
+// TEST the caller discards the result. runUops computes the common
+// 64-bit register forms itself and calls alu for the rest.
 func (m *Machine) alu(op isa.Op, a, b uint64, w uint8) uint64 {
 	mask := widthMask(w)
 	a &= mask
@@ -354,7 +356,7 @@ func (m *Machine) alu(op isa.Op, a, b uint64, w uint8) uint64 {
 	default:
 		return 0
 	}
-	m.cc = flagRecord{a: a, b: b, r: r, kind: kind, width: w, cf: cf}
+	m.cc.set(kind, w, a, b, r, cf)
 	return r
 }
 
@@ -367,182 +369,6 @@ func shiftKind(op isa.Op) uint8 {
 		return ccShr
 	}
 	return ccSar
-}
-
-// execUop executes one micro-op. Non-control-flow uops do not update
-// RIP (the block runner maintains it lazily); control-flow uops
-// (uFlagCF) set RIP exactly like exec. On error the caller restores
-// RIP to u.addr, matching the interpreter's state after a failed exec.
-//
-// Flags are lazy: flag-writing uops leave a record in m.cc instead of
-// RFLAGS, Jcc and SETcc answer the common conditions from it (cond),
-// and every other reader materializes it first (flushFlags). A
-// memory-destination ALU uop writes its record before the store, so a
-// faulting store leaves the flags exec would have left.
-func (m *Machine) execUop(u *uop) error {
-	switch u.kind {
-	case uNop:
-
-	case uMovRR:
-		m.setReg(u.dst, m.reg(u.src, u.width2), u.width)
-	case uMovRI:
-		m.setReg(u.dst, uint64(u.imm), u.width)
-	case uMovRM:
-		v, err := m.Mem.ReadUint(m.uaddr(u), u.width2)
-		if err != nil {
-			return err
-		}
-		m.setReg(u.dst, v, u.width)
-	case uMovMR:
-		return m.Mem.WriteUint(m.uaddr(u), m.reg(u.src, u.width2), u.width)
-	case uMovMI:
-		return m.Mem.WriteUint(m.uaddr(u), uint64(u.imm), u.width)
-
-	case uMovzxR:
-		m.setReg(u.dst, m.reg(u.src, u.width2)&0xFF, u.width)
-	case uMovzxM:
-		v, err := m.Mem.ReadUint(m.uaddr(u), u.width2)
-		if err != nil {
-			return err
-		}
-		m.setReg(u.dst, v&0xFF, u.width)
-	case uMovsxR:
-		m.setReg(u.dst, uint64(int64(int8(m.reg(u.src, u.width2)))), u.width)
-	case uMovsxM:
-		v, err := m.Mem.ReadUint(m.uaddr(u), u.width2)
-		if err != nil {
-			return err
-		}
-		m.setReg(u.dst, uint64(int64(int8(v))), u.width)
-
-	case uLea:
-		m.setReg(u.dst, m.uaddr(u), u.width)
-
-	case uAluRR:
-		r := m.alu(u.op, m.reg(u.dst, u.width), m.reg(u.src, u.width2), u.width)
-		if u.op != isa.CMP && u.op != isa.TEST {
-			m.setReg(u.dst, r, u.width)
-		}
-	case uAluRI:
-		r := m.alu(u.op, m.reg(u.dst, u.width), uint64(u.imm), u.width)
-		if u.op != isa.CMP && u.op != isa.TEST {
-			m.setReg(u.dst, r, u.width)
-		}
-	case uAluRM:
-		b, err := m.Mem.ReadUint(m.uaddr(u), u.width2)
-		if err != nil {
-			return err
-		}
-		r := m.alu(u.op, m.reg(u.dst, u.width), b, u.width)
-		if u.op != isa.CMP && u.op != isa.TEST {
-			m.setReg(u.dst, r, u.width)
-		}
-	case uAluMR, uAluMI:
-		addr := m.uaddr(u)
-		a, err := m.Mem.ReadUint(addr, u.width)
-		if err != nil {
-			return err
-		}
-		b := uint64(u.imm)
-		if u.kind == uAluMR {
-			b = m.reg(u.src, u.width2)
-		}
-		r := m.alu(u.op, a, b, u.width)
-		if u.op != isa.CMP && u.op != isa.TEST {
-			return m.Mem.WriteUint(addr, r, u.width)
-		}
-
-	case uShiftR:
-		// A zero count writes the register (zero-extending a 32-bit
-		// destination) but no flags.
-		a := m.reg(u.dst, u.width)
-		r := a
-		if count := uint(u.imm); count != 0 {
-			var cf bool
-			r, cf = shiftCarry(u.op, a, count, u.width)
-			m.cc = flagRecord{a: a, b: uint64(count), r: r, kind: shiftKind(u.op), width: u.width, cf: cf}
-		}
-		m.setReg(u.dst, r, u.width)
-
-	case uUnaryR:
-		a := m.reg(u.dst, u.width)
-		mask := widthMask(u.width)
-		var r uint64
-		switch u.op {
-		case isa.NOT:
-			r = ^a & mask
-		case isa.NEG:
-			var cf bool
-			r, cf = subBorrow(0, a, 0, u.width)
-			m.cc = flagRecord{b: a, r: r, kind: ccSub, width: u.width, cf: cf}
-		case isa.INC:
-			// INC and DEC preserve CF: carry it into the new record
-			// without materializing the old one.
-			r = (a + 1) & mask
-			m.cc = flagRecord{a: a, r: r, kind: ccInc, width: u.width, cf: m.carry()}
-		case isa.DEC:
-			r = (a - 1) & mask
-			m.cc = flagRecord{a: a, r: r, kind: ccDec, width: u.width, cf: m.carry()}
-		}
-		m.setReg(u.dst, r, u.width)
-
-	case uPush:
-		return m.push64(m.Regs[u.dst])
-	case uPop:
-		v, err := m.pop64()
-		if err != nil {
-			return err
-		}
-		m.Regs[u.dst] = v
-	case uPushfq:
-		m.flushFlags()
-		return m.push64(m.Rflags)
-	case uPopfq:
-		v, err := m.pop64()
-		if err != nil {
-			return err
-		}
-		m.cc.kind = ccNone // overwritten whole: never materialized
-		m.Rflags = isa.FlagsFixed | (v & isa.FlagsArithMask)
-
-	case uSetccR:
-		v := uint64(0)
-		if m.cond(u.cond) {
-			v = 1
-		}
-		m.setReg(u.dst, v, u.width)
-
-	case uJmp:
-		m.RIP = u.target
-	case uJcc:
-		if m.cond(u.cond) {
-			m.RIP = u.target
-		} else {
-			m.RIP = u.next
-		}
-	case uCall:
-		if err := m.push64(u.next); err != nil {
-			return err
-		}
-		m.RIP = u.target
-	case uRet:
-		v, err := m.pop64()
-		if err != nil {
-			return err
-		}
-		m.RIP = v
-	case uSyscall:
-		m.flushFlags() // syscall copies RFLAGS into R11
-		if err := m.syscall(u.next); err != nil {
-			return err
-		}
-		m.RIP = u.next
-
-	default: // uGeneric: exec reads and writes Rflags eagerly
-		m.flushFlags()
-		return m.exec(u.inst)
-	}
-	return nil
 }
 
 // Program is a golden run's immutable code artifact, dense over its
@@ -906,7 +732,24 @@ func (m *Machine) runFast(limit uint64) (bool, error) {
 	return moved, err
 }
 
-// runUops is runFast's loop; it may return with a flag record pending.
+// runUops is runFast's loop and the one place a micro-op executes; it
+// may return with a flag record pending. Non-control-flow uops do not
+// update RIP (the loop maintains it lazily); control-flow uops
+// (uFlagCF) set RIP exactly like exec. A uop that fails leaves RIP at
+// its own address with its step counted, matching the interpreter's
+// state after a failed exec.
+//
+// Flags are lazy: flag-writing uops leave a record in m.cc instead of
+// RFLAGS, Jcc and SETcc answer the common conditions from it (cond),
+// and every other reader materializes it first (flushFlags). A
+// memory-destination ALU uop writes its record before the store, so a
+// faulting store leaves the flags exec would have left.
+//
+// The shapes the fault campaigns' hash loops spend their steps on are
+// computed in place rather than through alu, reg and setReg: 64-bit
+// register ALU ops, 64-bit INC/DEC, Jcc on E/NE, and byte loads whose
+// TLB slot holds a readable page. Each computes exactly what the
+// general form below it does.
 func (m *Machine) runUops(limit uint64) (bool, error) {
 	uops, i, stop := m.fastLookup(m.RIP)
 	if i < 0 {
@@ -926,7 +769,222 @@ func (m *Machine) runUops(limit uint64) (bool, error) {
 			m.notePage(u.next - 1)
 		}
 		m.Steps++
-		if err := m.execUop(u); err != nil {
+		var err error
+		switch u.kind {
+		case uNop:
+
+		case uMovRR:
+			m.setReg(u.dst, m.reg(u.src, u.width2), u.width)
+		case uMovRI:
+			m.setReg(u.dst, uint64(u.imm), u.width)
+		case uMovRM:
+			var v uint64
+			if v, err = m.Mem.ReadUint(m.uaddr(u), u.width2); err == nil {
+				m.setReg(u.dst, v, u.width)
+			}
+		case uMovMR:
+			err = m.Mem.WriteUint(m.uaddr(u), m.reg(u.src, u.width2), u.width)
+		case uMovMI:
+			err = m.Mem.WriteUint(m.uaddr(u), uint64(u.imm), u.width)
+
+		case uMovzxR:
+			m.setReg(u.dst, m.reg(u.src, u.width2)&0xFF, u.width)
+		case uMovzxM:
+			addr := m.uaddr(u)
+			if u.width2 == 1 {
+				// ReadUint's fast path for one byte, straight off the
+				// TLB slot; a miss takes ReadUint below.
+				pa := addr &^ (pageSize - 1)
+				if e := &m.Mem.tlb[(pa>>12)&(tlbSize-1)]; e.pa == pa && e.p != nil && e.p.perm&elf.FlagRead != 0 {
+					m.setReg(u.dst, uint64(e.p.data[addr&(pageSize-1)]), u.width)
+					break
+				}
+			}
+			var v uint64
+			if v, err = m.Mem.ReadUint(addr, u.width2); err == nil {
+				m.setReg(u.dst, v&0xFF, u.width)
+			}
+		case uMovsxR:
+			m.setReg(u.dst, uint64(int64(int8(m.reg(u.src, u.width2)))), u.width)
+		case uMovsxM:
+			var v uint64
+			if v, err = m.Mem.ReadUint(m.uaddr(u), u.width2); err == nil {
+				m.setReg(u.dst, uint64(int64(int8(v))), u.width)
+			}
+
+		case uLea:
+			m.setReg(u.dst, m.uaddr(u), u.width)
+
+		case uAluRR:
+			if u.width == 8 && u.width2 == 8 {
+				// alu at width 8, whose masks are no-ops.
+				a, b := m.Regs[u.dst], m.Regs[u.src]
+				var r uint64
+				var cf bool
+				switch u.op {
+				case isa.XOR:
+					r = a ^ b
+					m.cc.set(ccLogic, 8, a, b, r, false)
+				case isa.SUB, isa.CMP:
+					r, cf = subBorrow(a, b, 0, 8)
+					m.cc.set(ccSub, 8, a, b, r, cf)
+				case isa.IMUL:
+					r, cf = imul64(a, b)
+					m.cc.set(ccImul, 8, a, b, r, cf)
+				case isa.ADD:
+					r, cf = addCarry(a, b, 0, 8)
+					m.cc.set(ccAdd, 8, a, b, r, cf)
+				case isa.AND, isa.TEST:
+					r = a & b
+					m.cc.set(ccLogic, 8, a, b, r, false)
+				case isa.OR:
+					r = a | b
+					m.cc.set(ccLogic, 8, a, b, r, false)
+				default:
+					r = m.alu(u.op, a, b, 8)
+				}
+				if u.op != isa.CMP && u.op != isa.TEST {
+					m.Regs[u.dst] = r
+				}
+				break
+			}
+			r := m.alu(u.op, m.reg(u.dst, u.width), m.reg(u.src, u.width2), u.width)
+			if u.op != isa.CMP && u.op != isa.TEST {
+				m.setReg(u.dst, r, u.width)
+			}
+		case uAluRI:
+			r := m.alu(u.op, m.reg(u.dst, u.width), uint64(u.imm), u.width)
+			if u.op != isa.CMP && u.op != isa.TEST {
+				m.setReg(u.dst, r, u.width)
+			}
+		case uAluRM:
+			var b uint64
+			if b, err = m.Mem.ReadUint(m.uaddr(u), u.width2); err == nil {
+				r := m.alu(u.op, m.reg(u.dst, u.width), b, u.width)
+				if u.op != isa.CMP && u.op != isa.TEST {
+					m.setReg(u.dst, r, u.width)
+				}
+			}
+		case uAluMR, uAluMI:
+			addr := m.uaddr(u)
+			var a uint64
+			if a, err = m.Mem.ReadUint(addr, u.width); err != nil {
+				break
+			}
+			b := uint64(u.imm)
+			if u.kind == uAluMR {
+				b = m.reg(u.src, u.width2)
+			}
+			r := m.alu(u.op, a, b, u.width)
+			if u.op != isa.CMP && u.op != isa.TEST {
+				err = m.Mem.WriteUint(addr, r, u.width)
+			}
+
+		case uShiftR:
+			// A zero count writes the register (zero-extending a 32-bit
+			// destination) but no flags.
+			a := m.reg(u.dst, u.width)
+			r := a
+			if count := uint(u.imm); count != 0 {
+				var cf bool
+				r, cf = shiftCarry(u.op, a, count, u.width)
+				m.cc.set(shiftKind(u.op), u.width, a, uint64(count), r, cf)
+			}
+			m.setReg(u.dst, r, u.width)
+
+		case uUnaryR:
+			// INC and DEC preserve CF: they carry it into the new record
+			// without materializing the old one.
+			if u.width == 8 && (u.op == isa.INC || u.op == isa.DEC) {
+				a := m.Regs[u.dst]
+				r, kind := a+1, ccInc
+				if u.op == isa.DEC {
+					r, kind = a-1, ccDec
+				}
+				m.cc.set(kind, 8, a, 0, r, m.carry())
+				m.Regs[u.dst] = r
+				break
+			}
+			a := m.reg(u.dst, u.width)
+			mask := widthMask(u.width)
+			var r uint64
+			switch u.op {
+			case isa.NOT:
+				r = ^a & mask
+			case isa.NEG:
+				var cf bool
+				r, cf = subBorrow(0, a, 0, u.width)
+				m.cc.set(ccSub, u.width, 0, a, r, cf)
+			case isa.INC:
+				r = (a + 1) & mask
+				m.cc.set(ccInc, u.width, a, 0, r, m.carry())
+			case isa.DEC:
+				r = (a - 1) & mask
+				m.cc.set(ccDec, u.width, a, 0, r, m.carry())
+			}
+			m.setReg(u.dst, r, u.width)
+
+		case uPush:
+			err = m.push64(m.Regs[u.dst])
+		case uPop:
+			var v uint64
+			if v, err = m.pop64(); err == nil {
+				m.Regs[u.dst] = v
+			}
+		case uPushfq:
+			m.flushFlags()
+			err = m.push64(m.Rflags)
+		case uPopfq:
+			var v uint64
+			if v, err = m.pop64(); err == nil {
+				m.cc.kind = ccNone // overwritten whole: never materialized
+				m.Rflags = isa.FlagsFixed | (v & isa.FlagsArithMask)
+			}
+
+		case uSetccR:
+			v := uint64(0)
+			if m.cond(u.cond) {
+				v = 1
+			}
+			m.setReg(u.dst, v, u.width)
+
+		case uJmp:
+			m.RIP = u.target
+		case uJcc:
+			var taken bool
+			switch {
+			case m.cc.kind != ccNone && u.cond == isa.CondNE:
+				taken = m.cc.r != 0
+			case m.cc.kind != ccNone && u.cond == isa.CondE:
+				taken = m.cc.r == 0
+			default:
+				taken = m.cond(u.cond)
+			}
+			if taken {
+				m.RIP = u.target
+			} else {
+				m.RIP = u.next
+			}
+		case uCall:
+			if err = m.push64(u.next); err == nil {
+				m.RIP = u.target
+			}
+		case uRet:
+			var v uint64
+			if v, err = m.pop64(); err == nil {
+				m.RIP = v
+			}
+		case uSyscall:
+			m.flushFlags() // syscall copies RFLAGS into R11
+			if err = m.syscall(u.next); err == nil {
+				m.RIP = u.next
+			}
+
+		default: // uGeneric: exec reads and writes Rflags eagerly
+			m.flushFlags()
+			err = m.exec(u.inst)
+		}
+		if err != nil {
 			m.RIP = u.addr
 			return true, err
 		}

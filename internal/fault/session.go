@@ -1,9 +1,11 @@
 package fault
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,11 +64,11 @@ type Session struct {
 	// neither re-decode nor re-translate outside their fault windows.
 	prog *emu.Program
 
-	// refPages is the reference run's code-page footprint: each fetched
-	// page mapped to the step count at its first fetch. SimulateRecord
-	// slices it at an injection's fault step to account for the golden
-	// prefix the forked run inherits.
-	refPages map[uint64]uint64
+	// refPages is the reference run's code-page footprint, ascending by
+	// page: each fetched page with the step count at its first fetch.
+	// SimulateRecord slices it at an injection's fault step to account
+	// for the golden prefix the forked run inherits.
+	refPages []refPage
 
 	// probes caches the fetchable instruction bytes at each traced
 	// address, for the bit-flip decode pre-screen (see Simulate). Nil
@@ -135,7 +137,10 @@ func NewSession(c Campaign) (*Session, error) {
 	}
 
 	s.trace = &trace.Trace{Entries: rm.Trace, Result: badRes}
-	s.refPages = rm.PageLog()
+	for pa, first := range rm.PageLog() {
+		s.refPages = append(s.refPages, refPage{pa, first})
+	}
+	slices.SortFunc(s.refPages, func(a, b refPage) int { return cmp.Compare(a.page, b.page) })
 	s.good = observe(goodRes)
 	s.bad = observe(badRes)
 	if s.good == s.bad {
@@ -446,18 +451,19 @@ func (s *Session) SimulateRecord(f Fault) SimRecord {
 // Only valid after decodePreScreen(f) answered true.
 func (s *Session) preScreenRecord(f Fault) SimRecord {
 	p := s.probes[f.Addr]
-	pages := s.prefixPages(uint64(f.TraceIndex) + 1)
+	var buf [4]uint64
+	extra := buf[:0]
 	for a := f.Addr &^ (emu.PageSize - 1); a < f.Addr+uint64(p.n); a += emu.PageSize {
-		pages[a] = struct{}{}
+		extra = append(extra, a)
 	}
 	if p.n < decode.MaxInstLen {
 		// The probe window was truncated: the crash also rests on the
 		// page that cut it short staying unfetchable, so it must
 		// invalidate the record if it changes (mirrors the emulator's
 		// decode-failure page logging).
-		pages[(f.Addr+uint64(p.n))&^uint64(emu.PageSize-1)] = struct{}{}
+		extra = append(extra, (f.Addr+uint64(p.n))&^uint64(emu.PageSize-1))
 	}
-	return SimRecord{Outcome: OutcomeCrash, Pages: sortedPages(pages)}
+	return SimRecord{Outcome: OutcomeCrash, Pages: s.runPages(uint64(f.TraceIndex)+1, extra)}
 }
 
 // simulateRecordDynamic is the evidence-recording simulation core
@@ -476,41 +482,39 @@ func (s *Session) simulateRecordDynamic(f Fault) SimRecord {
 	if lim := s.c.InjectionStepLimit; lim > 0 && bound > lim-1 {
 		bound = lim - 1
 	}
-	pages := s.prefixPages(bound + 1)
+	var buf [8]uint64
+	extra := buf[:0]
 	for pa := range m.PageLog() {
-		pages[pa] = struct{}{}
+		extra = append(extra, pa)
 	}
 	rec := SimRecord{
 		Outcome:  classify(res, err, s.good),
 		Steps:    res.Steps,
 		LimitHit: errors.Is(err, emu.ErrStepLimit),
-		Pages:    sortedPages(pages),
+		Pages:    s.runPages(bound+1, extra),
 	}
 	m.Release()
 	return rec
 }
 
-// prefixPages collects the reference run's footprint pages first
-// fetched before the given step — the pages whose bytes determined the
-// machine state a snapshot taken at that step carries.
-func (s *Session) prefixPages(step uint64) map[uint64]struct{} {
-	out := make(map[uint64]struct{}, len(s.refPages))
-	for pa, first := range s.refPages {
-		if first < step {
-			out[pa] = struct{}{}
+// refPage is one page of the reference run's footprint and the step
+// count at its first fetch.
+type refPage struct{ page, first uint64 }
+
+// runPages returns a run's code footprint, ascending and without
+// duplicates: the reference run's pages first fetched before the given
+// step — the pages whose bytes determined the machine state a snapshot
+// taken at that step carries — plus the run's own pages in extra.
+func (s *Session) runPages(step uint64, extra []uint64) []uint64 {
+	out := make([]uint64, 0, len(s.refPages)+len(extra))
+	for _, p := range s.refPages {
+		if p.first < step {
+			out = append(out, p.page)
 		}
 	}
-	return out
-}
-
-// sortedPages flattens a page set deterministically.
-func sortedPages(set map[uint64]struct{}) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for pa := range set {
-		out = append(out, pa)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out = append(out, extra...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SimulateCold runs one injection of the given faults (one, or a
@@ -569,6 +573,15 @@ func (s *Session) ExecuteShard(shardIndex, shardCount, workers int, progress fun
 // sharding, and bit-identity guarantees. sim must be safe for
 // concurrent use and deterministic, like Simulate.
 func (s *Session) ExecuteShardSim(shardIndex, shardCount, workers int, sim func(Fault) Outcome, progress func(done, total int)) ([]Injection, Tally) {
+	return s.ExecuteShardIndexed(shardIndex, shardCount, workers, func(_ int, f Fault) Outcome { return sim(f) }, progress)
+}
+
+// ExecuteShardIndexed is ExecuteShardSim with each fault's position in
+// the shard's selection (ShardSelect) passed to sim alongside it — the
+// index of its injection in the result — so a caller recording
+// per-fault evidence can store it by position without a fault-keyed
+// map.
+func (s *Session) ExecuteShardIndexed(shardIndex, shardCount, workers int, sim func(i int, f Fault) Outcome, progress func(done, total int)) ([]Injection, Tally) {
 	sel, outcomes, tally := runShard(s.faults, shardIndex, shardCount, s.executePool(workers), sim, progress)
 	out := make([]Injection, len(sel))
 	for i, f := range sel {
@@ -620,7 +633,7 @@ func ShardSelect[T any](items []T, index, count int) []T {
 // The order-1 fault sweep runs on it; the multi-fault tree
 // (ExecuteSequences) shares its pool and chunking but groups its work
 // units by first fault.
-func runShard[T any](items []T, shardIndex, shardCount int, pool *WorkerPool, sim func(T) Outcome, progress func(done, total int)) ([]T, []Outcome, Tally) {
+func runShard[T any](items []T, shardIndex, shardCount int, pool *WorkerPool, sim func(int, T) Outcome, progress func(done, total int)) ([]T, []Outcome, Tally) {
 	sel := ShardSelect(items, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))
 	if len(sel) == 0 {
@@ -633,7 +646,7 @@ func runShard[T any](items []T, shardIndex, shardCount int, pool *WorkerPool, si
 	pool.Execute(len(sel), func(lo, hi int) {
 		var local Tally
 		for i := lo; i < hi; i++ {
-			o := sim(sel[i])
+			o := sim(i, sel[i])
 			outcomes[i] = o
 			local[o]++
 			if progress != nil {
