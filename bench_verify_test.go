@@ -1,8 +1,7 @@
 // Benchmark for the static countermeasure verifier: full catalog
-// verification (CFG recovery, dataflow, check-coverage proof) over the
-// Faulter+Patcher-hardened corpus. This is the price the post-pass
-// gates add to `r2r patch` and `r2r hybrid`, and the analysis the
-// StaticInert pruning screen reuses.
+// verification (CFG recovery, dominators, check-coverage proof) over
+// the Faulter+Patcher-hardened corpus. This is the price the post-pass
+// gates add to `r2r patch` and `r2r hybrid`.
 package reinforce
 
 import (

@@ -148,8 +148,8 @@ commands:
                                  batch campaigns on the parallel engine
                                  with sharding and JSON/CSV export;
                                  -order 2 adds multi-fault pairs; -prune
-                                 classifies equivalent injections without
-                                 simulating them (bit-identical results)
+                                 reports how many injections the pruning
+                                 screens answered without simulating them
   corpus [-cases LIST] [-model MODELS] [-order 1|2|3] [-max-pairs N]
          [-max-triples N] [-max-faults N] [-workers N] [-parallel-cells N]
          [-cache-dir DIR] [-prune] [-json|-csv] [-q]

@@ -115,15 +115,15 @@ type Options struct {
 	// 0 = fault.DefaultMaxTriples).
 	MaxTriples int
 
-	// Prune routes the order-1 sweep through the static pruning screens
-	// (fault.Pruner): faults the step budget, the decode pre-screen, or
-	// the inert-window dataflow proves are answered without simulation.
-	// Multi-fault stages always run on the state-hash-pruned first-fault
-	// tree (fault.PairPruner), and RunOrder3 forces the screens on too.
-	// Like Workers and Store, pruning never changes results — reports
-	// stay bit-identical, test-enforced by the differential harness in
-	// prunediff_test.go — so it is not part of the plan key. It decides
-	// whether a run reports its execution accounting (PruneStats).
+	// Prune asks the run to report its pruning accounting
+	// (fault.PruneStats); it changes nothing else. The screens always
+	// run: the order-1 sweep answers undecodable bit flips with the
+	// decode pre-screen (fault.Pruner), and multi-fault stages run on
+	// the pruned first-fault tree (fault.PairPruner). RunOrder3 always
+	// reports. Pruning never changes results — reports stay
+	// bit-identical, test-enforced by the differential harness in
+	// prunediff_test.go — so, like Workers and Store, it is not part of
+	// the plan key.
 	Prune bool
 
 	// Progress, when non-nil, receives serialized updates as
@@ -401,9 +401,9 @@ func RunOrder2Incremental(c fault.Campaign, opt Options, prev *Memo) (*Order2Res
 // fault.EnumerateTriples, opt.MaxTriples) on the pruned first-fault
 // snapshot tree. opt.Shard applies to the triple list only — the lower
 // stages run unsharded, since triple pruning wants every solo and pair
-// outcome. The static screens are forced on (Options.Prune). With
-// Options.Store, each stage is answered from its own plan key when
-// possible.
+// outcome. The result always carries its pruning accounting
+// (Options.Prune is forced on). With Options.Store, each stage is
+// answered from its own plan key when possible.
 func RunOrder3(c fault.Campaign, opt Options) (*Order2Result, error) {
 	return runOrderInc("", 0, 1, 3, c, opt, nil, false)
 }
@@ -545,14 +545,16 @@ func Merge(shards []*fault.Report) (*fault.Report, error) {
 	if n == 0 {
 		return nil, errors.New("campaign: no shards to merge")
 	}
+	for i, sh := range shards {
+		if sh == nil {
+			return nil, fmt.Errorf("campaign: shard %d is nil", i)
+		}
+	}
 	if n == 1 {
 		return shards[0], nil
 	}
 	total := 0
 	for i, sh := range shards {
-		if sh == nil {
-			return nil, fmt.Errorf("campaign: shard %d is nil", i)
-		}
 		if sh.GoodOracle != shards[0].GoodOracle || sh.BadOracle != shards[0].BadOracle {
 			return nil, fmt.Errorf("campaign: shard %d oracles differ — not the same campaign", i)
 		}

@@ -40,10 +40,10 @@ func CaseCampaign(tb testing.TB, name string, models []fault.Model, maxFaults in
 
 // HardenedCampaign is CaseCampaign over the hybrid-hardened build of a
 // catalog case (branch hardening plus the skip-window pass) — the
-// artifact shape where static screens like the inert-window tier meet
-// hardening-inserted spacers, clones and validation chains, so the
-// differential harness exercises them against real countermeasure code
-// rather than only the unhardened originals.
+// artifact shape where pruning screens like the transparent-first-fault
+// shortcut meet hardening-inserted spacers, clones and validation
+// chains, so the differential harness exercises them against real
+// countermeasure code rather than only the unhardened originals.
 func HardenedCampaign(tb testing.TB, name string, models []fault.Model, maxFaults int) fault.Campaign {
 	tb.Helper()
 	c, err := cases.Get(name)

@@ -155,16 +155,17 @@ func (m *Memo) lookup(f fault.Fault, changed map[uint64]bool, limit uint64) (Rec
 }
 
 // executor runs one plan on a session, consulting the store and a memo.
-// With prune set, the order-1 sweep routes through the static pruning
-// screens; multi-fault stages always run on the pruned first-fault
-// tree. The accumulated accounting lands in stats. The stages (solo,
+// The order-1 sweep always runs through the decode pre-screen's
+// counting wrappers (fault.Pruner) and multi-fault stages on the pruned
+// first-fault tree; the accumulated accounting lands in stats, and
+// prune decides only whether the run reports it. The stages (solo,
 // then stage per order) are called sequentially by one goroutine — the
 // pruners they build handle the intra-stage concurrency — so stats and
 // pruner need no locking here.
 type executor struct {
 	s     *fault.Session
 	store *Store
-	prune bool
+	prune bool // report the pruning accounting
 
 	stats  fault.PruneStats
 	pruner *fault.PairPruner // built by the first stage that simulates, shared by the later ones
@@ -181,10 +182,11 @@ func (e *executor) faultsDigest() string {
 }
 
 // pruneStats returns the accumulated pruning accounting, or nil when
-// pruning was off (so exports omit the block entirely). The multi-fault
-// pruner's share is read live rather than accumulated into stats: the
-// pair and triple stages deliberately share one pruner, and snapshotting
-// it once here keeps their joint accounting from double-counting.
+// the run does not report it (so exports omit the block entirely). The
+// multi-fault pruner's share is read live rather than accumulated into
+// stats: the pair and triple stages deliberately share one pruner, and
+// snapshotting it once here keeps their joint accounting from
+// double-counting.
 func (e *executor) pruneStats() *fault.PruneStats {
 	if !e.prune {
 		return nil
@@ -196,13 +198,10 @@ func (e *executor) pruneStats() *fault.PruneStats {
 	return &st
 }
 
-// soloSim returns the order-1 simulation functions for this run:
-// pruned or plain. flush adds the pruner's accounting to the
-// executor's after the sweep (no-op when unpruned).
+// soloSim returns the order-1 simulation functions for this run, the
+// session's own wrapped in the pruner's counters. flush adds the
+// pruner's accounting to the executor's after the sweep.
 func (e *executor) soloSim() (sim func(fault.Fault) fault.Outcome, rec func(fault.Fault) fault.SimRecord, flush func()) {
-	if !e.prune {
-		return e.s.Simulate, e.s.SimulateRecord, func() {}
-	}
 	pr := e.s.NewPruner()
 	return pr.Simulate, pr.SimulateRecord, func() { e.stats.Add(pr.Stats()) }
 }
@@ -351,9 +350,9 @@ func rebuildSolo(entry *Entry, faultsDigest string, good, bad fault.Observable, 
 // slot carries the stage's own enumeration cap — sound because every
 // sequence list derives from the solo sweep alone. The pruner is built
 // only when a stage simulates, then shared by the later stages so the
-// reference digests and equivalence classes found at order 2 keep
-// paying at order 3; lower, the completed pair stage (nil for pairs),
-// lets reference-equal triples inherit their remaining pair's outcome.
+// reference digests computed at order 2 keep paying at order 3; lower,
+// the completed pair stage (nil for pairs), lets reference-equal
+// triples inherit their remaining pair's outcome.
 func stage[T fault.Sequence](e *executor, c fault.Campaign, order, maxSeqs int, list []T, shard Shard, workers int, solo []fault.Injection, lower []fault.PairInjection, progress func(done, total int)) ([]T, []fault.Outcome, fault.Tally, CacheStats) {
 	run := func() ([]T, []fault.Outcome, fault.Tally) {
 		if e.pruner == nil {

@@ -74,7 +74,7 @@ type Summary struct {
 	Cache *CacheStats `json:"cache,omitempty"`
 
 	// Prune reports how the run's injections were classified by the
-	// fault-equivalence pruning pass (absent when pruning was off).
+	// pruning screens (absent unless Options.Prune asked for it).
 	// Execution accounting like Cache: pruning never changes results.
 	Prune *fault.PruneStats `json:"prune,omitempty"`
 }
@@ -188,7 +188,7 @@ func SummaryTable(sums []Summary) *report.Table {
 		tab.Header = append(tab.Header, "cache_hits", "cache_misses", "reused", "resimulated")
 	}
 	if pruned {
-		tab.Header = append(tab.Header, "prune_static", "prune_inert", "prune_ref", "prune_class", "simulated")
+		tab.Header = append(tab.Header, "prune_static", "prune_inert", "prune_ref", "simulated")
 	}
 	for _, s := range sums {
 		row := []string{s.Name,
@@ -234,13 +234,12 @@ func SummaryTable(sums []Summary) *report.Table {
 		switch {
 		case s.Prune != nil:
 			row = append(row,
-				fmt.Sprintf("%d", s.Prune.StaticBudget+s.Prune.StaticDecode),
+				fmt.Sprintf("%d", s.Prune.StaticDecode),
 				fmt.Sprintf("%d", s.Prune.StaticInert),
 				fmt.Sprintf("%d", s.Prune.RefEquiv),
-				fmt.Sprintf("%d", s.Prune.ClassEquiv),
 				fmt.Sprintf("%d", s.Prune.Simulated))
 		case pruned:
-			row = append(row, "", "", "", "", "")
+			row = append(row, "", "", "", "")
 		}
 		tab.AddRow(row...)
 	}

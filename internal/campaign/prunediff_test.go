@@ -51,7 +51,10 @@ func diffMatrix(t *testing.T) (names []string, modelSets [][]fault.Model) {
 }
 
 // TestPruneDifferentialOrder1: pruned order-1 campaigns are
-// bit-identical to exhaustive ones across the whole matrix.
+// bit-identical to exhaustive ones across the whole matrix, and their
+// accounting does not depend on the store: a run through a fresh store
+// (the evidence-recording path) reports the same PruneStats as the
+// store-less run.
 func TestPruneDifferentialOrder1(t *testing.T) {
 	names, modelSets := diffMatrix(t)
 	for _, name := range names {
@@ -62,11 +65,24 @@ func TestPruneDifferentialOrder1(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: exhaustive: %v", label, err)
 			}
-			pruned, err := campaign.Run(c, campaign.Options{Prune: true})
-			if err != nil {
-				t.Fatalf("%s: pruned: %v", label, err)
+			jobs := []campaign.Job{{Name: label, Campaign: c}}
+			pruned := campaign.RunAll(jobs, campaign.Options{Prune: true})[0]
+			if pruned.Err != nil {
+				t.Fatalf("%s: pruned: %v", label, pruned.Err)
 			}
-			campaigntest.AssertReportsEqual(t, label, plain, pruned)
+			campaigntest.AssertReportsEqual(t, label, plain, pruned.Report)
+			st, err := campaign.NewStore("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored := campaign.RunAll(jobs, campaign.Options{Prune: true, Store: st})[0]
+			if stored.Err != nil {
+				t.Fatalf("%s: pruned with a store: %v", label, stored.Err)
+			}
+			campaigntest.AssertReportsEqual(t, label+" with a store", plain, stored.Report)
+			if pruned.Prune == nil || stored.Prune == nil || *pruned.Prune != *stored.Prune {
+				t.Fatalf("%s: prune stats %+v without a store, %+v with one", label, pruned.Prune, stored.Prune)
+			}
 		}
 	}
 }
@@ -181,42 +197,15 @@ func TestPruneWarmStoreReplay(t *testing.T) {
 	}
 }
 
-// TestPruneBudgetGateDifferential: with an injection budget short
-// enough that the static budget gate fires, pruned and exhaustive
-// order-1 reports still match bit for bit.
-func TestPruneBudgetGateDifferential(t *testing.T) {
-	c := campaigntest.CaseCampaign(t, "pincheck", []fault.Model{fault.ModelSkip}, 0)
-	// A budget of a few steps lands inside the fault list's trace-index
-	// range, so later faults hit the gate while earlier ones simulate.
-	// The gate lives on the plain-simulation path (RunAll without a
-	// store), not the evidence-recording one — see Pruner.SimulateRecord.
-	c.InjectionStepLimit = 10
-	plain, err := campaign.Run(c, campaign.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := campaign.RunAll([]campaign.Job{{Name: "gate", Campaign: c}}, campaign.Options{Prune: true})
-	if results[0].Err != nil {
-		t.Fatal(results[0].Err)
-	}
-	campaigntest.AssertReportsEqual(t, "short budget", plain, results[0].Report)
-	st := results[0].Prune
-	if st == nil || st.StaticBudget == 0 {
-		t.Fatalf("budget gate never fired (stats %+v)", st)
-	}
-	if st.Simulated == 0 {
-		t.Fatalf("every fault gated — the budget misses the trace (stats %+v)", st)
-	}
-}
-
-// TestPruneStaticInertDifferential: the inert-window dataflow tier
-// fires on hybrid-hardened catalog binaries under the skip models it
-// covers, and the pruned reports stay bit-identical to the references
-// that prune nothing — orders 1 and 2 here, order 3 below via direct
-// per-triple validation.
-// Hardened artifacts are the tier's home turf: the passes insert the
-// NOP spacers, fall-through checks and dead re-computations whose skip
-// windows the screen proves inert.
+// TestPruneStaticInertDifferential: the transparent-first-fault
+// shortcut (StaticInert) answers pairs without simulating them, and
+// pruned reports stay bit-identical to the references that prune
+// nothing. The bit-identity half runs on hybrid-hardened catalog
+// binaries (NOP spacers, fall-through checks) under the skip models —
+// orders 1 and 2 here, order 3 below via direct per-triple validation.
+// The firing half needs a pair sweep whose budget reaches a transparent
+// first fault's group: plain pincheck under skip + bit flip, where a
+// 100-fault cap keeps that group inside the 256-pair budget.
 func TestPruneStaticInertDifferential(t *testing.T) {
 	models := []fault.Model{fault.ModelSkip, fault.ModelMultiSkip}
 	names := []string{"pincheck", "bootloader"}
@@ -224,11 +213,9 @@ func TestPruneStaticInertDifferential(t *testing.T) {
 		names = names[:1]
 	}
 	for _, name := range names {
-		// The eligible windows (hardening-inserted spacers and
-		// fall-through checks) sit deeper in the trace than the default
-		// differential budget reaches, so this test runs a wider fault
-		// cap — 800 is the smallest round budget where the tier fires
-		// on every hardened catalog case under both skip models.
+		// Hardening-inserted spacers and fall-through checks sit deeper
+		// in the trace than the default differential budget reaches, so
+		// this test runs a wider fault cap.
 		c := campaigntest.HardenedCampaign(t, name, models, 2*diffMaxFaults)
 		plain, err := campaign.Run(c, campaign.Options{})
 		if err != nil {
@@ -239,9 +226,6 @@ func TestPruneStaticInertDifferential(t *testing.T) {
 			t.Fatal(results[0].Err)
 		}
 		campaigntest.AssertReportsEqual(t, name+" order-1", plain, results[0].Report)
-		if st := results[0].Prune; st == nil || st.StaticInert == 0 {
-			t.Errorf("%s: inert tier never fired on the hardened binary (stats %+v)", name, results[0].Prune)
-		}
 
 		plain2 := campaigntest.ReferenceOrder2(t, c, diffMaxPairs)
 		pruned2, err := campaign.RunOrder2Result(c, campaign.Options{MaxPairs: diffMaxPairs, Prune: true})
@@ -249,9 +233,17 @@ func TestPruneStaticInertDifferential(t *testing.T) {
 			t.Fatalf("%s: pruned order-2: %v", name, err)
 		}
 		campaigntest.AssertOrder2Equal(t, name+" order-2", plain2, pruned2.Report)
-		if pruned2.Prune == nil || pruned2.Prune.StaticInert == 0 {
-			t.Errorf("%s: inert tier never fired at order 2 (stats %+v)", name, pruned2.Prune)
-		}
+	}
+
+	c := campaigntest.CaseCampaign(t, "pincheck", []fault.Model{fault.ModelSkip, fault.ModelBitFlip}, diffMaxFaults/4)
+	want := campaigntest.ReferenceOrder2(t, c, diffMaxPairs)
+	pruned, err := campaign.RunOrder2Result(c, campaign.Options{MaxPairs: diffMaxPairs, Prune: true})
+	if err != nil {
+		t.Fatalf("pincheck pruned order-2: %v", err)
+	}
+	campaigntest.AssertOrder2Equal(t, "pincheck skip+bitflip order-2", want, pruned.Report)
+	if pruned.Prune == nil || pruned.Prune.StaticInert == 0 {
+		t.Errorf("transparent-first-fault shortcut never fired on the pair sweep (stats %+v)", pruned.Prune)
 	}
 }
 

@@ -279,6 +279,10 @@ func TestMergeErrorPaths(t *testing.T) {
 	if _, err := Merge([]*fault.Report{shards[0], nil}); err == nil || !strings.Contains(err.Error(), "nil") {
 		t.Errorf("Merge with nil shard: %v", err)
 	}
+	// A lone nil shard is rejected too, not returned as the merge.
+	if _, err := Merge([]*fault.Report{nil}); err == nil || !strings.Contains(err.Error(), "nil") {
+		t.Errorf("Merge of a lone nil shard: %v", err)
+	}
 	// Mismatched campaigns: different oracles.
 	other := *shards[1]
 	other.GoodOracle.ExitCode++

@@ -86,7 +86,7 @@ type CampaignFlags struct {
 
 // pruneHelp documents the -prune switch once for every command that
 // accepts it.
-const pruneHelp = "answer order-1 faults the static screens decide (step budget, undecodable bit flips, inert skip windows) without simulating them; multi-fault stages always prune, and order 3 turns the screens on (results are bit-identical; the summary gains prune accounting columns)"
+const pruneHelp = "report the pruning accounting: the summary gains prune columns counting the injections the screens answered without simulating them (undecodable bit flips, transparent first faults, pair/triple states that re-converge to the reference run); the screens always run and order 3 always reports"
 
 // Campaign builds the `r2r campaign` flag set.
 func Campaign() (*flag.FlagSet, *CampaignFlags) {

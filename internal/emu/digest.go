@@ -12,8 +12,8 @@ import (
 // and the content of every mapped page. Two machines with equal digests
 // under the same run configuration (step limit, hooks) behave
 // identically from here on — the soundness foundation of the campaign
-// engine's state-hash equivalence pruning (fault.PairPruner) and of
-// its continuation memo: a faulted run whose digest matches the
+// engine's reference-state inheritance (fault.PairPruner) and of its
+// continuation memo: a faulted run whose digest matches the
 // reference run's at the same step has provably re-converged, and one
 // that matches another faulted run's inherits its continuation outcome.
 //

@@ -116,6 +116,6 @@ func TableBeyond3() (*report.Table, []Beyond3Data, error) {
 				report.Pct(d.PrunedPct()))
 		}
 	}
-	tab.AddNote(fmt.Sprintf("triple budget %d per variant; 'pruned' is the share of injections classified without simulation (static reachability + state-hash equivalence), the reduction that makes order 3 tractable (ARMORY, Boespflug et al.)", beyond3MaxTriples))
+	tab.AddNote(fmt.Sprintf("triple budget %d per variant; 'pruned' is the share of injections classified without simulation (decode pre-screen, transparent first faults, and states that re-converge to the reference run), the reduction that makes order 3 tractable (ARMORY, Boespflug et al.)", beyond3MaxTriples))
 	return tab, out, nil
 }

@@ -8,10 +8,10 @@
 // from a digested state publishes its outcome, and every later run
 // reaching that state stops there and inherits it.
 //
-// Soundness is the pair pruner's argument: equal complete state
-// (emu.Machine.StateDigest, which includes the step counter) under the
-// same injection step limit with no hook left to act is the same
-// future, so the outcome is the same. Which run reaches a state first
+// Soundness is the pair pruner's reference-inheritance argument: equal
+// complete state (emu.Machine.StateDigest, which includes the step
+// counter) under the same injection step limit with no hook left to act
+// is the same future, so the outcome is the same. Which run reaches a state first
 // depends on scheduling, so memo hits are counted nowhere a report,
 // plan key, store entry or PruneStats could see.
 package fault
@@ -88,9 +88,9 @@ func (t *tailMemo) publish(keys [][32]byte, o Outcome) {
 
 // finish runs a faulted machine to its end, classifies the outcome and
 // releases the machine: the one run-to-completion core of SimulateSeq
-// and of the pair pruner's class simulations. Once no hook can act any
-// more, the run is digested at the memo's grid steps; a digest the
-// memo knows answers at once, and the finished run publishes its
+// and of the continuations the snapshot tree forks. Once no hook can
+// act any more, the run is digested at the memo's grid steps; a digest
+// the memo knows answers at once, and the finished run publishes its
 // outcome under every digest it took. A machine with a windowless hook
 // never touches the memo.
 func (s *Session) finish(m *emu.Machine) Outcome {

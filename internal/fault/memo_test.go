@@ -105,7 +105,7 @@ func TestMemoCapOne(t *testing.T) {
 }
 
 // TestMemoSequencesMatchCold runs a register-flip pair and triple mix
-// through the first-fault tree, whose class continuations and loose
+// through the first-fault tree, whose forked continuations and loose
 // sequences finish through the memo, against SimulateCold.
 func TestMemoSequencesMatchCold(t *testing.T) {
 	if testing.Short() {

@@ -10,12 +10,12 @@
 // first-fault snapshot tree (ExecuteSequences) runs each distinct first
 // fault once to its effect horizon, digests the state there, and serves
 // every continuation by inheritance or from a copy-on-write fork —
-// always through the equivalence pruner in prune.go, without which the
-// cubic triple space is intractable (ARMORY's scaling argument). The
-// determinism guarantees match order 1: a sequence list is a pure
-// function of the solo sweep, and outcomes are bit-identical to one
-// simulation per sequence (SimulateSeq, SimulateCold) across worker
-// counts, shard decompositions, and whatever the pruner inherited.
+// always through the pruner in prune.go, without which the cubic triple
+// space is intractable (ARMORY's scaling argument). The determinism
+// guarantees match order 1: a sequence list is a pure function of the
+// solo sweep, and outcomes are bit-identical to one simulation per
+// sequence (SimulateSeq, SimulateCold) across worker counts, shard
+// decompositions, and whatever the pruner inherited.
 package fault
 
 import (
@@ -288,8 +288,8 @@ func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIn
 // sequence runs exactly like its continuation alone — a lower-order
 // outcome the pruner may already know (the solo sweep's for a pair's
 // second fault, a registered pair sweep's for a triple's last two).
-// Every other continuation is answered once per equivalence class and
-// inherited by every group whose state digests alike.
+// Every other continuation forks the group's snapshot and finishes
+// through the session's continuation memo.
 //
 // A continuation's fork composes its faults' hooks onto a snapshot
 // resume, which matches SimulateSeq bit for bit: before the snapshot
@@ -297,11 +297,11 @@ func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIn
 // fault to strike at or after the horizon), and after it the first
 // fault's hooks are inert by its declared EffectHorizon.
 func (s *Session) runGroup(pr *PairPruner, g *group, record func(i int, o Outcome)) {
-	// StaticInert fast path: a fully transparent first window keeps the
-	// machine bit-identical to the reference trajectory through the
-	// effect horizon, so each sequence runs like its continuation alone.
-	// Any unknown continuation outcome falls back to the dynamic path
-	// for the whole group.
+	// Transparent first fault: its window writes nothing, so the
+	// machine stays bit-identical to the reference trajectory through
+	// the effect horizon and each sequence runs like its continuation
+	// alone. Any unknown continuation outcome falls back to the dynamic
+	// path for the whole group.
 	if s.transparentFirst(g.first) && pr.knowsAll(g.rests) {
 		for n, i := range g.idx {
 			record(i, pr.known[g.rests[n]])
@@ -324,12 +324,10 @@ func (s *Session) runGroup(pr *PairPruner, g *group, record func(i int, o Outcom
 		m.Release()
 		return
 	}
-	digest := m.StateDigest()
-	refEqual := digest == pr.refDigestAt(g.end)
+	refEqual := m.StateDigest() == pr.refDigestAt(g.end)
 
-	// Class machinery materializes lazily: a fully reference-equal group
-	// never snapshots or touches the class map.
-	var cl *equivClass
+	// The snapshot materializes lazily: a fully reference-equal group
+	// never forks.
 	var snap *emu.Snapshot
 	for n, i := range g.idx {
 		r := g.rests[n]
@@ -339,11 +337,12 @@ func (s *Session) runGroup(pr *PairPruner, g *group, record func(i int, o Outcom
 			continue
 		}
 		if snap == nil {
-			cl = pr.classFor(g.end, digest)
 			snap = m.Snapshot()
 			snap.SeedProgram(s.prog)
 		}
-		record(i, pr.classOutcome(cl, snap, r))
+		later, k := pr.later(r)
+		pr.sim.Add(1)
+		record(i, s.finish(snap.Resume(s.config(later[:k]...))))
 	}
 	// No-op when a snapshot froze m; recycles the buffers otherwise
 	// (every sequence inherited its continuation's outcome).

@@ -75,10 +75,10 @@ type Session struct {
 	// when the pre-screen is disabled (self-modifying reference run).
 	probes map[uint64]probe
 
-	// inert is the lazily built StaticInert classification state (see
-	// inert.go); its instruction map is only populated when the
-	// reference run left code unmutated.
-	inert inertState
+	// inert holds the reference run's decoded instructions by address,
+	// which the transparent-first-fault screen (inert.go) reads skip
+	// windows from. Nil unless the reference run left code unmutated.
+	inert map[uint64]isa.Inst
 
 	// sched, when set via SetPool, is the shared WorkerPool every
 	// shard/pair/triple stage runs on instead of a private pool of its
@@ -181,16 +181,16 @@ func NewSession(c Campaign) (*Session, error) {
 		s.faults = s.faults[:s.c.MaxFaults]
 	}
 
-	// StaticInert screens decode the skip windows against load-time
-	// bytes, so they share the generation-zero precondition with the
-	// decode pre-screen below. The instructions are value-copied out of
-	// the machine's cache so later resumed machines cannot alias it.
+	// The transparent-first-fault screen decodes skip windows against
+	// load-time bytes, so it shares the generation-zero precondition
+	// with the decode pre-screen below. The instructions are
+	// value-copied out of the machine's cache so later resumed machines
+	// cannot alias it.
 	if gen == 0 {
-		im := make(map[uint64]isa.Inst, len(cache))
+		s.inert = make(map[uint64]isa.Inst, len(cache))
 		for a, in := range cache {
-			im[a] = *in
+			s.inert[a] = *in
 		}
-		s.inert.insts = im
 	}
 
 	// Bit-flip decode pre-screen: when the reference run never mutated

@@ -77,8 +77,8 @@ func TestExecuteTripleShardBitIdentical(t *testing.T) {
 	ref, wantTally := referenceSweep(s, triples)
 	want := TripleInjections(triples, ref)
 
-	// Bare pruner: no pair outcomes registered, everything classifies
-	// via classes or simulation.
+	// Bare pruner: no pair outcomes registered, so no triple group can
+	// inherit and everything else simulates.
 	pr := s.NewPairPruner(solo)
 	got, tally := s.ExecuteTripleShard(triples, pr, 0, 1, 1, nil)
 	if !reflect.DeepEqual(want, got) {

@@ -2,70 +2,18 @@ package static
 
 import "github.com/r2r/reinforce/internal/isa"
 
-// Static fault-surface classification: the facts the campaign pruner
-// uses to answer skip-model faults without simulation. Both screens are
-// conservative — they prove the faulted run's architectural state stays
-// equivalent to the reference run's, so the fault's outcome equals the
-// reference outcome. Soundness is enforced end to end by the campaign
-// package's pruned-vs-exhaustive differential harness.
-//
-// Two tiers:
-//
-//   - Transparent: skipping the instruction writes nothing at all (no
-//     register, flag or memory component), so if the reference run fell
-//     through it anyway — the caller checks trace contiguity — the
-//     post-window machine state is bit-identical to the reference. This
-//     tier needs no dataflow facts and is also sound as the *first*
-//     fault of a pair or triple: the residual faults run against an
-//     unchanged machine.
-//
-//   - Dead-output: skipping the instruction leaves stale values only in
-//     components that liveness proves dead at the continuation point.
-//     The continuation then computes the same observable results, so a
-//     *solo* fault's outcome equals the reference outcome. This tier is
-//     NOT sound as part of a multi-fault group (a later fault can
-//     resurrect a dead component, e.g. by flipping a branch into a path
-//     the liveness fixpoint proved unreachable from here).
-
 // Transparent reports whether skipping in cannot change machine state:
 // the instruction writes no register, flag, or memory component. NOP
 // trivially; JMP and JCC qualify because a skip falls through — the
 // caller must separately check that the reference trace fell through
-// too (trace contiguity), which makes the skipped path identical.
+// too (trace contiguity), which makes the skipped path identical. The
+// multi-fault pruner uses it to let a group whose first fault skips
+// only transparent instructions inherit its continuations' lower-order
+// outcomes: the residual faults run against an unchanged machine.
 func Transparent(in isa.Inst) bool {
 	switch in.Op {
 	case isa.NOP, isa.JMP, isa.JCC:
 		return true
 	}
 	return false
-}
-
-// SkippableWrites returns the components the instruction writes and
-// whether it is eligible for the dead-output screen: modeled semantics,
-// no memory store, no stack-pointer adjustment, and no control transfer
-// (skipping a taken branch diverges; skipping a fall-through branch is
-// already covered by Transparent). Eligible instructions always fall
-// through, so the skipped run rejoins the reference at the next
-// address with at most the returned components differing.
-func SkippableWrites(in isa.Inst) (LiveSet, bool) {
-	switch in.Op {
-	case isa.JMP, isa.JCC, isa.CALL, isa.RET, isa.SYSCALL, isa.HLT, isa.UD2:
-		return 0, false
-	}
-	e := EffectsOf(in)
-	if !e.Known || e.StoresMem || e.Write.Has(RegBit(isa.RSP)) {
-		return 0, false
-	}
-	return e.Write, true
-}
-
-// OutputsDead reports whether every component of w is dead immediately
-// before the instruction at addr: no modeled continuation from addr
-// reads any of them before overwriting them. False for addresses the
-// analysis did not reach (no facts, no claim).
-func (a *Analysis) OutputsDead(w LiveSet, addr uint64) bool {
-	if _, ok := a.Prog.Insts[addr]; !ok {
-		return false
-	}
-	return a.liveIn[addr]&w == 0
 }

@@ -36,12 +36,10 @@ func (s LiveSet) Has(b LiveSet) bool { return s&b != 0 }
 //   - Kill: components fully overwritten — and only those; a 1-byte
 //     register write merges into the low byte and a shift with a zero
 //     count leaves the flags untouched, so neither kills;
-//   - Write: components written at all, fully or partially (the set the
-//     dead-output fault screen must prove dead);
+//   - Write: components written at all, fully or partially;
 //   - StoresMem: the instruction writes memory (stack pushes included);
 //   - Known: the semantics are modeled. Unknown ops are summarized as
-//     reading everything and writing nothing, the conservative direction
-//     for both liveness and the fault screen.
+//     reading everything and writing nothing.
 type Effects struct {
 	Use       LiveSet
 	Kill      LiveSet

@@ -1,9 +1,8 @@
-// Package static is the CFG + dataflow analysis engine over decoded
-// programs: basic blocks, dominator tree, liveness and reaching
-// definitions over the machine registers and the arithmetic-flags unit,
-// plus the countermeasure verifier built on top of them (verify.go,
-// verifyir.go, verifybir.go) and the sound fault-window classification
-// the campaign pruner consumes (inert.go).
+// Package static is the CFG analysis engine over decoded programs:
+// basic blocks, the dominator tree and per-instruction register/flag
+// effects (sem.go), plus the countermeasure verifier built on top of
+// them (verify.go, verifyir.go, verifybir.go) and the transparent-skip
+// test the multi-fault pruner consumes (inert.go).
 //
 // The paper's loop only ever *measures* countermeasure strength by
 // exhaustive fault simulation; this package closes the gap Rauzy &
@@ -11,17 +10,13 @@
 // hardening passes construct (a step-counter cell re-read on every
 // fault-response-free exit, clone spacing wider than the largest
 // multi-skip window, doubled detection compares) are checked
-// structurally, without running a single injection. The same dataflow
-// facts yield a static fault pre-screen: instructions whose skip
-// provably cannot change the campaign outcome are classified without
-// simulation (ARMORY's scaling argument), with soundness enforced by
-// the campaign package's pruned-vs-exhaustive differential harness.
+// structurally, without running a single injection.
 //
-// All analyses are conservative: they over-approximate reachability and
-// liveness, so a "proved" fact (dead output, covered exit) is sound
-// while a finding may occasionally be a false alarm on code the decoder
-// cannot follow. The toolchain's own binaries are fully decodable with
-// direct branches only, where the CFG is exact.
+// All analyses are conservative: they over-approximate reachability,
+// so a "proved" fact (a covered exit) is sound while a finding may
+// occasionally be a false alarm on code the decoder cannot follow. The
+// toolchain's own binaries are fully decodable with direct branches
+// only, where the CFG is exact.
 package static
 
 import (
@@ -100,23 +95,18 @@ type CFG struct {
 // BlockAt returns the block whose leader is addr, or nil.
 func (g *CFG) BlockAt(addr uint64) *Block { return g.byAddr[addr] }
 
-// Analysis bundles the program, its CFG and dominator tree, and the
-// dataflow facts the verifier and the campaign pruner consume.
+// Analysis bundles the program with its CFG and dominator tree, the
+// facts the verifier consumes.
 type Analysis struct {
 	Bin  *elf.Binary
 	Prog *Program
 	CFG  *CFG
-
-	// liveIn maps each reachable instruction address to the registers
-	// and flags live immediately before it.
-	liveIn map[uint64]LiveSet
 }
 
-// Analyze decodes the binary from its entry point, builds the CFG and
-// dominator tree, and runs the dataflow analyses. It fails only when
-// the entry itself is unmapped; unreachable or undecodable tails are
-// recorded, not fatal (the emulator crashes there, which the analyses
-// model as terminal nodes).
+// Analyze decodes the binary from its entry point and builds the CFG
+// and dominator tree. It fails only when the entry itself is unmapped;
+// unreachable or undecodable tails are recorded, not fatal (the
+// emulator crashes there, which the analyses model as terminal nodes).
 func Analyze(bin *elf.Binary) (*Analysis, error) {
 	prog, err := Explore(bin)
 	if err != nil {
@@ -124,17 +114,8 @@ func Analyze(bin *elf.Binary) (*Analysis, error) {
 	}
 	cfg := BuildCFG(prog)
 	cfg.Dominators()
-	return &Analysis{
-		Bin:    bin,
-		Prog:   prog,
-		CFG:    cfg,
-		liveIn: Liveness(prog),
-	}, nil
+	return &Analysis{Bin: bin, Prog: prog, CFG: cfg}, nil
 }
-
-// LiveIn returns the registers and flags live immediately before the
-// instruction at addr (zero for unreachable addresses).
-func (a *Analysis) LiveIn(addr uint64) LiveSet { return a.liveIn[addr] }
 
 // Explore decodes every instruction reachable from the binary's entry
 // point by following static successors: fall-through, direct branch
@@ -199,9 +180,8 @@ func exitSyscall(rax int64) bool { return rax == 60 || rax == 231 }
 // refineExits classifies SYSCALL instructions. The raw successor map
 // gives every syscall a fall-through edge, but a syscall whose RAX is
 // statically a proven exit number never returns — keeping its phantom
-// edge would route liveness and reachability through a crash node and
-// destroy precision right where the hardening patterns put their exit
-// stubs. For each syscall, RAX (and RDI, for the exit status) is
+// edge would route reachability through a crash node and destroy
+// precision right where the hardening patterns put their exit stubs. For each syscall, RAX (and RDI, for the exit status) is
 // resolved by a bounded straight-line backward walk; proven exits lose
 // their successors, and addresses only reachable through those phantom
 // edges are dropped from the program.

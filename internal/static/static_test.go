@@ -108,59 +108,6 @@ func TestDominators(t *testing.T) {
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	a := analyze(t, diamondSrc)
-	done := sym(t, a.Bin, "done")
-	live := a.LiveIn(done)
-	if !live.Has(RegBit(isa.RDI)) {
-		t.Errorf("RDI should be live at done (exit code)")
-	}
-	if live.Has(RegBit(isa.RAX)) {
-		t.Errorf("RAX should be dead at done (rewritten before syscall)")
-	}
-	// At the entry the cmp result is consumed by jne: flags dead before
-	// cmp, live right after — check via the jne's LiveIn.
-	var jne uint64
-	for addr, in := range a.Prog.Insts {
-		if in.Op == isa.JCC {
-			jne = addr
-		}
-	}
-	if !a.LiveIn(jne).Has(Flags) {
-		t.Errorf("flags should be live at the jne")
-	}
-}
-
-func TestDeadOutputScreen(t *testing.T) {
-	a := analyze(t, `
-.text
-_start:
-	mov rcx, 5
-after:
-	mov rax, 60
-	mov rdi, 0
-	syscall
-`)
-	start := a.Prog.Entry
-	after := sym(t, a.Bin, "after")
-	w, ok := SkippableWrites(a.Prog.Insts[start])
-	if !ok || !w.Has(RegBit(isa.RCX)) {
-		t.Fatalf("mov rcx,5 writes = %v ok=%v", w, ok)
-	}
-	if !a.OutputsDead(w, after) {
-		t.Errorf("RCX should be dead after the unused mov")
-	}
-	// RDX is read by the (conservatively modeled) syscall and never
-	// rewritten, so it is live throughout.
-	if a.OutputsDead(RegBit(isa.RDX), after) {
-		t.Errorf("RDX must not be dead before the exit syscall")
-	}
-	// No claim about addresses outside the program.
-	if a.OutputsDead(w, 0xdead) {
-		t.Errorf("unknown address must yield no claim")
-	}
-}
-
 func TestTransparent(t *testing.T) {
 	cases := []struct {
 		op   isa.Op
@@ -172,24 +119,6 @@ func TestTransparent(t *testing.T) {
 	for _, c := range cases {
 		if got := Transparent(isa.Inst{Op: c.op}); got != c.want {
 			t.Errorf("Transparent(%v) = %v, want %v", c.op, got, c.want)
-		}
-	}
-}
-
-func TestSkippableWritesRejects(t *testing.T) {
-	reject := []isa.Inst{
-		{Op: isa.CALL},
-		{Op: isa.RET},
-		{Op: isa.SYSCALL},
-		{Op: isa.PUSH, Dst: isa.Operand{Kind: isa.KindReg, Reg: isa.RAX, Width: 8}},
-		{Op: isa.POP, Dst: isa.Operand{Kind: isa.KindReg, Reg: isa.RAX, Width: 8}},
-		{Op: isa.MOV, // memory store
-			Dst: isa.Operand{Kind: isa.KindMem, Width: 8, Mem: isa.Mem{Base: isa.RAX}},
-			Src: isa.Operand{Kind: isa.KindReg, Reg: isa.RBX, Width: 8}},
-	}
-	for _, in := range reject {
-		if _, ok := SkippableWrites(in); ok {
-			t.Errorf("SkippableWrites(%v) accepted, want rejected", in.Op)
 		}
 	}
 }
@@ -244,27 +173,6 @@ func TestEffectsTable(t *testing.T) {
 	}
 }
 
-func TestReachingDefs(t *testing.T) {
-	a := analyze(t, diamondSrc)
-	defs := ReachingDefs(a.Prog)
-	done := sym(t, a.Bin, "done")
-	var rdiDefs int
-	for _, d := range defs[done] {
-		if d.Comps.Has(RegBit(isa.RDI)) && d.Addr != ^uint64(0) {
-			rdiDefs++
-		}
-	}
-	if rdiDefs != 2 {
-		t.Errorf("RDI defs reaching done = %d, want 2 (both branch arms)", rdiDefs)
-	}
-	// The entry pseudo-def of RDI must be killed on both arms.
-	for _, d := range defs[done] {
-		if d.Addr == ^uint64(0) && d.Comps.Has(RegBit(isa.RDI)) {
-			t.Errorf("entry pseudo-def of RDI should not reach done")
-		}
-	}
-}
-
 func TestExploreUndecoded(t *testing.T) {
 	// A jump into the data section: reachable but undecodable, recorded
 	// as a terminal node rather than failing the analysis.
@@ -291,9 +199,5 @@ blob: .byte 0x06, 0x06, 0x06, 0x06
 	}
 	if b := a.CFG.BlockAt(blob); b == nil || len(b.Succs) != 0 {
 		t.Errorf("undecoded block should exist with no successors")
-	}
-	// Conservative liveness at the crash site: everything live.
-	if a.LiveIn(blob) != AllRegs|Flags {
-		t.Errorf("liveIn(undecoded) = %v, want all", a.LiveIn(blob))
 	}
 }
