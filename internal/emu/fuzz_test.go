@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -112,12 +114,16 @@ func TestICacheInvalidation(t *testing.T) {
 
 // FuzzUopTranslator: differential fuzzing of the micro-op fast path
 // against the single-step interpreter. Arbitrary bytes become the text
-// section of a minimal binary and run under both execution strategies;
-// any divergence in exit status, step count, or output is a bug in the
-// translator or a micro-op executor (the interpreter is the spec).
+// section of a minimal binary and run under three execution
+// strategies: single-stepped, on the fast path translating lazily from
+// a cold start, and resumed from an entry snapshot seeded with the
+// whole-image program (TranslateImage). Any divergence in exit status,
+// step count, error text, output or page log is a bug in the
+// translator, the image sweep or a micro-op executor (the interpreter
+// is the spec).
 func FuzzUopTranslator(f *testing.F) {
-	// A clean exit, the self-modifying icache program, a hot
-	// arithmetic loop, stack traffic, and a decode-failure prefix.
+	// A clean exit, a hot arithmetic loop, stack traffic, a
+	// decode-failure prefix and a step-limit spin.
 	f.Add([]byte{
 		0x48, 0xC7, 0xC0, 0x3C, 0x00, 0x00, 0x00, // mov rax, 60
 		0x48, 0x31, 0xFF, // xor rdi, rdi
@@ -138,11 +144,50 @@ func FuzzUopTranslator(f *testing.F) {
 	})
 	f.Add([]byte{0x0F, 0xFF, 0xFF}) // undecodable
 	f.Add([]byte{0xEB, 0xFE})       // jmp self (step-limit path)
+	// A jump into the middle of a swept instruction: the linear sweep
+	// decodes mov eax, imm32 at +9, so the branch target +10 inside
+	// its immediate (xor rdi, rdi; nop) is off the image program and
+	// translated privately, back on the program at the syscall.
+	f.Add([]byte{
+		0x48, 0xC7, 0xC0, 0x3C, 0x00, 0x00, 0x00, // mov rax, 60
+		0xEB, 0x01, // jmp +1 (into the mov below)
+		0xB8, 0x48, 0x31, 0xFF, 0x90, // mov eax, 0x90ff3148
+		0x0F, 0x05, // syscall
+	})
+	// A store into code every program already translated (the text is
+	// RWX): the first pass rewrites the immediate of mov rdi, 1 and
+	// jumps back, so the run must exit 9 through the rewritten uop.
+	f.Add([]byte{
+		0x48, 0xC7, 0xC7, 0x01, 0x00, 0x00, 0x00, // mov rdi, 1
+		0x48, 0x83, 0xFB, 0x00, // cmp rbx, 0
+		0x0F, 0x85, 0x17, 0x00, 0x00, 0x00, // jne exit
+		0x48, 0xC7, 0xC3, 0x01, 0x00, 0x00, 0x00, // mov rbx, 1
+		0x48, 0xC7, 0xC1, 0x00, 0x10, 0x40, 0x00, // mov rcx, 0x401000
+		0xC6, 0x41, 0x03, 0x09, // mov byte [rcx+3], 9
+		0xE9, 0xD8, 0xFF, 0xFF, 0xFF, // jmp 0x401000
+		0x48, 0xC7, 0xC0, 0x3C, 0x00, 0x00, 0x00, // exit: mov rax, 60
+		0x0F, 0x05, // syscall
+	})
+	// Instruction windows cut short at the section end: a full page of
+	// text, so the page after it is unmapped and fetches near the end
+	// return fewer than MaxInstLen bytes. A jump over nop padding
+	// reaches two instructions that still decode from their short
+	// windows and a mov rax, imm32 whose window ends after four bytes.
+	tail := []byte{
+		0x48, 0x31, 0xFF, // xor rdi, rdi
+		0x48, 0xFF, 0xC7, // inc rdi
+		0x48, 0xC7, 0xC0, 0x3C, // mov rax, 60 (truncated)
+	}
+	page := bytes.Repeat([]byte{0x90}, 4096)
+	copy(page, []byte{0xE9})
+	binary.LittleEndian.PutUint32(page[1:], uint32(4096-len(tail)-5))
+	copy(page[4096-len(tail):], tail)
+	f.Add(page)
 	f.Fuzz(func(t *testing.T, code []byte) {
-		if len(code) == 0 || len(code) > 1024 {
+		if len(code) == 0 || len(code) > 4096 {
 			return
 		}
-		run := func(singleStep, pages bool) (Result, error, map[uint64]uint64) {
+		run := func(cfg Config, image bool) (Result, error, map[uint64]uint64) {
 			bin := &elf.Binary{
 				Entry: 0x401000,
 				Sections: []*elf.Section{
@@ -150,23 +195,38 @@ func FuzzUopTranslator(f *testing.F) {
 					{Name: ".data", Addr: 0x600000, Data: make([]byte, 4096), Flags: elf.FlagRead | elf.FlagWrite},
 				},
 			}
-			m := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: singleStep, RecordPages: pages})
+			cfg.Stdin, cfg.StepLimit = []byte("fuzz"), 4096
+			var m *Machine
+			if image {
+				s := New(bin, Config{}).Snapshot()
+				s.SeedProgram(TranslateImage(s))
+				m = s.Resume(cfg)
+			} else {
+				m = New(bin, cfg)
+			}
 			res, err := m.Run()
 			log := maps.Clone(m.PageLog())
 			m.Release()
 			return res, err, log
 		}
-		rs, es, _ := run(true, false)
-		rf, ef, _ := run(false, false)
+		rs, es, _ := run(Config{SingleStep: true}, false)
+		rf, ef, _ := run(Config{}, false)
 		sameRun(t, "fast", rf, ef, rs, es)
-		// The page log keeps both engines on their own paths: same
-		// runs, and the same pages at the same first-fetch steps.
-		rfl, efl, logF := run(false, true)
-		rsl, esl, logS := run(true, true)
+		ri, ei, _ := run(Config{}, true)
+		sameRun(t, "image", ri, ei, rs, es)
+		// The page log keeps every engine on its own paths: same runs,
+		// and the same pages at the same first-fetch steps.
+		rfl, efl, logF := run(Config{RecordPages: true}, false)
+		ril, eil, logI := run(Config{RecordPages: true}, true)
+		rsl, esl, logS := run(Config{SingleStep: true, RecordPages: true}, false)
 		sameRun(t, "fast, page log", rfl, efl, rs, es)
+		sameRun(t, "image, page log", ril, eil, rs, es)
 		sameRun(t, "single-step, page log", rsl, esl, rs, es)
 		if !maps.Equal(logF, logS) {
 			t.Fatalf("page log divergence: fast=%v slow=%v", logF, logS)
+		}
+		if !maps.Equal(logI, logS) {
+			t.Fatalf("page log divergence: image=%v slow=%v", logI, logS)
 		}
 	})
 }

@@ -432,7 +432,7 @@ func (m *Machine) Step() error {
 	}
 	var in *isa.Inst
 	if m.icacheBase != nil {
-		in = m.icacheBase.lookup(m.RIP)
+		in = m.icacheBase.Lookup(m.RIP)
 	}
 	if in == nil {
 		if m.icache == nil {

@@ -217,3 +217,83 @@ func TestSeedProgramAfterFlip(t *testing.T) {
 		t.Error("snapshot accepted a program built from mutated code")
 	}
 }
+
+// imageSnapshot returns the entry snapshot of a binary with one
+// executable section per code blob, the first at 0x401000 and each
+// next one gap bytes past the end of the one before, seeded with its
+// whole-image program.
+func imageSnapshot(t *testing.T, gap uint64, code ...[]byte) *Snapshot {
+	t.Helper()
+	bin := &elf.Binary{Entry: 0x401000}
+	a := uint64(0x401000)
+	for _, c := range code {
+		bin.Sections = append(bin.Sections, &elf.Section{Name: ".text", Addr: a, Data: c, Flags: elf.FlagRead | elf.FlagExec})
+		a += uint64(len(c)) + gap
+	}
+	s := New(bin, Config{}).Snapshot()
+	s.SeedProgram(TranslateImage(s))
+	return s
+}
+
+// TestTranslateImage: the whole-image program decodes the linear sweep
+// of the text and leaves out what does not decode from its fetch
+// window. A run that stays on the sweep translates nothing privately;
+// a branch into the middle of a swept instruction is served by private
+// translation. An executable span beyond maxPrivSpan gets no program.
+func TestTranslateImage(t *testing.T) {
+	run := func(s *Snapshot, priv bool) {
+		t.Helper()
+		m := s.Resume(Config{})
+		defer m.Release()
+		if res, err := m.Run(); err != nil || res.ExitCode != 0 {
+			t.Fatalf("run = %+v, %v; want exit 0", res, err)
+		}
+		if got := m.priv != nil; got != priv {
+			t.Errorf("private translation = %v, want %v", got, priv)
+		}
+	}
+	s := imageSnapshot(t, 0, []byte{
+		0x48, 0xC7, 0xC0, 0x3C, 0x00, 0x00, 0x00, // 0x401000 mov rax, 60
+		0x48, 0x31, 0xFF, // 0x401007 xor rdi, rdi
+		0x0F, 0x05, // 0x40100A syscall
+	})
+	if s.prog == nil {
+		t.Fatal("no image program")
+	}
+	run(s, false)
+
+	s = imageSnapshot(t, 0, []byte{
+		0x48, 0xC7, 0xC0, 0x3C, 0x00, 0x00, 0x00, // 0x401000 mov rax, 60
+		0xEB, 0x01, // 0x401007 jmp 0x40100A
+		0xB8, 0x48, 0x31, 0xFF, 0x90, // 0x401009 mov eax, imm32
+		0x0F, 0x05, // 0x40100E syscall
+	})
+	for _, a := range []uint64{0x401000, 0x401007, 0x401009, 0x40100E} {
+		if s.prog.Lookup(a) == nil {
+			t.Errorf("no instruction at %#x", a)
+		}
+	}
+	if s.prog.Lookup(0x40100A) != nil {
+		t.Error("branch target inside the swept mov was decoded")
+	}
+	run(s, true)
+
+	// The page after the text is unmapped: past the nop padding, inc
+	// rdi still decodes from its 7-byte window, the 4 bytes of mov rax,
+	// imm32 do not.
+	page := make([]byte, pageSize)
+	for i := range page {
+		page[i] = 0x90
+	}
+	copy(page[pageSize-7:], []byte{0x48, 0xFF, 0xC7, 0x48, 0xC7, 0xC0, 0x3C})
+	s = imageSnapshot(t, 0, page)
+	if s.prog.Lookup(0x401FF9) == nil || s.prog.Lookup(0x401FFC) != nil {
+		t.Errorf("cut-short windows: inc %v, truncated mov %v; want decoded, absent",
+			s.prog.Lookup(0x401FF9), s.prog.Lookup(0x401FFC))
+	}
+
+	s = imageSnapshot(t, maxPrivSpan, []byte{0x90}, []byte{0x90})
+	if s.prog != nil {
+		t.Error("image program built over a span beyond maxPrivSpan")
+	}
+}

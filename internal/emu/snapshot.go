@@ -67,9 +67,9 @@ type Snapshot struct {
 
 	mem memImage
 
-	// Optional golden-run code artifact (TranslateProgram): decoded
-	// instructions plus their micro-op stream, shared read-only by all
-	// resumed machines. They serve the decode cache from it while their
+	// Optional code artifact (TranslateProgram or TranslateImage):
+	// decoded instructions plus their micro-op stream, shared read-only
+	// by all resumed machines. They serve the decode cache from it while their
 	// code generation still matches, and the micro-op fast path for as
 	// long as Program.fits.
 	prog *Program
@@ -97,10 +97,10 @@ func (m *Machine) Snapshot() *Snapshot {
 // was taken.
 func (s *Snapshot) Steps() uint64 { return s.steps }
 
-// SeedProgram attaches a golden run's shared code artifact (built with
-// TranslateProgram) so resumed machines neither re-decode the
-// instructions the golden run decoded nor re-translate them into
-// micro-op blocks. Ignored unless the program fits the snapshot's code:
+// SeedProgram attaches a shared code artifact (built with
+// TranslateProgram from a golden run, or TranslateImage) so resumed
+// machines neither re-decode the instructions it holds nor re-translate
+// them into micro-op blocks. Ignored unless the program fits the snapshot's code:
 // same code generation, or a generation-zero program and a snapshot
 // whose code changed only at recorded ranges (a bit-flipped first-fault
 // state, see Program.fits).

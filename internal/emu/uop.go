@@ -11,11 +11,12 @@
 // resolved, immediates pre-masked, RIP-relative addresses folded —
 // and straight-line runs dispatch uops back to back off one switch.
 //
-// Two uop sources exist. A Program is translated once from a golden
-// run's decoded instructions and shared read-only, together with them,
-// by every machine resumed from the run's snapshots (dense index).
-// Machines without a seeded program (cold starts) translate private
-// blocks lazily from their own memory.
+// Two uop sources exist. A Program is translated once — from a golden
+// run's decoded instructions, or from a snapshot's whole executable
+// image — and shared read-only, together with them, by every machine
+// resumed from the snapshots it seeds (dense index). Machines without
+// a seeded program (cold starts) translate private blocks lazily from
+// their own memory.
 //
 // A machine whose code mutated (a bit flip, a self-modifying store)
 // keeps a generation-zero Program as an overlay: Memory records the
@@ -45,6 +46,7 @@
 package emu
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -371,18 +373,19 @@ func shiftKind(op isa.Op) uint8 {
 	return ccSar
 }
 
-// Program is a golden run's immutable code artifact, dense over its
-// code address range: the decoded instructions (the per-step decode
-// cache, an index instead of a map hash) and the micro-op stream
-// translated from them. Built once from a finished golden run and
-// shared read-only by every machine resumed from the run's snapshots
-// (see Snapshot.SeedProgram).
+// Program is an immutable code artifact for one code generation: the
+// decoded instructions, one per micro-op and index-aligned with the
+// micro-op stream translated from them, plus a dense address index
+// into both (the per-step decode cache is an index instead of a map
+// hash). Built once — from a finished golden run's decode map
+// (TranslateProgram) or from a snapshot's whole executable image
+// (TranslateImage) — and shared read-only by every machine resumed
+// from a snapshot it seeds (see Snapshot.SeedProgram).
 type Program struct {
 	base  uint64
-	gen   uint64 // memory code generation the artifact is valid for
-	insts []isa.Inst
-	have  []bool
-	idx   []int32 // addr-base -> uop index + 1; 0 = not translated
+	gen   uint64     // memory code generation the artifact is valid for
+	insts []isa.Inst // decoded instructions; insts[i] is uops[i]'s
+	idx   []int32    // addr-base -> uop index + 1; 0 = not translated
 	uops  []uop
 }
 
@@ -392,53 +395,92 @@ type Program struct {
 const maxProgramSpan = 16 << 20
 
 // TranslateProgram converts a machine's decode map (see DecodeCache)
-// into a shared Program: the dense decode cache plus its micro-op
+// into a shared Program: the decoded instructions plus their micro-op
 // translation. Returns nil when there is nothing to cache or the
 // addresses span an implausibly large range.
 func TranslateProgram(decoded map[uint64]*isa.Inst, gen uint64) *Program {
-	if len(decoded) == 0 {
+	insts := make([]isa.Inst, 0, len(decoded))
+	//lint:allow maprange (collected, then sorted by address below)
+	for _, in := range decoded {
+		insts = append(insts, *in)
+	}
+	return translate(insts, gen)
+}
+
+// translate builds a Program from decoded instructions at distinct
+// addresses, taking ownership of the slice: it walks them in address
+// order and translates each into the uop at its own index. Returns nil
+// for no instructions or a span beyond maxProgramSpan.
+func translate(insts []isa.Inst, gen uint64) *Program {
+	if len(insts) == 0 {
 		return nil
 	}
-	lo, hi := uint64(1<<63), uint64(0)
-	//lint:allow maprange (min/max fold: commutative)
-	for a := range decoded {
-		lo, hi = min(lo, a), max(hi, a)
-	}
-	span := hi - lo + 1
+	slices.SortFunc(insts, func(a, b isa.Inst) int { return cmp.Compare(a.Addr, b.Addr) })
+	lo := insts[0].Addr
+	span := insts[len(insts)-1].Addr - lo + 1
 	if span > maxProgramSpan {
 		return nil
 	}
 	p := &Program{
 		base:  lo,
 		gen:   gen,
-		insts: make([]isa.Inst, span),
-		have:  make([]bool, span),
+		insts: insts,
 		idx:   make([]int32, span),
-		uops:  make([]uop, 0, len(decoded)),
+		uops:  make([]uop, len(insts)),
 	}
-	for a, in := range decoded {
-		p.insts[a-lo] = *in
-		p.have[a-lo] = true
-	}
-	prev := -1
-	for off := range p.have {
-		if !p.have[off] {
-			continue
-		}
-		p.uops = append(p.uops, uop{})
-		i := len(p.uops) - 1
+	for i := range insts {
 		// The decoded instructions are stable for the program's
 		// lifetime, so generic uops may point straight into them.
-		translateInst(&p.insts[off], &p.uops[i])
-		p.idx[off] = int32(i + 1)
-		if prev >= 0 {
-			if pu := &p.uops[prev]; pu.flags&uFlagCF == 0 && pu.next == p.uops[i].addr {
+		translateInst(&p.insts[i], &p.uops[i])
+		p.idx[insts[i].Addr-lo] = int32(i + 1)
+		if i > 0 {
+			if pu := &p.uops[i-1]; pu.flags&uFlagCF == 0 && pu.next == p.uops[i].addr {
 				pu.flags |= uFlagSeq
 			}
 		}
-		prev = i
 	}
 	return p
+}
+
+// TranslateImage decodes the snapshot's whole executable image into a
+// Program for the snapshot's code generation, so machines resumed from
+// it translate nothing themselves while they run on that image. Each
+// executable region is swept linearly from its first byte (a byte that
+// does not decode is stepped over). Bytes are read through
+// Memory.Fetch, so a window cut short at the end of executable memory
+// decodes exactly as a runtime fetch does. An address off the sweep (a
+// branch into the middle of a swept instruction) stays with each
+// machine's private translation. Returns nil when the executable span
+// exceeds maxPrivSpan: such binaries keep the interpreter.
+func TranslateImage(s *Snapshot) *Program {
+	m := s.Resume(Config{})
+	defer m.Release()
+	lo, hi := m.Mem.execSpan()
+	if hi <= lo || hi-lo > maxPrivSpan {
+		return nil
+	}
+	// Sized for instructions of 4 bytes on average (rewritten code runs
+	// longer), so the sweep does not regrow the slice it hands over.
+	insts := make([]isa.Inst, 0, (hi-lo)/4)
+	for _, r := range m.Mem.regions {
+		if r.perm&elf.FlagExec == 0 {
+			continue
+		}
+		for pc := r.addr; pc < r.addr+r.size; {
+			n, err := m.Mem.Fetch(pc, m.fetchBuf[:])
+			var in isa.Inst
+			if err == nil {
+				in, err = decode.Decode(m.fetchBuf[:n], pc)
+			}
+			if err != nil {
+				pc++
+				continue
+			}
+			insts = append(insts, in)
+			pc += uint64(in.EncLen)
+		}
+	}
+	return translate(insts, m.Mem.codeGen)
 }
 
 // fits reports whether the program may serve micro-ops to a memory at
@@ -450,11 +492,14 @@ func (p *Program) fits(gen uint64, edits *editLog) bool {
 	return p.gen == gen || p.gen == 0 && !edits.full()
 }
 
-// lookup returns the decoded instruction at addr, or nil.
-func (p *Program) lookup(addr uint64) *isa.Inst {
-	off := addr - p.base
-	if off < uint64(len(p.have)) && p.have[off] {
-		return &p.insts[off]
+// Lookup returns the instruction the program decoded at addr, or nil.
+// The instruction is shared by every machine the program serves;
+// callers must not mutate it.
+func (p *Program) Lookup(addr uint64) *isa.Inst {
+	if off := addr - p.base; off < uint64(len(p.idx)) {
+		if i := p.idx[off]; i > 0 {
+			return &p.insts[i-1]
+		}
 	}
 	return nil
 }

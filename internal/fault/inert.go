@@ -19,8 +19,9 @@
 //     compose exactly as if injected alone.
 //
 // The screen requires the reference run to have left code unmutated
-// (generation zero): the decoded window instructions describe load-time
-// bytes.
+// (generation zero): the window instructions, read from the session's
+// program, then describe load-time bytes. A session without a program
+// (executed code spanning more than 16 MiB) does without the screen.
 package fault
 
 import "github.com/r2r/reinforce/internal/static"
@@ -43,7 +44,7 @@ func skipWindowOf(f Fault) (int, bool) {
 // trace-contiguous (the reference fell through), and every instruction
 // transparent.
 func (s *Session) transparentFirst(f Fault) bool {
-	if s.inert == nil {
+	if !s.pristine || s.prog == nil {
 		return false
 	}
 	w, ok := skipWindowOf(f)
@@ -56,8 +57,8 @@ func (s *Session) transparentFirst(f Fault) bool {
 		return false
 	}
 	for k := i; k < i+w; k++ {
-		in, known := s.inert[entries[k].Addr]
-		if !known || !static.Transparent(in) || entries[k+1].Addr != in.Addr+uint64(in.EncLen) {
+		in := s.prog.Lookup(entries[k].Addr)
+		if in == nil || !static.Transparent(*in) || entries[k+1].Addr != in.Addr+uint64(in.EncLen) {
 			return false
 		}
 	}

@@ -75,10 +75,11 @@ type Session struct {
 	// when the pre-screen is disabled (self-modifying reference run).
 	probes map[uint64]probe
 
-	// inert holds the reference run's decoded instructions by address,
-	// which the transparent-first-fault screen (inert.go) reads skip
-	// windows from. Nil unless the reference run left code unmutated.
-	inert map[uint64]isa.Inst
+	// pristine records that the reference run left code unmutated
+	// (code generation zero), so prog's instructions are the load-time
+	// bytes the transparent-first-fault screen (inert.go) reads skip
+	// windows from.
+	pristine bool
 
 	// sched, when set via SetPool, is the shared WorkerPool every
 	// shard/pair/triple stage runs on instead of a private pool of its
@@ -183,15 +184,8 @@ func NewSession(c Campaign) (*Session, error) {
 
 	// The transparent-first-fault screen decodes skip windows against
 	// load-time bytes, so it shares the generation-zero precondition
-	// with the decode pre-screen below. The instructions are
-	// value-copied out of the machine's cache so later resumed machines
-	// cannot alias it.
-	if gen == 0 {
-		s.inert = make(map[uint64]isa.Inst, len(cache))
-		for a, in := range cache {
-			s.inert[a] = *in
-		}
-	}
+	// with the decode pre-screen below.
+	s.pristine = gen == 0
 
 	// Bit-flip decode pre-screen: when the reference run never mutated
 	// code (generation still zero), the bytes fetched at any traced

@@ -86,8 +86,30 @@ type behavior struct {
 	stderr  string
 }
 
-func observe(bin *elf.Binary, in []byte, limit uint64) behavior {
-	res, err := emu.New(bin, emu.Config{Stdin: in, StepLimit: limit}).Run()
+// entry returns the binary's entry-state snapshot (sections loaded,
+// stack mapped, RIP at entry) seeded with its whole-image micro-op
+// program, so every input forks one loaded image and one translation
+// instead of loading and translating the binary per run. The snapshot
+// carries no stdin: Resume keeps a snapshot's stream when handed none,
+// so a nil input reads as empty, as on a fresh machine.
+func entry(bin *elf.Binary) *emu.Snapshot {
+	s := emu.New(bin, emu.Config{}).Snapshot()
+	s.SeedProgram(emu.TranslateImage(s))
+	return s
+}
+
+// observe runs one input from the entry snapshot and releases the
+// machine once its behavior is copied out.
+func observe(s *emu.Snapshot, in []byte, limit uint64) behavior {
+	m := s.Resume(emu.Config{Stdin: in, StepLimit: limit})
+	b := behaviorOf(m.Run())
+	m.Release()
+	return b
+}
+
+// behaviorOf copies a finished run's syscall-visible surface out of its
+// result.
+func behaviorOf(res emu.Result, err error) behavior {
 	b := behavior{
 		exit:   res.ExitCode,
 		stdout: string(res.Stdout),
@@ -137,9 +159,10 @@ func crashLabel(b behavior) string {
 }
 
 // Diff runs original and hardened under the emulator for every input
-// and reports each divergence of the syscall-visible surface. The
-// report is deterministic: verdicts are indexed by input position, so
-// worker scheduling cannot reorder them.
+// and reports each divergence of the syscall-visible surface. Each
+// binary is loaded and translated once (entry); every input resumes
+// from that snapshot. The report is deterministic: verdicts are indexed
+// by input position, so worker scheduling cannot reorder them.
 func Diff(orig, hardened *elf.Binary, inputs [][]byte, opt Options) *Report {
 	limit := opt.StepLimit
 	if limit == 0 {
@@ -156,6 +179,7 @@ func Diff(orig, hardened *elf.Binary, inputs [][]byte, opt Options) *Report {
 		workers = 1
 	}
 
+	o, h := entry(orig), entry(hardened)
 	divs := make([]*Divergence, len(inputs))
 	var cursor int64
 	var wg sync.WaitGroup
@@ -169,7 +193,7 @@ func Diff(orig, hardened *elf.Binary, inputs [][]byte, opt Options) *Report {
 					return
 				}
 				in := inputs[i]
-				divs[i] = compare(i, in, observe(orig, in, limit), observe(hardened, in, limit))
+				divs[i] = compare(i, in, observe(o, in, limit), observe(h, in, limit))
 			}
 		}()
 	}

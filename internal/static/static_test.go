@@ -132,19 +132,19 @@ func TestEffectsTable(t *testing.T) {
 	}
 	imm := func(v int64) isa.Operand { return isa.Operand{Kind: isa.KindImm, Imm: v} }
 
-	// Full-width mov kills the destination and reads only the source.
+	// Full-width mov kills the destination.
 	e := EffectsOf(mk(isa.MOV, reg(isa.RAX, 8), reg(isa.RBX, 8)))
-	if !e.Kill.Has(RegBit(isa.RAX)) || !e.Use.Has(RegBit(isa.RBX)) || e.Use.Has(RegBit(isa.RAX)) {
+	if !e.Kill.Has(RegBit(isa.RAX)) {
 		t.Errorf("mov rax, rbx effects = %+v", e)
 	}
-	// 1-byte writes merge: use+write, no kill.
+	// 1-byte writes merge: write, no kill.
 	e = EffectsOf(mk(isa.MOV, reg(isa.RAX, 1), imm(7)))
-	if e.Kill.Has(RegBit(isa.RAX)) || !e.Use.Has(RegBit(isa.RAX)) || !e.Write.Has(RegBit(isa.RAX)) {
+	if e.Kill.Has(RegBit(isa.RAX)) || !e.Write.Has(RegBit(isa.RAX)) {
 		t.Errorf("mov al, 7 effects = %+v", e)
 	}
-	// inc preserves CF: flags used and written, not killed.
+	// inc preserves CF: flags written, not killed.
 	e = EffectsOf(mk(isa.INC, reg(isa.RAX, 8), isa.Operand{}))
-	if e.Kill.Has(Flags) || !e.Use.Has(Flags) || !e.Write.Has(Flags) {
+	if e.Kill.Has(Flags) || !e.Write.Has(Flags) {
 		t.Errorf("inc rax effects = %+v", e)
 	}
 	// Shift by zero leaves flags untouched; nonzero kills them.
@@ -156,19 +156,14 @@ func TestEffectsTable(t *testing.T) {
 	if !e.Kill.Has(Flags) {
 		t.Errorf("shl rax, 3 must kill flags: %+v", e)
 	}
-	// adc reads its own flags before killing them.
+	// adc kills the flags it also reads.
 	e = EffectsOf(mk(isa.ADC, reg(isa.RAX, 8), reg(isa.RBX, 8)))
-	if !e.Use.Has(Flags) || !e.Kill.Has(Flags) {
+	if !e.Kill.Has(Flags) {
 		t.Errorf("adc effects = %+v", e)
 	}
-	// ret uses everything (unknown continuation).
-	e = EffectsOf(isa.Inst{Op: isa.RET})
-	if e.Use != AllRegs|Flags {
-		t.Errorf("ret use = %v, want all", e.Use)
-	}
-	// syscall clobbers rax/rcx/r11 and reads the call registers.
+	// syscall clobbers rax/rcx/r11.
 	e = EffectsOf(isa.Inst{Op: isa.SYSCALL})
-	if !e.Kill.Has(RegBit(isa.RCX)) || !e.Kill.Has(RegBit(isa.R11)) || !e.Use.Has(RegBit(isa.RDI)) {
+	if !e.Kill.Has(RegBit(isa.RCX)) || !e.Kill.Has(RegBit(isa.R11)) {
 		t.Errorf("syscall effects = %+v", e)
 	}
 }
