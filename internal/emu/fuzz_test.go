@@ -458,8 +458,8 @@ func sameRun(t *testing.T, label string, rf Result, ef error, rs Result, es erro
 }
 
 // FuzzProgramOverlay: differential fuzzing of the program overlay. The
-// golden run of arbitrary code seeds its entry snapshot with a
-// program; a fork then flips one bit of the code (pos, bit) before the
+// whole-image program of arbitrary code seeds its entry snapshot; a
+// fork then flips one bit of the code (pos, bit) before the
 // fetch of dynamic step `step`, and the fast path — which keeps serving
 // the program's uops the flip missed — must match the single-step
 // interpreter: result, error text, page log (recorded when bit's high

@@ -56,7 +56,7 @@ func newLazyPair(rflags, a, b uint64) *lazyPair {
 // address: a two-uop stream for runInLoop.
 func loopProgram(in isa.Inst) *Program {
 	nop := isa.Inst{Op: isa.NOP, Addr: in.Addr + uint64(in.EncLen), EncLen: 1, Cond: isa.NoCond}
-	return TranslateProgram(map[uint64]*isa.Inst{in.Addr: &in, nop.Addr: &nop}, 0)
+	return translate([]isa.Inst{in, nop})
 }
 
 // runInLoop executes the first uop of p (see loopProgram) on m through

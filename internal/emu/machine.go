@@ -247,22 +247,17 @@ type Machine struct {
 	// Memory.CodeGeneration changes (pokes, bit flips, self-modifying
 	// stores). Fault campaigns execute the same instructions millions
 	// of times; decoding once per address is the difference between
-	// minutes and seconds per campaign. Allocated lazily (machines fully
+	// minutes and seconds per campaign. Step consults it only for
+	// addresses prog does not serve. Allocated lazily (machines fully
 	// served by a shared Program never touch it) and kept, cleared,
 	// across Release and the machine pool (see Release), so interpreting
-	// machines do not allocate a fresh map each. DecodeCache detaches
-	// the map it hands out, so a donated map is never cleared or pooled.
+	// machines do not allocate a fresh map each.
 	icache    map[uint64]*isa.Inst
 	icacheGen uint64
 
-	// icacheBase is the decoded half of an optional shared Program
-	// seeded from a Snapshot's golden run; it is consulted first and
-	// dropped as soon as the code mutates. Never written (it is shared
-	// across machines).
-	icacheBase *Program
-
 	// Micro-op fast path (uop.go). prog is an optional shared
-	// predecoded program seeded from a Snapshot; once code mutates it
+	// predecoded program seeded from a Snapshot; Step reads its
+	// instructions while code is unmutated, and once code mutates it
 	// serves only uops no recorded edit touches, and poison lists the
 	// ones an edit does touch (sorted uop indices, valid for poisonGen;
 	// poisonBuf backs the usual short list). priv holds blocks this
@@ -427,12 +422,9 @@ func (m *Machine) Step() error {
 		m.notePage(m.RIP)
 	}
 	gen := m.Mem.CodeGeneration()
-	if m.icacheBase != nil && gen != m.icacheBase.gen {
-		m.icacheBase = nil // seeded cache is stale once code mutates
-	}
 	var in *isa.Inst
-	if m.icacheBase != nil {
-		in = m.icacheBase.Lookup(m.RIP)
+	if m.prog != nil && gen == 0 {
+		in = m.prog.Lookup(m.RIP) // load-time code: the program's decode holds
 	}
 	if in == nil {
 		if m.icache == nil {

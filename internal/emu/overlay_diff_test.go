@@ -13,15 +13,14 @@ import (
 )
 
 // seededEntry returns the binary's entry snapshot for input in, seeded
-// with the code artifact of its own reference run (the way fault
-// sessions seed their checkpoints), plus that run's trace and steps.
+// with its whole-image program (the way fault sessions seed theirs),
+// plus the trace and steps of the reference run from it.
 func seededEntry(t *testing.T, bin *elf.Binary, in []byte) (*emu.Snapshot, []emu.TraceEntry, uint64) {
 	t.Helper()
 	base := emu.New(bin, emu.Config{Stdin: in}).Snapshot()
+	base.SeedProgram(emu.TranslateImage(base))
 	rm := base.Resume(emu.Config{RecordTrace: true})
 	res, _ := rm.Run()
-	cache, gen := rm.DecodeCache()
-	base.SeedProgram(emu.TranslateProgram(cache, gen))
 	return base, rm.Trace, res.Steps
 }
 
@@ -119,8 +118,8 @@ func TestPageLogParityPageBoundary(t *testing.T) {
 	}
 }
 
-// TestProgramOverlayParity: a bit-flipped machine keeps the golden
-// program for every uop whose bytes the flip missed. For each catalog
+// TestProgramOverlayParity: a bit-flipped machine keeps the
+// whole-image program for every uop whose bytes the flip missed. For each catalog
 // binary, resume the program-seeded entry snapshot, flip each bit of
 // every traced instruction's bytes, and hold the fast path (program
 // overlay plus private translation) to the single-step interpreter:

@@ -28,7 +28,7 @@ var loopText = []byte{
 const immAddr = 0x40100A
 
 // seededSnapshot returns the entry snapshot of a binary whose .text is
-// code, seeded with the program of its own golden run.
+// code, seeded with its whole-image program.
 func seededSnapshot(t *testing.T, code []byte) *Snapshot {
 	t.Helper()
 	bin := &elf.Binary{
@@ -39,10 +39,7 @@ func seededSnapshot(t *testing.T, code []byte) *Snapshot {
 		},
 	}
 	base := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096}).Snapshot()
-	golden := base.Resume(Config{StepLimit: 4096, SingleStep: true})
-	golden.Run()
-	cache, gen := golden.DecodeCache()
-	base.SeedProgram(TranslateProgram(cache, gen))
+	base.SeedProgram(TranslateImage(base))
 	return base
 }
 
@@ -174,47 +171,59 @@ func TestEditLog(t *testing.T) {
 	}
 }
 
-// TestSeedProgramAfterFlip: a snapshot whose code differs from a
-// generation-zero program only at recorded ranges accepts the program
-// (the order-2 tree's first-fault snapshots after a bit flip); one
-// whose edit record overflowed, or a program from mutated code, does
-// not.
+// TestSeedProgramAfterFlip: a snapshot keeps the program of the
+// machine it freezes while the program fits its code — unmutated, or
+// changed only at recorded ranges (the order-2 tree's first-fault
+// snapshots after a bit flip) — so a snapshot of a machine resumed
+// from such a snapshot carries it on; once the edit record overflowed
+// it is gone, and SeedProgram refuses it. TranslateImage builds no
+// program from a snapshot whose code changed.
 func TestSeedProgramAfterFlip(t *testing.T) {
 	base := seededSnapshot(t, loopText)
 	prog := base.prog
-	if prog == nil || prog.gen != 0 {
-		t.Fatal("golden program missing")
+	if prog == nil {
+		t.Fatal("image program missing")
 	}
-	fork := func(edits int) *Snapshot {
-		m := base.Resume(Config{})
+	// fork resumes a machine from `from`, flips a bit in each of `edits`
+	// disjoint pad bytes no run executes, runs it to step `steps` and
+	// snapshots it.
+	fork := func(from *Snapshot, edits int, steps uint64) *Snapshot {
+		m := from.Resume(Config{})
 		for i := 0; i < edits; i++ {
 			_ = m.Mem.FlipBit(0x401022+2*uint64(i), 0)
 		}
+		if _, done, err := m.RunUntil(steps); done {
+			t.Fatalf("run ended before step %d: %v", steps, err)
+		}
 		return m.Snapshot()
 	}
-	s := fork(1)
-	s.SeedProgram(prog)
-	if s.prog != prog {
-		t.Fatal("flipped snapshot refused the generation-zero program")
+	for _, edits := range []int{0, 1} {
+		s := fork(base, edits, 2)
+		if s.prog != prog {
+			t.Fatalf("%d flips: snapshot dropped the program", edits)
+		}
+		if again := fork(s, 0, 4); again.prog != prog {
+			t.Fatalf("%d flips: snapshot of a resumed snapshot's machine dropped the program", edits)
+		}
+		m := s.Resume(Config{SingleStep: true})
+		if m.prog != prog {
+			t.Errorf("%d flips: resumed machine dropped the program", edits)
+		}
+		if res, err := m.Run(); err != nil || res.ExitCode != 10 {
+			t.Errorf("%d flips: run = %+v, %v; want exit 10", edits, res, err)
+		}
+		m.Release()
 	}
-	m := s.Resume(Config{SingleStep: true})
-	if m.prog != prog {
-		t.Error("resumed machine dropped the program")
+	if TranslateImage(fork(base, 1, 0)) != nil {
+		t.Error("TranslateImage built a program from flipped code")
 	}
-	if m.Step(); m.icacheBase != nil {
-		t.Error("decode cache kept the program across a code mutation")
+	s := fork(base, maxEdits+1, 2)
+	if s.prog != nil {
+		t.Error("overflowed snapshot kept the program")
 	}
-	s = fork(maxEdits + 1)
 	s.SeedProgram(prog)
 	if s.prog != nil {
 		t.Error("overflowed snapshot accepted the program")
-	}
-	stale := *prog
-	stale.gen = 1
-	s = fork(2)
-	s.SeedProgram(&stale)
-	if s.prog != nil {
-		t.Error("snapshot accepted a program built from mutated code")
 	}
 }
 
@@ -239,7 +248,9 @@ func imageSnapshot(t *testing.T, gap uint64, code ...[]byte) *Snapshot {
 // of the text and leaves out what does not decode from its fetch
 // window. A run that stays on the sweep translates nothing privately;
 // a branch into the middle of a swept instruction is served by private
-// translation. An executable span beyond maxPrivSpan gets no program.
+// translation. The program's instruction slice is sized for the
+// executable bytes. An executable span beyond maxPrivSpan gets no
+// program.
 func TestTranslateImage(t *testing.T) {
 	run := func(s *Snapshot, priv bool) {
 		t.Helper()
@@ -290,6 +301,13 @@ func TestTranslateImage(t *testing.T) {
 	if s.prog.Lookup(0x401FF9) == nil || s.prog.Lookup(0x401FFC) != nil {
 		t.Errorf("cut-short windows: inc %v, truncated mov %v; want decoded, absent",
 			s.prog.Lookup(0x401FF9), s.prog.Lookup(0x401FFC))
+	}
+
+	// Two sections 900 KiB apart: the instruction slice is sized for
+	// the executable bytes, not for the span between them.
+	s = imageSnapshot(t, 900<<10, []byte{0x90, 0x90}, []byte{0x90, 0x90})
+	if n := len(s.prog.insts); n != 4 || cap(s.prog.insts) > 16 {
+		t.Errorf("sparse image: %d instructions in a slice of %d", n, cap(s.prog.insts))
 	}
 
 	s = imageSnapshot(t, maxPrivSpan, []byte{0x90}, []byte{0x90})

@@ -80,8 +80,7 @@ func (m *Machine) Release() {
 	*mem = Memory{pages: pages}
 	memoryPool.Put(mem)
 	// Keep the decode map too, emptied: its entries were decoded from
-	// this machine's code. A map handed out by DecodeCache is no longer
-	// the machine's, so it is never cleared here.
+	// this machine's code.
 	ic := m.icache
 	if len(ic) > maxPooledICache {
 		ic = nil

@@ -67,11 +67,11 @@ type Snapshot struct {
 
 	mem memImage
 
-	// Optional code artifact (TranslateProgram or TranslateImage):
-	// decoded instructions plus their micro-op stream, shared read-only
-	// by all resumed machines. They serve the decode cache from it while their
-	// code generation still matches, and the micro-op fast path for as
-	// long as Program.fits.
+	// Optional code artifact (TranslateImage): the binary's load-time
+	// instructions plus their micro-op stream, shared read-only by all
+	// resumed machines. They read instructions from it while their code
+	// is unmutated, and serve micro-ops from it for as long as their
+	// edit record holds (see Machine.progAt).
 	prog *Program
 }
 
@@ -79,8 +79,11 @@ type Snapshot struct {
 // usable afterwards (its next write to any frozen page clones it).
 // Must not be called concurrently with resumed machines running; the
 // intended sequence is: run + snapshot single-threaded, then fan out.
+// The snapshot keeps the machine's program while the program still fits
+// its code, so snapshots along a run, or of a faulted fork, serve their
+// resumes like the entry snapshot served the machine.
 func (m *Machine) Snapshot() *Snapshot {
-	return &Snapshot{
+	s := &Snapshot{
 		regs:   m.Regs,
 		rip:    m.RIP,
 		rflags: m.Rflags,
@@ -91,21 +94,24 @@ func (m *Machine) Snapshot() *Snapshot {
 		stderr: m.Stderr[:len(m.Stderr):len(m.Stderr)],
 		mem:    m.Mem.freeze(),
 	}
+	s.SeedProgram(m.prog)
+	return s
 }
 
 // Steps returns the number of instructions executed before the snapshot
 // was taken.
 func (s *Snapshot) Steps() uint64 { return s.steps }
 
-// SeedProgram attaches a shared code artifact (built with
-// TranslateProgram from a golden run, or TranslateImage) so resumed
-// machines neither re-decode the instructions it holds nor re-translate
-// them into micro-op blocks. Ignored unless the program fits the snapshot's code:
-// same code generation, or a generation-zero program and a snapshot
-// whose code changed only at recorded ranges (a bit-flipped first-fault
-// state, see Program.fits).
+// SeedProgram attaches a shared code artifact (TranslateImage of an
+// entry snapshot of the same binary) so resumed machines neither decode
+// the instructions it holds nor translate them into micro-op blocks.
+// Ignored unless the program fits the snapshot's code: every change
+// since load is recorded (a bit-flipped first-fault state, a
+// self-modifying reference run), so the bytes outside the recorded
+// ranges are still the load-time bytes the program decoded. Callers
+// seed entry snapshots; Machine.Snapshot hands the program on.
 func (s *Snapshot) SeedProgram(p *Program) {
-	if p != nil && p.fits(s.mem.codeGen, &s.mem.edits) {
+	if p != nil && !s.mem.edits.full() {
 		s.prog = p
 	}
 }
@@ -143,21 +149,6 @@ func (s *Snapshot) Resume(cfg Config) *Machine {
 	if cfg.Stdin != nil {
 		m.Stdin = cfg.Stdin
 	}
-	// Step drops icacheBase at the first code generation the program
-	// was not built for; the micro-op fast path keeps prog while it fits.
-	m.icacheBase, m.prog = s.prog, s.prog
+	m.prog = s.prog
 	return m
-}
-
-// DecodeCache hands out the machine's decoded-instruction cache and the
-// code generation it is valid for, so a finished golden run can donate
-// its decode work to a Snapshot (via TranslateProgram). The map is
-// detached from the machine: the machine decodes into a new map if it
-// keeps interpreting, and neither a code change nor Release ever clears
-// or pools the map handed out. The caller must not mutate the map or
-// the instructions it points to.
-func (m *Machine) DecodeCache() (map[uint64]*isa.Inst, uint64) {
-	c := m.icache
-	m.icache = nil
-	return c, m.icacheGen
 }

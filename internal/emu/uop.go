@@ -11,21 +11,21 @@
 // resolved, immediates pre-masked, RIP-relative addresses folded —
 // and straight-line runs dispatch uops back to back off one switch.
 //
-// Two uop sources exist. A Program is translated once — from a golden
-// run's decoded instructions, or from a snapshot's whole executable
-// image — and shared read-only, together with them, by every machine
-// resumed from the snapshots it seeds (dense index). Machines without
-// a seeded program (cold starts) translate private blocks lazily from
-// their own memory.
+// Two uop sources exist. A Program is translated once per binary from
+// an entry snapshot's whole executable image and shared read-only,
+// together with its decoded instructions, by every machine resumed
+// from that snapshot or from a snapshot of such a machine (dense
+// index). Machines without a program (cold starts) translate private
+// blocks lazily from their own memory.
 //
 // A machine whose code mutated (a bit flip, a self-modifying store)
-// keeps a generation-zero Program as an overlay: Memory records the
-// byte ranges each mutation changed, a program uop serves the machine
-// only if its encoding misses every recorded range, and the private
-// translation supplies the rest — the edited instructions and any
-// address the program never decoded (a flip that changes an
-// instruction's length shifts decoding). Private blocks end where the
-// program serves again. The indices of the program uops an edit
+// keeps its Program, which describes load-time code, as an overlay:
+// Memory records the byte ranges each mutation changed, a program uop
+// serves the machine only if its encoding misses every recorded range,
+// and the private translation supplies the rest — the edited
+// instructions and any address the program never decoded (a flip that
+// changes an instruction's length shifts decoding). Private blocks end
+// where the program serves again. The indices of the program uops an edit
 // poisons are computed once per code generation, so the runner's only
 // per-step cost is one index compare on a fall-through advance.
 //
@@ -373,59 +373,35 @@ func shiftKind(op isa.Op) uint8 {
 	return ccSar
 }
 
-// Program is an immutable code artifact for one code generation: the
-// decoded instructions, one per micro-op and index-aligned with the
+// Program is an immutable code artifact of a binary's load-time code:
+// the decoded instructions, one per micro-op and index-aligned with the
 // micro-op stream translated from them, plus a dense address index
 // into both (the per-step decode cache is an index instead of a map
-// hash). Built once — from a finished golden run's decode map
-// (TranslateProgram) or from a snapshot's whole executable image
-// (TranslateImage) — and shared read-only by every machine resumed
-// from a snapshot it seeds (see Snapshot.SeedProgram).
+// hash). TranslateImage builds it once per binary from an entry
+// snapshot's whole executable image; the snapshot it seeds hands it to
+// every machine resumed from it, and every snapshot of such a machine
+// keeps it (see Snapshot.SeedProgram).
 type Program struct {
 	base  uint64
-	gen   uint64     // memory code generation the artifact is valid for
 	insts []isa.Inst // decoded instructions; insts[i] is uops[i]'s
 	idx   []int32    // addr-base -> uop index + 1; 0 = not translated
 	uops  []uop
 }
 
-// maxProgramSpan bounds a Program's address range (the code of any
-// plausible rewritten binary is far below this; a sparse decode map
-// spanning more indicates address-space games not worth caching).
-const maxProgramSpan = 16 << 20
-
-// TranslateProgram converts a machine's decode map (see DecodeCache)
-// into a shared Program: the decoded instructions plus their micro-op
-// translation. Returns nil when there is nothing to cache or the
-// addresses span an implausibly large range.
-func TranslateProgram(decoded map[uint64]*isa.Inst, gen uint64) *Program {
-	insts := make([]isa.Inst, 0, len(decoded))
-	//lint:allow maprange (collected, then sorted by address below)
-	for _, in := range decoded {
-		insts = append(insts, *in)
-	}
-	return translate(insts, gen)
-}
-
 // translate builds a Program from decoded instructions at distinct
 // addresses, taking ownership of the slice: it walks them in address
 // order and translates each into the uop at its own index. Returns nil
-// for no instructions or a span beyond maxProgramSpan.
-func translate(insts []isa.Inst, gen uint64) *Program {
+// for no instructions.
+func translate(insts []isa.Inst) *Program {
 	if len(insts) == 0 {
 		return nil
 	}
 	slices.SortFunc(insts, func(a, b isa.Inst) int { return cmp.Compare(a.Addr, b.Addr) })
 	lo := insts[0].Addr
-	span := insts[len(insts)-1].Addr - lo + 1
-	if span > maxProgramSpan {
-		return nil
-	}
 	p := &Program{
 		base:  lo,
-		gen:   gen,
 		insts: insts,
-		idx:   make([]int32, span),
+		idx:   make([]int32, insts[len(insts)-1].Addr-lo+1),
 		uops:  make([]uop, len(insts)),
 	}
 	for i := range insts {
@@ -443,16 +419,22 @@ func translate(insts []isa.Inst, gen uint64) *Program {
 }
 
 // TranslateImage decodes the snapshot's whole executable image into a
-// Program for the snapshot's code generation, so machines resumed from
-// it translate nothing themselves while they run on that image. Each
-// executable region is swept linearly from its first byte (a byte that
-// does not decode is stepped over). Bytes are read through
-// Memory.Fetch, so a window cut short at the end of executable memory
-// decodes exactly as a runtime fetch does. An address off the sweep (a
-// branch into the middle of a swept instruction) stays with each
-// machine's private translation. Returns nil when the executable span
-// exceeds maxPrivSpan: such binaries keep the interpreter.
+// Program, so machines resumed from it translate nothing themselves
+// while they run on that image, and single-step without decoding while
+// their code is unmutated. Each executable region is swept linearly
+// from its first byte (a byte that does not decode is stepped over).
+// Bytes are read through Memory.Fetch, so a window cut short at the end
+// of executable memory decodes exactly as a runtime fetch does. An
+// address off the sweep (a branch into the middle of a swept
+// instruction) stays with each machine's private translation. Returns
+// nil for a snapshot whose code changed since load (a Program always
+// describes load-time code), and when the executable span exceeds
+// maxPrivSpan (1 MiB): such a binary runs on the single-step
+// interpreter, as its private translations already do.
 func TranslateImage(s *Snapshot) *Program {
+	if s.mem.codeGen != 0 {
+		return nil
+	}
 	m := s.Resume(Config{})
 	defer m.Release()
 	lo, hi := m.Mem.execSpan()
@@ -461,7 +443,15 @@ func TranslateImage(s *Snapshot) *Program {
 	}
 	// Sized for instructions of 4 bytes on average (rewritten code runs
 	// longer), so the sweep does not regrow the slice it hands over.
-	insts := make([]isa.Inst, 0, (hi-lo)/4)
+	// Every session holds its program, so count executable bytes, not
+	// the span: sections far apart leave a gap that decodes nothing.
+	var size uint64
+	for _, r := range m.Mem.regions {
+		if r.perm&elf.FlagExec != 0 {
+			size += r.size
+		}
+	}
+	insts := make([]isa.Inst, 0, min(size, hi-lo)/4)
 	for _, r := range m.Mem.regions {
 		if r.perm&elf.FlagExec == 0 {
 			continue
@@ -480,16 +470,7 @@ func TranslateImage(s *Snapshot) *Program {
 			pc += uint64(in.EncLen)
 		}
 	}
-	return translate(insts, m.Mem.codeGen)
-}
-
-// fits reports whether the program may serve micro-ops to a memory at
-// code generation gen with edit record edits: either the generations
-// match, or the program was built from code that never mutated
-// (generation zero) and every change since is recorded, so the bytes
-// outside the recorded ranges are still the program's.
-func (p *Program) fits(gen uint64, edits *editLog) bool {
-	return p.gen == gen || p.gen == 0 && !edits.full()
+	return translate(insts)
 }
 
 // Lookup returns the instruction the program decoded at addr, or nil.
@@ -679,8 +660,8 @@ func (m *Machine) fastLookup(addr uint64) ([]uop, int, int) {
 // cleanly, plus the index of the first poisoned uop after it (noStop
 // when none); i is -1 when the program has no uop at addr or an edit
 // poisoned it. The program stops serving the machine for good once its
-// code no longer fits (Program.fits), as when the edit record
-// overflows.
+// edit record overflows: the bytes outside the recorded ranges are then
+// no longer known to be the load-time bytes the program decoded.
 func (m *Machine) progAt(p *Program, addr uint64) (i, stop int) {
 	off := addr - p.base
 	if off >= uint64(len(p.idx)) || p.idx[off] == 0 {
@@ -688,11 +669,11 @@ func (m *Machine) progAt(p *Program, addr uint64) (i, stop int) {
 	}
 	i = int(p.idx[off] - 1)
 	gen := m.Mem.codeGen
-	if p.gen == gen {
+	if gen == 0 {
 		return i, noStop
 	}
 	if m.poisonGen != gen {
-		if !p.fits(gen, &m.Mem.edits) {
+		if m.Mem.edits.full() {
 			m.prog = nil
 			return -1, 0
 		}

@@ -219,45 +219,3 @@ func TestReleaseReuseIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestDecodeCacheSurvivesPool: a decode map handed out by DecodeCache
-// (the fault session's reference run donates it to the shared Program
-// and keeps reading it) belongs to the caller. Neither Release nor the
-// machines that later reuse the pooled shell may clear or refill it.
-func TestDecodeCacheSurvivesPool(t *testing.T) {
-	c := cases.Pincheck()
-	bin, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := emu.New(bin, emu.Config{Stdin: c.Bad, SingleStep: true})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	cache, _ := m.DecodeCache()
-	if len(cache) == 0 {
-		t.Fatal("single-stepped run decoded nothing")
-	}
-	want := make(map[uint64]isa.Inst, len(cache))
-	for a, in := range cache {
-		want[a] = *in
-	}
-	m.Release()
-	text := bin.Section(".text")
-	for i := 0; i < 16; i++ {
-		m := emu.New(bin, emu.Config{Stdin: c.Good, SingleStep: true, StepLimit: 4096})
-		if err := m.Mem.FlipBit(text.Addr+uint64(i*5)%uint64(len(text.Data)), uint(i%8)); err != nil {
-			t.Fatal(err)
-		}
-		m.Run()
-		m.Release()
-	}
-	if len(cache) != len(want) {
-		t.Fatalf("donated decode map has %d entries after pool reuse, want %d", len(cache), len(want))
-	}
-	for a, in := range cache {
-		if w, ok := want[a]; !ok || *in != w {
-			t.Fatalf("donated decode map changed at %#x", a)
-		}
-	}
-}

@@ -3,6 +3,10 @@ package fault
 import (
 	"strings"
 	"testing"
+
+	"github.com/r2r/reinforce/internal/cases"
+	"github.com/r2r/reinforce/internal/elf"
+	"github.com/r2r/reinforce/internal/static"
 )
 
 // FuzzParseModel: any accepted name resolves to a registered spec, and
@@ -69,6 +73,54 @@ func FuzzParseModels(f *testing.F) {
 			if again[i] != ms[i] {
 				t.Fatalf("canonical reparse of %q differs at %d: %v vs %v", s, i, again[i], ms[i])
 			}
+		}
+	})
+}
+
+// FuzzSessionELF: arbitrary bytes as a user binary through the whole
+// session path — elf.Load, NewSession under all five models (which
+// decodes and translates every executable byte of the image, not only
+// what the golden runs execute), Simulate on each fault, then the
+// static verifier's analysis and coverage check. Bad input must come
+// back as an error, never a panic or a hang. Images whose sections
+// map more than 128 KiB are skipped. Seeds: the corpus cases' ELF bytes
+// with their good and bad inputs.
+func FuzzSessionELF(f *testing.F) {
+	for _, c := range cases.Corpus() {
+		bin, err := c.Build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := bin.Bytes()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, c.Good, c.Bad)
+	}
+	const maxImage = 128 << 10
+	models := []Model{ModelSkip, ModelBitFlip, ModelRegFlip, ModelMultiSkip, ModelDataFlip}
+	f.Fuzz(func(t *testing.T, data, good, bad []byte) {
+		bin, err := elf.Load(data)
+		if err != nil {
+			return
+		}
+		var size uint64
+		for _, sec := range bin.Sections {
+			if size += sec.Size(); sec.Size() > maxImage || size > maxImage {
+				return
+			}
+		}
+		s, err := NewSession(Campaign{
+			Binary: bin, Good: good, Bad: bad, Models: models,
+			StepLimit: 4096, MaxFaults: 64, Workers: 1,
+		})
+		if err == nil {
+			for _, flt := range s.Faults() {
+				s.Simulate(flt)
+			}
+		}
+		if a, err := static.Analyze(bin); err == nil {
+			a.CheckCoverage()
 		}
 	})
 }

@@ -20,8 +20,10 @@
 //
 // The screen requires the reference run to have left code unmutated
 // (generation zero): the window instructions, read from the session's
-// program, then describe load-time bytes. A session without a program
-// (executed code spanning more than 16 MiB) does without the screen.
+// whole-image program, then describe the bytes the run executed. A
+// session without a program (an executable span beyond 1 MiB), or a
+// window instruction off the program's linear sweep, does without the
+// screen.
 package fault
 
 import "github.com/r2r/reinforce/internal/static"

@@ -338,7 +338,6 @@ func (s *Session) runGroup(pr *PairPruner, g *group, record func(i int, o Outcom
 		}
 		if snap == nil {
 			snap = m.Snapshot()
-			snap.SeedProgram(s.prog)
 		}
 		later, k := pr.later(r)
 		pr.sim.Add(1)

@@ -33,8 +33,8 @@ const (
 // Session is the reusable execution state of a fault campaign against
 // one binary: the memoized golden (fault-free) runs and their oracles,
 // a chain of copy-on-write machine snapshots along the reference trace,
-// the warm decode cache, and the deterministically enumerated fault
-// list.
+// the binary's whole-image micro-op program, and the deterministically
+// enumerated fault list.
 //
 // Building the session performs all per-binary work exactly once; each
 // of the (often tens of thousands of) injections then forks the nearest
@@ -57,11 +57,14 @@ type Session struct {
 	// Immutable after NewSession, so checkpointFor reads it lock-free.
 	ckpts []*emu.Snapshot
 
-	// prog is the reference run's code artifact — its decoded
-	// instructions and their micro-op translation — seeded into every
-	// snapshot, the multi-fault tree's mid-run ones included (valid only
-	// while the first fault left code unmutated), so resumed machines
-	// neither re-decode nor re-translate outside their fault windows.
+	// prog is the binary's whole-image code artifact (emu.TranslateImage)
+	// — its load-time instructions and their micro-op translation —
+	// seeded into the entry snapshot before the golden runs. Every
+	// snapshot taken of a machine resumed from it, the checkpoints and
+	// the multi-fault tree's mid-run ones, keeps it while its code
+	// changed only at recorded ranges, so resumed machines neither
+	// decode nor translate what the golden path or a faulted detour
+	// runs through. Nil when the executable span exceeds 1 MiB.
 	prog *emu.Program
 
 	// refPages is the reference run's code-page footprint, ascending by
@@ -76,9 +79,9 @@ type Session struct {
 	probes map[uint64]probe
 
 	// pristine records that the reference run left code unmutated
-	// (code generation zero), so prog's instructions are the load-time
-	// bytes the transparent-first-fault screen (inert.go) reads skip
-	// windows from.
+	// (code generation zero), so the load-time instructions in prog are
+	// what it executed, which the transparent-first-fault screen
+	// (inert.go) reads skip windows from.
 	pristine bool
 
 	// sched, when set via SetPool, is the shared WorkerPool every
@@ -114,8 +117,12 @@ func NewSession(c Campaign) (*Session, error) {
 	}
 
 	// Pristine entry-state snapshot: sections loaded, stack mapped, RIP
-	// at entry. Both golden runs and checkpoint 0 fork from it.
+	// at entry, seeded with the whole-image program. Both golden runs
+	// and checkpoint 0 fork from it, and every checkpoint inherits the
+	// program, so injections skip decoding and translating.
 	base := emu.New(c.Binary, emu.Config{Stdin: c.Bad, StepLimit: c.StepLimit}).Snapshot()
+	prog := emu.TranslateImage(base)
+	base.SeedProgram(prog)
 
 	// Resume only overrides stdin when non-nil, and the snapshot carries
 	// the bad input — so a nil good input must be pinned to empty here
@@ -130,7 +137,7 @@ func NewSession(c Campaign) (*Session, error) {
 		return nil, fmt.Errorf("%w: good input: %v", ErrBadRun, goodErr)
 	}
 
-	s := &Session{c: c, ckpts: []*emu.Snapshot{base}}
+	s := &Session{c: c, ckpts: []*emu.Snapshot{base}, prog: prog}
 	rm := base.Resume(emu.Config{StepLimit: c.StepLimit, RecordTrace: true, RecordPages: true})
 	badRes, badErr := s.runReference(rm)
 	if badErr != nil {
@@ -148,15 +155,6 @@ func NewSession(c Campaign) (*Session, error) {
 		return nil, ErrOracle
 	}
 
-	// Donate the reference run's decode work — and its micro-op
-	// translation — to every snapshot whose code image still matches,
-	// so injections skip re-decoding and re-translating.
-	cache, gen := rm.DecodeCache()
-	s.prog = emu.TranslateProgram(cache, gen)
-	for _, cp := range s.ckpts {
-		cp.SeedProgram(s.prog)
-	}
-
 	ref := max(goodRes.Steps, badRes.Steps)
 	if s.c.InjectionStepLimit == 0 {
 		s.c.InjectionStepLimit = 8*ref + 4096
@@ -164,12 +162,11 @@ func NewSession(c Campaign) (*Session, error) {
 	s.memo = newTailMemo(ref)
 
 	// Models whose enumeration inspects operands (register/data faults)
-	// get the decoded instruction at each traced address, recycled from
-	// the reference run's decode cache when the code never mutated.
+	// get the load-time instruction at each traced address.
 	var insts map[uint64]*isa.Inst
 	for _, model := range s.c.Models {
 		if spec := SpecOf(model); spec != nil && spec.NeedsInsts() {
-			insts = buildInstMap(base, s.trace, cache, gen)
+			insts = buildInstMap(base, s.trace, s.prog)
 			break
 		}
 	}
@@ -185,7 +182,7 @@ func NewSession(c Campaign) (*Session, error) {
 	// The transparent-first-fault screen decodes skip windows against
 	// load-time bytes, so it shares the generation-zero precondition
 	// with the decode pre-screen below.
-	s.pristine = gen == 0
+	s.pristine = rm.Mem.CodeGeneration() == 0
 
 	// Bit-flip decode pre-screen: when the reference run never mutated
 	// code (generation still zero), the bytes fetched at any traced
@@ -193,7 +190,7 @@ func NewSession(c Campaign) (*Session, error) {
 	// decodes can be answered once per (address, bit) with a single
 	// decode instead of a full simulation. Only valid while code is
 	// pristine; a self-modifying reference run disables it.
-	if gen == 0 {
+	if s.pristine {
 		needsProbe := false
 		for _, f := range s.faults {
 			if f.Model == ModelBitFlip {
@@ -222,22 +219,22 @@ func NewSession(c Campaign) (*Session, error) {
 	return s, nil
 }
 
-// buildInstMap collects the decoded instruction behind every unique
-// traced address, for fault models that enumerate over operands. While
-// the reference run never mutated code (gen 0), its decode cache
-// already holds every instruction; anything missing (or any campaign
-// against self-modifying code) is re-fetched from the entry snapshot
-// and decoded once. Addresses that no longer decode are left out — the
-// spec sees a nil Inst and skips the site.
-func buildInstMap(base *emu.Snapshot, tr *trace.Trace, cache map[uint64]*isa.Inst, gen uint64) map[uint64]*isa.Inst {
+// buildInstMap collects the load-time instruction behind every unique
+// traced address, for fault models that enumerate over operands: the
+// whole-image program's, or one decoded from the entry snapshot where
+// the program has none (an address off its linear sweep, or no
+// program at all). Both read base's load-time bytes, also for a
+// reference run that rewrote its own code. Addresses that do not
+// decode are left out — the spec sees a nil Inst and skips the site.
+func buildInstMap(base *emu.Snapshot, tr *trace.Trace, prog *emu.Program) map[uint64]*isa.Inst {
 	insts := make(map[uint64]*isa.Inst)
 	var pm *emu.Machine
 	for _, e := range tr.Entries {
 		if _, done := insts[e.Addr]; done {
 			continue
 		}
-		if gen == 0 {
-			if in, ok := cache[e.Addr]; ok {
+		if prog != nil {
+			if in := prog.Lookup(e.Addr); in != nil {
 				insts[e.Addr] = in
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/r2r/reinforce/internal/asm"
+	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/emu"
 )
 
@@ -338,6 +339,113 @@ func TestCheckpointChainLongTrace(t *testing.T) {
 			t.Errorf("%v under budget %d: record %v/%d steps/limit %v, cold %v/%d steps/limit %v",
 				f, camp.InjectionStepLimit, rec.Outcome, rec.Steps, rec.LimitHit,
 				classify(res, err, s.good), res.Steps, limitHit)
+		}
+	}
+}
+
+// selfModPin is miniPincheck with a writable .text whose deny path
+// rewrites code it runs later: it stores 7 into the immediate of the
+// exit-code mov at `code`, spins long enough for checkpoints to land
+// after the store, then prints DENIED and exits through the rewritten
+// mov. The good path never writes code.
+const selfModPin = `
+.text
+_start:
+	mov rax, 0
+	mov rdi, 0
+	lea rsi, [rip+buf]
+	mov rdx, 8
+	syscall
+	mov rax, [rip+buf]
+	mov rbx, [rip+pin]
+	cmp rax, rbx
+	jne deny
+	mov rax, 1
+	mov rdi, 1
+	lea rsi, [rip+ok]
+	mov rdx, 8
+	syscall
+	mov rax, 60
+	mov rdi, 0
+	syscall
+deny:
+	lea rcx, [rip+code]
+	mov byte ptr [rcx+3], 7
+	mov rdx, 24
+spin:
+	add rbx, rdx
+	dec rdx
+	jne spin
+	mov rax, 1
+	mov rdi, 1
+	lea rsi, [rip+no]
+	mov rdx, 7
+	syscall
+code:
+	mov rdi, 1
+	mov rax, 60
+	syscall
+.rodata
+pin: .ascii "1234ABCD"
+ok:  .ascii "GRANTED\n"
+no:  .ascii "DENIED\n"
+.bss
+buf: .zero 8
+`
+
+// TestSessionSelfModifyingReference: a reference run that rewrites its
+// own code leaves checkpoints at a nonzero code generation, which the
+// entry snapshot's whole-image program serves through the edit
+// overlay, with the decode pre-screen and the transparent-first-fault
+// screen off. Every fault of every model must classify like a cold
+// replay, on the fast path and single-stepped, and so must every pair
+// of a capped sweep through the pruned snapshot tree.
+func TestSessionSelfModifyingReference(t *testing.T) {
+	bin := mustAssemble(t, selfModPin)
+	bin.Text().Flags |= elf.FlagWrite
+	all := []Model{ModelSkip, ModelBitFlip, ModelRegFlip, ModelMultiSkip, ModelDataFlip}
+	for _, single := range []bool{false, true} {
+		s, err := NewSession(Campaign{
+			Binary: bin, Good: goodPin, Bad: badPin,
+			Models: all, SingleStep: single,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, bad := s.Oracles(); bad.ExitCode != 7 {
+			t.Fatalf("bad run exits %d, want 7 (rewritten immediate not executed)", bad.ExitCode)
+		}
+		if s.pristine || s.probes != nil || s.prog == nil {
+			t.Fatalf("pristine %v, probes %v, program %v; want a mutated reference served by the image program",
+				s.pristine, s.probes != nil, s.prog != nil)
+		}
+		late := s.ckpts[len(s.ckpts)-1]
+		if len(s.ckpts) < 2 || late.Resume(emu.Config{}).Mem.CodeGeneration() == 0 {
+			t.Fatalf("%d checkpoints; want some after the code store", len(s.ckpts))
+		}
+		seen := map[Model]int{}
+		for _, f := range s.Faults() {
+			seen[f.Model]++
+			if warm, cold := s.Simulate(f), s.SimulateCold(f); warm != cold {
+				t.Errorf("single-step %v: %v [%s]: snapshot path %v, cold path %v", single, f, f.Model, warm, cold)
+			}
+		}
+		for _, m := range all {
+			if seen[m] == 0 {
+				t.Errorf("no %s faults enumerated", m)
+			}
+		}
+
+		solo, _ := s.ExecuteShard(0, 1, 2, nil)
+		pairs := EnumeratePairs(solo, 1000)
+		if len(pairs) == 0 {
+			t.Fatal("no pairs enumerated")
+		}
+		got, _ := treeSweep(s, solo, pairs, 0, 1, 2)
+		for _, p := range got {
+			if cold := s.SimulateCold(p.Pair.First, p.Pair.Second); p.Outcome != cold {
+				t.Errorf("single-step %v: pair %v: tree %v, cold path %v", single, p.Pair, p.Outcome, cold)
+			}
 		}
 	}
 }

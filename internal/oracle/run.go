@@ -75,7 +75,7 @@ type CaseReport struct {
 // RunCase hardens the case through the pipeline and differences the
 // result against the original across n generated inputs.
 func RunCase(c *cases.Case, pipeline string, n int, seed uint64, opt Options) (*CaseReport, error) {
-	start := time.Now()
+	start := time.Now() //lint:allow wallclock (ElapsedMS is reporting-only, stripped before determinism comparisons)
 	orig, err := c.Build()
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s: %w", c.Name, err)
