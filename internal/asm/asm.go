@@ -160,16 +160,6 @@ func Assemble(src string, opts *Options) (*elf.Binary, error) {
 	return a.emit()
 }
 
-// MustAssemble assembles a source known to be valid (used by embedded
-// case studies and templates).
-func MustAssemble(src string, opts *Options) *elf.Binary {
-	b, err := Assemble(src, opts)
-	if err != nil {
-		panic("asm: " + err.Error())
-	}
-	return b
-}
-
 func (a *assembler) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("asm: line %d: %s", line, fmt.Sprintf(format, args...))
 }

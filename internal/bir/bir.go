@@ -13,6 +13,7 @@ package bir
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,7 +112,14 @@ func Disassemble(bin *elf.Binary) (*Program, error) {
 			}
 		}
 	}
+	// Checked in address order, so the error names the lowest bad
+	// leader whatever order the map iterates in.
+	addrs := make([]uint64, 0, len(leaders))
 	for a := range leaders {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	for _, a := range addrs {
 		if _, ok := byAddr[a]; !ok {
 			return nil, fmt.Errorf("%w: leader %#x is not an instruction boundary", ErrBadTarget, a)
 		}
@@ -171,17 +179,6 @@ func (p *Program) Block(label string) *Block {
 	for _, b := range p.Blocks {
 		if b.Label == label {
 			return b
-		}
-	}
-	return nil
-}
-
-// NextBlock returns the block following the given one in layout order
-// (its fall-through successor), or nil.
-func (p *Program) NextBlock(b *Block) *Block {
-	for i, blk := range p.Blocks {
-		if blk == b && i+1 < len(p.Blocks) {
-			return p.Blocks[i+1]
 		}
 	}
 	return nil

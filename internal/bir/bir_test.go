@@ -2,6 +2,7 @@ package bir
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -305,6 +306,31 @@ func TestUndefinedTargetRejected(t *testing.T) {
 	})
 	if _, err := prog.Reassemble(); !errors.Is(err, ErrUndefLabel) {
 		t.Errorf("err = %v, want ErrUndefLabel", err)
+	}
+}
+
+// TestBadLeaderReportsLowest: of two branch targets inside swept
+// instructions, Disassemble names the lower one on every call, whatever
+// order its leader map iterates in.
+func TestBadLeaderReportsLowest(t *testing.T) {
+	bin := build(t, `
+.text
+_start:
+	.byte 0xEB, 0x08
+	.byte 0xEB, 0x01
+	.byte 0xB8, 0, 0, 0, 0
+	.byte 0xB8, 0, 0, 0, 0
+	mov rax, 60
+	syscall
+`)
+	// The first jmp lands inside the second mov (text+10), the second
+	// inside the first (text+5).
+	want := fmt.Sprintf("leader %#x is", bin.Text().Addr+5)
+	for i := 0; i < 32; i++ {
+		_, err := Disassemble(bin)
+		if !errors.Is(err, ErrBadTarget) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("call %d: err = %v, want ErrBadTarget naming %q", i, err, want)
+		}
 	}
 }
 

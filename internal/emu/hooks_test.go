@@ -25,17 +25,17 @@ _start:
 	}
 	var calls [2]int
 	cfg := Config{}
-	cfg.AddStepHook(func(m *Machine, in *isa.Inst) StepAction {
+	cfg.AddStepHookWindow(func(m *Machine, in *isa.Inst) StepAction {
 		calls[0]++
 		return ActContinue
-	})
-	cfg.AddStepHook(func(m *Machine, in *isa.Inst) StepAction {
+	}, 0, ^uint64(0))
+	cfg.AddStepHookWindow(func(m *Machine, in *isa.Inst) StepAction {
 		calls[1]++
 		if m.Steps-1 == 1 { // skip "mov rdi, 1"
 			return ActSkip
 		}
 		return ActContinue
-	})
+	}, 0, ^uint64(0))
 	res, err := New(bin, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -64,13 +64,13 @@ _start:
 		t.Fatal(err)
 	}
 	cfg := Config{}
-	cfg.AddStepHook(func(m *Machine, in *isa.Inst) StepAction {
+	cfg.AddStepHookWindow(func(m *Machine, in *isa.Inst) StepAction {
 		if m.Steps-1 == 1 {
 			return ActSkip
 		}
 		return ActContinue
-	})
-	cfg.AddStepHook(func(m *Machine, in *isa.Inst) StepAction { return ActContinue })
+	}, 0, ^uint64(0))
+	cfg.AddStepHookWindow(func(m *Machine, in *isa.Inst) StepAction { return ActContinue }, 0, ^uint64(0))
 	res, err := New(bin, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ _start:
 	}
 	var a, b int
 	cfg := Config{}
-	cfg.AddFetchHook(func(m *Machine) { a++ })
-	cfg.AddFetchHook(func(m *Machine) { b++ })
+	cfg.AddFetchHookWindow(func(m *Machine) { a++ }, 0, ^uint64(0))
+	cfg.AddFetchHookWindow(func(m *Machine) { b++ }, 0, ^uint64(0))
 	res, err := New(bin, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -121,12 +121,12 @@ _start:
 		t.Fatal(err)
 	}
 	cfg := Config{}
-	cfg.AddStepHook(func(m *Machine, in *isa.Inst) StepAction {
+	cfg.AddStepHookWindow(func(m *Machine, in *isa.Inst) StepAction {
 		if m.Steps-1 == 2 { // just before the exit syscall executes
 			m.FlipRegBit(isa.RDI, 2)
 		}
 		return ActContinue
-	})
+	}, 0, ^uint64(0))
 	res, err := New(bin, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +155,14 @@ cell: .byte 9
 	}
 	var got uint64
 	cfg := Config{}
-	cfg.AddStepHook(func(m *Machine, in *isa.Inst) StepAction {
+	cfg.AddStepHookWindow(func(m *Machine, in *isa.Inst) StepAction {
 		if m.Steps-1 == 0 {
 			if mem := in.MemOperand(); mem != nil {
 				got = m.OperandAddr(in, mem)
 			}
 		}
 		return ActContinue
-	})
+	}, 0, ^uint64(0))
 	m := New(bin, cfg)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)

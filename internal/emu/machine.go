@@ -8,9 +8,9 @@
 // exit status) changes. Two additions make exhaustive campaigns cheap
 // and fault models composable: copy-on-write machine snapshots
 // (snapshot.go) that let thousands of injection runs fork a shared
-// golden run, and chaining fetch/step hooks
-// (Config.AddFetchHook/AddStepHook) so several faults can compose onto
-// one run (order-2 pair campaigns).
+// golden run, and chaining fetch/step hooks, each armed for a step
+// window (Config.AddFetchHookWindow/AddStepHookWindow), so several
+// faults can compose onto one run (order-2 and order-3 campaigns).
 package emu
 
 import (
@@ -30,15 +30,16 @@ var (
 	ErrNotExited  = errors.New("emu: program did not exit")
 )
 
-// Default run limits.
+// The step limit a zero Config.StepLimit means, and the stack every
+// machine maps below DefaultStackTop.
 const (
 	DefaultStepLimit = 4 << 20
 	DefaultStackSize = 2 << 20
 	DefaultStackTop  = 0x7FFF_FFF0_0000
 )
 
-// StepAction is returned by a StepHook to control execution of the
-// decoded instruction.
+// StepAction is returned by a step hook (Config.AddStepHookWindow) to
+// control execution of the decoded instruction.
 type StepAction uint8
 
 // Step actions.
@@ -51,8 +52,6 @@ const (
 type Config struct {
 	Stdin     []byte
 	StepLimit uint64
-	StackSize uint64
-	StackTop  uint64
 
 	// RecordTrace captures each executed instruction's address and
 	// length (before any skip decision).
@@ -71,78 +70,73 @@ type Config struct {
 	// correctness. Default off: the fast path is always on.
 	SingleStep bool
 
-	// FetchHook runs before each fetch; the fault injector uses it to
-	// mutate instruction bytes at a precise dynamic step index.
-	FetchHook func(m *Machine)
+	// The hook chains, installed only through AddFetchHookWindow and
+	// AddStepHookWindow. fetchHook runs before each fetch (the fault
+	// injector mutates instruction bytes there at a precise dynamic
+	// step index); stepHook runs after decode, before execution, and
+	// must not mutate the instruction, which is shared with the
+	// machine's caches.
+	fetchHook func(m *Machine)
+	stepHook  func(m *Machine, in *isa.Inst) StepAction
 
-	// StepHook runs after decode, before execution. The instruction is
-	// shared with the machine's caches and must not be mutated.
-	StepHook func(m *Machine, in *isa.Inst) StepAction
-
-	// Hook arming window, maintained by the hook adders below: hooks
-	// may only act during steps s with hookStart <= s < hookEnd (s is
-	// the machine's pre-increment step counter — the dynamic trace
-	// index of the instruction about to execute). Outside the window
-	// the machine may dispatch predecoded micro-op blocks without
-	// calling the hooks at all; inside it, it single-steps so every
-	// hook observes every step. Hooks installed without a window
-	// (plain adders, or direct field assignment) arm the machine
-	// forever, preserving exact historical semantics.
+	// Hook arming window, the union of the installed hooks' windows
+	// (empty when none is installed): hooks may only act during steps s
+	// with hookStart <= s < hookEnd (s is the machine's pre-increment
+	// step counter — the dynamic trace index of the instruction about
+	// to execute). Outside the window the machine may dispatch
+	// predecoded micro-op blocks without calling the hooks at all;
+	// inside it, it single-steps so every hook observes every step.
 	hookStart uint64
 	hookEnd   uint64
-	hookWin   bool // some hook declared a bounded window
-	hookAll   bool // some hook has no declared window: arm forever
 }
 
-// armedWindow resolves the step range during which installed hooks
-// must be able to observe execution: empty when no hooks are set,
-// [start, end) when every hook declared a window, all steps otherwise.
-func (c *Config) armedWindow() (start, end uint64) {
-	if c.FetchHook == nil && c.StepHook == nil {
-		return 0, 0
-	}
-	if c.hookWin && !c.hookAll {
-		return c.hookStart, c.hookEnd
-	}
-	return 0, ^uint64(0)
-}
+// HookWindow returns the step range [start, end) in which the
+// config's hooks may act: the union of the windows they were installed
+// with, empty when no hook is installed. A machine that has completed
+// end steps runs exactly like an unhooked one from then on — the
+// effect horizon of the faults the hooks realize.
+func (c *Config) HookWindow() (start, end uint64) { return c.hookStart, c.hookEnd }
 
 // noteWindow unions [start, end) into the config's hook arming window.
-// Hooks that were installed before any window was declared (direct
-// field assignment) have unknown reach, so they pin the machine to the
-// single-step path forever.
+// Called before the hook is chained, so the first hook's window starts
+// the union.
 func (c *Config) noteWindow(start, end uint64) {
-	if (c.FetchHook != nil || c.StepHook != nil) && !c.hookWin && !c.hookAll {
-		c.hookAll = true
-	}
-	if !c.hookWin {
-		c.hookWin = true
+	if c.fetchHook == nil && c.stepHook == nil {
 		c.hookStart, c.hookEnd = start, end
 		return
 	}
-	if start < c.hookStart {
-		c.hookStart = start
-	}
-	if end > c.hookEnd {
-		c.hookEnd = end
-	}
+	c.hookStart = min(c.hookStart, start)
+	c.hookEnd = max(c.hookEnd, end)
 }
 
-// chainFetchHook appends h to the fetch-hook chain without touching
-// the arming window.
-func (c *Config) chainFetchHook(h func(m *Machine)) {
-	if prev := c.FetchHook; prev != nil {
-		c.FetchHook = func(m *Machine) { prev(m); h(m) }
+// AddFetchHookWindow chains h after any already-installed fetch hook,
+// so several fault models compose onto one run (the multi-fault
+// campaigns inject two or three independent faults this way), and
+// declares that h only acts during steps s with start <= s < end
+// (pre-increment step counter, i.e. dynamic trace indices). Outside the
+// union of all declared windows the machine may run predecoded micro-op
+// blocks without invoking any hook, and the fault engine treats a
+// machine past the window's end as unhooked — a window that is too
+// narrow is a soundness bug. A hook that acts during the whole run
+// declares [0, ^uint64(0)).
+func (c *Config) AddFetchHookWindow(h func(m *Machine), start, end uint64) {
+	c.noteWindow(start, end)
+	if prev := c.fetchHook; prev != nil {
+		c.fetchHook = func(m *Machine) { prev(m); h(m) }
 	} else {
-		c.FetchHook = h
+		c.fetchHook = h
 	}
 }
 
-// chainStepHook appends h to the step-hook chain without touching the
-// arming window.
-func (c *Config) chainStepHook(h func(m *Machine, in *isa.Inst) StepAction) {
-	if prev := c.StepHook; prev != nil {
-		c.StepHook = func(m *Machine, in *isa.Inst) StepAction {
+// AddStepHookWindow chains h after any already-installed step hook and
+// declares its arming window [start, end), with the same contract as
+// AddFetchHookWindow. Hooks compose permissively: if any hook in the
+// chain asks to skip the instruction, it is skipped (later hooks still
+// run, so their own step-indexed state machines observe every step).
+func (c *Config) AddStepHookWindow(h func(m *Machine, in *isa.Inst) StepAction, start, end uint64) {
+	c.noteWindow(start, end)
+	if prev := c.stepHook; prev != nil {
+		c.stepHook = func(m *Machine, in *isa.Inst) StepAction {
 			a := prev(m, in)
 			if b := h(m, in); b == ActSkip {
 				return ActSkip
@@ -150,49 +144,8 @@ func (c *Config) chainStepHook(h func(m *Machine, in *isa.Inst) StepAction) {
 			return a
 		}
 	} else {
-		c.StepHook = h
+		c.stepHook = h
 	}
-}
-
-// AddFetchHook chains h after any already-installed fetch hook, so
-// several fault models can be composed onto one run (the order-2
-// multi-fault campaigns inject two independent faults this way). The
-// hook declares no arming window, so it keeps the machine on the
-// single-step path for the whole run; hooks that only act inside a
-// bounded step range should use AddFetchHookWindow.
-func (c *Config) AddFetchHook(h func(m *Machine)) {
-	c.hookAll = true
-	c.chainFetchHook(h)
-}
-
-// AddFetchHookWindow chains h like AddFetchHook and declares that h
-// only acts during steps s with start <= s < end (pre-increment step
-// counter, i.e. dynamic trace indices). Outside the union of all
-// declared windows the machine may run predecoded micro-op blocks
-// without invoking any hook — a window that is too narrow is a
-// soundness bug, exactly like a too-early EffectHorizon.
-func (c *Config) AddFetchHookWindow(h func(m *Machine), start, end uint64) {
-	c.noteWindow(start, end)
-	c.chainFetchHook(h)
-}
-
-// AddStepHook chains h after any already-installed step hook. Hooks
-// compose permissively: if any hook in the chain asks to skip the
-// instruction, it is skipped (later hooks still run, so their own
-// step-indexed state machines observe every step). Like AddFetchHook,
-// the hook declares no arming window and disables the micro-op fast
-// path for the whole run.
-func (c *Config) AddStepHook(h func(m *Machine, in *isa.Inst) StepAction) {
-	c.hookAll = true
-	c.chainStepHook(h)
-}
-
-// AddStepHookWindow chains h like AddStepHook and declares its arming
-// window [start, end) in pre-increment step counts, with the same
-// contract as AddFetchHookWindow.
-func (c *Config) AddStepHookWindow(h func(m *Machine, in *isa.Inst) StepAction, start, end uint64) {
-	c.noteWindow(start, end)
-	c.chainStepHook(h)
 }
 
 // TraceEntry is one executed instruction in a recorded trace.
@@ -281,40 +234,42 @@ type Machine struct {
 // New builds a machine with the binary's sections mapped, a stack, and
 // RIP at the entry point.
 func New(bin *elf.Binary, cfg Config) *Machine {
-	if cfg.StepLimit == 0 {
-		cfg.StepLimit = DefaultStepLimit
-	}
-	if cfg.StackSize == 0 {
-		cfg.StackSize = DefaultStackSize
-	}
-	if cfg.StackTop == 0 {
-		cfg.StackTop = DefaultStackTop
-	}
 	mem := memoryPool.Get().(*Memory)
 	if mem.pages == nil {
 		mem.pages = make(map[uint64]*page)
 	}
 	m := resumeMachine()
 	m.Mem = mem
-	m.Stdin = cfg.Stdin
+	m.configure(cfg)
+	for _, s := range bin.Sections {
+		m.Mem.LoadSection(s)
+	}
+	m.Mem.Map(DefaultStackTop-DefaultStackSize, DefaultStackSize, elf.FlagRead|elf.FlagWrite)
+	m.Regs[isa.RSP] = DefaultStackTop - 64 // a little headroom like a real loader
+	m.RIP = bin.Entry
+	m.Rflags = isa.FlagsFixed
+	return m
+}
+
+// configure applies a Config's run controls to a fresh machine shell —
+// the one place New and Snapshot.Resume read a Config. A zero StepLimit
+// means DefaultStepLimit; a nil Stdin keeps the machine's input stream.
+func (m *Machine) configure(cfg Config) {
 	m.StepLimit = cfg.StepLimit
+	if m.StepLimit == 0 {
+		m.StepLimit = DefaultStepLimit
+	}
+	if cfg.Stdin != nil {
+		m.Stdin = cfg.Stdin
+	}
 	m.recordTrace = cfg.RecordTrace
-	m.fetchHook = cfg.FetchHook
-	m.stepHook = cfg.StepHook
 	m.singleStep = cfg.SingleStep
-	m.armStart, m.armEnd = cfg.armedWindow()
+	m.fetchHook, m.stepHook = cfg.fetchHook, cfg.stepHook
+	m.armStart, m.armEnd = cfg.HookWindow()
 	if cfg.RecordPages {
 		m.pageLog = make(map[uint64]uint64, 8)
 		m.lastPage = ^uint64(0)
 	}
-	for _, s := range bin.Sections {
-		m.Mem.LoadSection(s)
-	}
-	m.Mem.Map(cfg.StackTop-cfg.StackSize, cfg.StackSize, elf.FlagRead|elf.FlagWrite)
-	m.Regs[isa.RSP] = cfg.StackTop - 64 // a little headroom like a real loader
-	m.RIP = bin.Entry
-	m.Rflags = isa.FlagsFixed
-	return m
 }
 
 // Result summarizes a finished (or crashed) run.
@@ -359,15 +314,10 @@ func (m *Machine) PageLog() map[uint64]uint64 { return m.pageLog }
 
 // HooksInertAt returns the step count from which the machine's hooks
 // can no longer act — the end of the config's hook arming window, zero
-// when no hook is installed — so a machine paused at or past it runs
-// exactly like an unhooked one. ok is false when some hook declared no
-// window and stays armed for the whole run.
-func (m *Machine) HooksInertAt() (step uint64, ok bool) {
-	if m.armEnd == ^uint64(0) {
-		return 0, false
-	}
-	return m.armEnd, true
-}
+// when no hook is installed, ^uint64(0) for a hook armed for the whole
+// run — so a machine paused at or past it runs exactly like an
+// unhooked one.
+func (m *Machine) HooksInertAt() uint64 { return m.armEnd }
 
 // RunUntil executes until the machine has completed `stop` steps, or
 // until exit, fault, or step limit, whichever comes first. It returns

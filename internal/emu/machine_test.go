@@ -395,14 +395,15 @@ _start:
 		t.Fatal(err)
 	}
 	step := 0
-	m := New(bin, Config{StepHook: func(m *Machine, in *isa.Inst) StepAction {
+	var cfg Config
+	cfg.AddStepHookWindow(func(m *Machine, in *isa.Inst) StepAction {
 		step++
 		if step == 2 { // the mov rdi, 1
 			return ActSkip
 		}
 		return ActContinue
-	}})
-	res, err := m.Run()
+	}, 0, ^uint64(0))
+	res, err := New(bin, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,8 @@ _start:
 		t.Fatal(err)
 	}
 	flipped := false
-	m := New(bin, Config{FetchHook: func(m *Machine) {
+	var cfg Config
+	cfg.AddFetchHookWindow(func(m *Machine) {
 		if !flipped && m.Steps == 0 {
 			// mov rdi, 2 is REX.W C7 C7 imm32; imm starts at byte 3.
 			if err := m.Mem.FlipBit(m.RIP+3, 0); err != nil {
@@ -434,8 +436,8 @@ _start:
 			}
 			flipped = true
 		}
-	}})
-	res, err := m.Run()
+	}, 0, ^uint64(0))
+	res, err := New(bin, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,6 @@ func (s *Snapshot) SeedProgram(p *Program) {
 // the snapshot's prefix, so absolute step budgets behave identically to
 // a from-scratch run.
 func (s *Snapshot) Resume(cfg Config) *Machine {
-	if cfg.StepLimit == 0 {
-		cfg.StepLimit = DefaultStepLimit
-	}
 	m := resumeMachine()
 	m.Regs = s.regs
 	m.RIP = s.rip
@@ -136,19 +133,7 @@ func (s *Snapshot) Resume(cfg Config) *Machine {
 	m.inPos = s.inPos
 	m.Stdout = s.stdout
 	m.Stderr = s.stderr
-	m.StepLimit = cfg.StepLimit
-	m.recordTrace = cfg.RecordTrace
-	m.fetchHook = cfg.FetchHook
-	m.stepHook = cfg.StepHook
-	m.singleStep = cfg.SingleStep
-	m.armStart, m.armEnd = cfg.armedWindow()
-	if cfg.RecordPages {
-		m.pageLog = make(map[uint64]uint64, 8)
-		m.lastPage = ^uint64(0)
-	}
-	if cfg.Stdin != nil {
-		m.Stdin = cfg.Stdin
-	}
 	m.prog = s.prog
+	m.configure(cfg)
 	return m
 }

@@ -215,15 +215,15 @@ func Run(c Campaign) (*Report, error) {
 // A counting pass sizes the list first, so the filling pass allocates
 // it once instead of regrowing it (bit-flip lists run to tens of
 // thousands of faults); both passes reset the dedup scope per model,
-// so they emit the same faults.
-func enumerate(c Campaign, badTrace *trace.Trace, insts map[uint64]*isa.Inst) ([]Fault, error) {
+// so they emit the same faults. prog and base serve EnumContext.Inst.
+func enumerate(c Campaign, badTrace *trace.Trace, prog *emu.Program, base *emu.Snapshot) ([]Fault, error) {
 	specs := make([]ModelSpec, len(c.Models))
 	for i, model := range c.Models {
 		if specs[i] = SpecOf(model); specs[i] == nil {
 			return nil, fmt.Errorf("%w: model %d", ErrUnknownModel, model)
 		}
 	}
-	ctx := &EnumContext{Campaign: &c, Trace: badTrace, insts: insts}
+	ctx := &EnumContext{Campaign: &c, Trace: badTrace, prog: prog, base: base, decoded: make(map[uint64]*isa.Inst)}
 	pass := func(emit func(Fault)) {
 		for _, spec := range specs {
 			ctx.seen = make(map[uint64]map[int]bool)

@@ -28,37 +28,24 @@ package fault
 
 import "github.com/r2r/reinforce/internal/static"
 
-// skipWindowOf returns the number of consecutive trace steps a
-// skip-model fault suppresses, mirroring each spec's EffectEnd.
-func skipWindowOf(f Fault) (int, bool) {
-	switch f.Model {
-	case ModelSkip:
-		return 1, true
-	case ModelMultiSkip:
-		return f.Window, true
-	}
-	return 0, false
-}
-
 // transparentFirst reports whether a multi-fault group's first fault
-// has a fully transparent window: code generation zero, the whole
-// window plus its continuation inside the trace, every step
-// trace-contiguous (the reference fell through), and every instruction
-// transparent.
-func (s *Session) transparentFirst(f Fault) bool {
+// is a skip whose window — the steps its hook suppresses — is fully
+// transparent: code generation zero, the whole window plus its
+// continuation inside the trace, every step trace-contiguous (the
+// reference fell through), and every instruction transparent.
+func (s *Session) transparentFirst(g *group) bool {
 	if !s.pristine || s.prog == nil {
 		return false
 	}
-	w, ok := skipWindowOf(f)
-	if !ok || w <= 0 {
+	if m := g.first.Model; m != ModelSkip && m != ModelMultiSkip {
 		return false
 	}
+	lo, hi := g.cfg.HookWindow()
 	entries := s.trace.Entries
-	i := f.TraceIndex
-	if i < 0 || i+w >= len(entries) {
+	if lo >= hi || hi >= uint64(len(entries)) {
 		return false
 	}
-	for k := i; k < i+w; k++ {
+	for k := lo; k < hi; k++ {
 		in := s.prog.Lookup(entries[k].Addr)
 		if in == nil || !static.Transparent(*in) || entries[k+1].Addr != in.Addr+uint64(in.EncLen) {
 			return false

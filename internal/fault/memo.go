@@ -91,27 +91,26 @@ func (t *tailMemo) publish(keys [][32]byte, o Outcome) {
 // and of the continuations the snapshot tree forks. Once no hook can
 // act any more, the run is digested at the memo's grid steps; a digest
 // the memo knows answers at once, and the finished run publishes its
-// outcome under every digest it took. A machine with a windowless hook
-// never touches the memo.
+// outcome under every digest it took. A machine with a hook armed for
+// the whole run never touches the memo.
 func (s *Session) finish(m *emu.Machine) Outcome {
 	var keys [][32]byte
-	if inert, ok := m.HooksInertAt(); ok {
-		// at != 0 stops the doubling from wrapping under a step limit
-		// near 2^64.
-		for at := s.memo.from; at < m.StepLimit && at != 0; at <<= 1 {
-			if at < inert {
-				continue
-			}
-			res, done, err := m.RunUntil(at)
-			if done {
-				return s.settle(m, keys, classify(res, err, s.good))
-			}
-			d := m.StateDigest()
-			if o, hit := s.memo.lookup(d); hit {
-				return s.settle(m, keys, o)
-			}
-			keys = append(keys, d)
+	inert := m.HooksInertAt()
+	// at != 0 stops the doubling from wrapping under a step limit near
+	// 2^64.
+	for at := s.memo.from; at < m.StepLimit && at != 0; at <<= 1 {
+		if at < inert {
+			continue
 		}
+		res, done, err := m.RunUntil(at)
+		if done {
+			return s.settle(m, keys, classify(res, err, s.good))
+		}
+		d := m.StateDigest()
+		if o, hit := s.memo.lookup(d); hit {
+			return s.settle(m, keys, o)
+		}
+		keys = append(keys, d)
 	}
 	res, err := m.Run()
 	return s.settle(m, keys, classify(res, err, s.good))

@@ -181,8 +181,8 @@ func TestMemoWaitsForHookWindows(t *testing.T) {
 	t.Fatal("no faulted run exits after the first grid step")
 }
 
-// TestMemoSkipsWindowlessHooks: a hook installed without an arming
-// window stays live for the whole run, so its run neither consults nor
+// TestMemoSkipsWindowlessHooks: a hook armed for the whole run,
+// [0, ^uint64(0)), never becomes inert, so its run neither consults nor
 // feeds the memo.
 func TestMemoSkipsWindowlessHooks(t *testing.T) {
 	s := memoSession(t, false)
@@ -193,11 +193,11 @@ func TestMemoSkipsWindowlessHooks(t *testing.T) {
 	}
 	for _, f := range s.Faults() {
 		cfg := s.config(f)
-		cfg.AddStepHook(func(*emu.Machine, *isa.Inst) emu.StepAction { return emu.ActContinue })
+		cfg.AddStepHookWindow(func(*emu.Machine, *isa.Inst) emu.StepAction { return emu.ActContinue }, 0, ^uint64(0))
 		s.finish(s.checkpointFor(uint64(f.TraceIndex)).Resume(cfg))
 	}
 	if len(s.memo.outcomes) != entries || s.memo.hits.Load() != hits {
-		t.Errorf("windowless runs touched the memo: entries %d -> %d, hits %d -> %d",
+		t.Errorf("whole-run hooks touched the memo: entries %d -> %d, hits %d -> %d",
 			entries, len(s.memo.outcomes), hits, s.memo.hits.Load())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/emu"
 	"github.com/r2r/reinforce/internal/isa"
 	"github.com/r2r/reinforce/internal/trace"
@@ -60,19 +61,56 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 
 // EnumContext hands a ModelSpec everything fault enumeration may need:
 // the campaign configuration, the bad-input reference trace, and the
-// decoded instruction at each traced address.
+// load-time instruction at each traced address.
 type EnumContext struct {
 	Campaign *Campaign
 	Trace    *trace.Trace
 
-	insts map[uint64]*isa.Inst
-	seen  map[uint64]map[int]bool
+	// prog is the session's whole-image program (nil when it has none),
+	// base its entry snapshot. decoded caches what Inst decoded from
+	// base, nil where the bytes do not decode.
+	prog    *emu.Program
+	base    *emu.Snapshot
+	decoded map[uint64]*isa.Inst
+	seen    map[uint64]map[int]bool
 }
 
-// Inst returns the decoded instruction at a traced address, or nil when
-// decoding was unavailable (self-modifying reference run, or a spec
-// that declared NeedsInsts()==false).
-func (ctx *EnumContext) Inst(addr uint64) *isa.Inst { return ctx.insts[addr] }
+// Inst returns the load-time instruction at a traced address: the
+// session program's, or one decoded from the entry snapshot's bytes for
+// an address off the program's linear sweep (or a session without a
+// program). Both describe load-time code, also when the reference run
+// rewrote its own. Nil where the bytes do not decode; the spec skips
+// the site. The instruction is shared and must not be mutated.
+func (ctx *EnumContext) Inst(addr uint64) *isa.Inst {
+	if ctx.prog != nil {
+		if in := ctx.prog.Lookup(addr); in != nil {
+			return in
+		}
+	}
+	in, done := ctx.decoded[addr]
+	if !done {
+		in = decodeAt(ctx.base, addr)
+		ctx.decoded[addr] = in
+	}
+	return in
+}
+
+// decodeAt decodes the instruction at addr from a snapshot's memory,
+// nil when its bytes do not fetch or decode.
+func decodeAt(s *emu.Snapshot, addr uint64) *isa.Inst {
+	m := s.Resume(emu.Config{})
+	defer m.Release()
+	var buf [decode.MaxInstLen]byte
+	n, err := m.Mem.Fetch(addr, buf[:])
+	if err != nil {
+		return nil
+	}
+	in, err := decode.Decode(buf[:n], addr)
+	if err != nil {
+		return nil
+	}
+	return &in
+}
 
 // Mark implements the campaign's DedupSites policy for a model: it
 // reports whether the (addr, key) fault site is fresh. With DedupSites
@@ -111,47 +149,21 @@ type ModelSpec interface {
 	// Name is the canonical string form used in reports and exports.
 	Name() string
 
-	// NeedsInsts reports whether Enumerate inspects decoded
-	// instructions (EnumContext.Inst); sessions only build the
-	// instruction map when some selected model asks for it.
-	NeedsInsts() bool
-
 	// Enumerate emits every fault of this model for the reference
 	// trace, in deterministic order.
 	Enumerate(ctx *EnumContext, emit func(Fault))
 
-	// Hooks installs the emulator hooks realizing fault f into cfg,
-	// using Config.AddFetchHook/AddStepHook so several faults compose
-	// onto one run (order-2 campaigns).
+	// Hooks installs the emulator hooks realizing fault f into cfg
+	// through Config.AddFetchHookWindow/AddStepHookWindow, so several
+	// faults compose onto one run (order-2 and order-3 campaigns).
+	// The window a hook declares is the fault's effect horizon: a
+	// machine that has completed the window's end steps behaves
+	// identically from then on whether or not the hooks are still
+	// installed. The multi-fault engine pauses and forks a first
+	// fault's run there (see ExecuteSequences), and the continuation
+	// memo digests runs only past it, so a window that ends too early
+	// is a soundness bug, caught by the tree-vs-cold identity tests.
 	Hooks(f Fault, cfg *emu.Config)
-}
-
-// EffectHorizon is an optional ModelSpec extension for models whose
-// hooks have a bounded effect window. EffectEnd returns the machine
-// step count after which fault f's hooks are inert: a machine that has
-// completed EffectEnd(f) steps behaves identically from then on whether
-// or not the hooks are still installed.
-//
-// Declaring a horizon lets the multi-fault engine build the first-fault
-// snapshot tree (see ExecuteSequences): the first fault's run is paused
-// once its hooks are inert, snapshotted, and forked per continuation,
-// replacing O(sequences) prefix replays with O(distinct first faults).
-// Models without a horizon (hooks that stay live for the whole run)
-// simply fall back to the per-sequence path; correctness never depends
-// on the declaration, only performance — but a horizon that is too
-// early is a soundness bug, caught by the tree-vs-cold identity tests.
-type EffectHorizon interface {
-	EffectEnd(f Fault) uint64
-}
-
-// effectEnd resolves a fault's effect horizon, when its registered spec
-// declares one.
-func effectEnd(f Fault) (uint64, bool) {
-	h, ok := SpecOf(f.Model).(EffectHorizon)
-	if !ok {
-		return 0, false
-	}
-	return h.EffectEnd(f), true
 }
 
 // registry maps models to their specs. Guarded by a mutex so tests and
@@ -304,9 +316,6 @@ func (SkipSpec) Model() Model { return ModelSkip }
 // Name implements ModelSpec.
 func (SkipSpec) Name() string { return "instruction-skip" }
 
-// NeedsInsts implements ModelSpec.
-func (SkipSpec) NeedsInsts() bool { return false }
-
 // Enumerate implements ModelSpec: one fault per trace offset.
 func (SkipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
 	for i, e := range ctx.Trace.Entries {
@@ -319,9 +328,8 @@ func (SkipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
 	}
 }
 
-// Hooks implements ModelSpec. The declared arming window mirrors
-// EffectEnd: outside it the emulator may run predecoded blocks without
-// consulting the hook.
+// Hooks implements ModelSpec. The skip acts during step TraceIndex, so
+// the hook's window is that one step.
 func (SkipSpec) Hooks(f Fault, cfg *emu.Config) {
 	ti := uint64(f.TraceIndex)
 	cfg.AddStepHookWindow(func(m *emu.Machine, in *isa.Inst) emu.StepAction {
@@ -333,10 +341,6 @@ func (SkipSpec) Hooks(f Fault, cfg *emu.Config) {
 		return emu.ActContinue
 	}, ti, ti+1)
 }
-
-// EffectEnd implements EffectHorizon: the skip acts during step
-// TraceIndex, so the hook is inert once that step has completed.
-func (SkipSpec) EffectEnd(f Fault) uint64 { return uint64(f.TraceIndex) + 1 }
 
 // ---------------------------------------------------------------------
 // Single bit flip (paper §IV-B1).
@@ -354,9 +358,6 @@ func (BitFlipSpec) Model() Model { return ModelBitFlip }
 // Name implements ModelSpec.
 func (BitFlipSpec) Name() string { return "single-bit-flip" }
 
-// NeedsInsts implements ModelSpec.
-func (BitFlipSpec) NeedsInsts() bool { return false }
-
 // Enumerate implements ModelSpec: every bit of every traced
 // instruction's encoding.
 func (BitFlipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
@@ -373,9 +374,11 @@ func (BitFlipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
 	}
 }
 
-// Hooks implements ModelSpec. The arming window spans the flip and,
-// for transient faults, the restoring flip one step later — the same
-// range EffectEnd declares.
+// Hooks implements ModelSpec. The flip lands at the fetch of step
+// TraceIndex; a transient fault restores the bit one fetch later, so
+// its window spans step TraceIndex+1 too. (A persistent flip stays in
+// memory, but that is machine state a snapshot carries — the *hook* is
+// done.)
 func (BitFlipSpec) Hooks(f Fault, cfg *emu.Config) {
 	ti := uint64(f.TraceIndex)
 	flipAddr := f.Addr + uint64(f.Bit/8)
@@ -399,17 +402,6 @@ func (BitFlipSpec) Hooks(f Fault, cfg *emu.Config) {
 	}, ti, end)
 }
 
-// EffectEnd implements EffectHorizon: the flip lands at the fetch of
-// step TraceIndex; a transient fault restores the bit one fetch later,
-// i.e. during step TraceIndex+1. (A persistent flip stays in memory,
-// but that is machine state a snapshot carries — the *hook* is done.)
-func (BitFlipSpec) EffectEnd(f Fault) uint64 {
-	if f.Transient {
-		return uint64(f.TraceIndex) + 2
-	}
-	return uint64(f.TraceIndex) + 1
-}
-
 // ---------------------------------------------------------------------
 // Register bit flip (beyond the paper; cf. ARMORY's register faults).
 // ---------------------------------------------------------------------
@@ -426,9 +418,6 @@ func (RegFlipSpec) Model() Model { return ModelRegFlip }
 
 // Name implements ModelSpec.
 func (RegFlipSpec) Name() string { return "register-bit-flip" }
-
-// NeedsInsts implements ModelSpec.
-func (RegFlipSpec) NeedsInsts() bool { return true }
 
 // Enumerate implements ModelSpec: each register the traced instruction
 // reads × each bit of the width it is read at.
@@ -452,8 +441,8 @@ func (RegFlipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
 	}
 }
 
-// Hooks implements ModelSpec, with the one-step arming window
-// EffectEnd declares.
+// Hooks implements ModelSpec: the register is flipped during step
+// TraceIndex, the hook's one-step window.
 func (RegFlipSpec) Hooks(f Fault, cfg *emu.Config) {
 	ti := uint64(f.TraceIndex)
 	reg, bit := f.Reg, uint(f.Bit)
@@ -464,10 +453,6 @@ func (RegFlipSpec) Hooks(f Fault, cfg *emu.Config) {
 		return emu.ActContinue
 	}, ti, ti+1)
 }
-
-// EffectEnd implements EffectHorizon: the register is flipped during
-// step TraceIndex and the hook never fires again.
-func (RegFlipSpec) EffectEnd(f Fault) uint64 { return uint64(f.TraceIndex) + 1 }
 
 // regTarget is one faultable register of an instruction, with the
 // number of low bits worth flipping (the width the instruction reads).
@@ -543,9 +528,6 @@ func (MultiSkipSpec) Model() Model { return ModelMultiSkip }
 // Name implements ModelSpec.
 func (MultiSkipSpec) Name() string { return "multi-instruction-skip" }
 
-// NeedsInsts implements ModelSpec.
-func (MultiSkipSpec) NeedsInsts() bool { return false }
-
 // Enumerate implements ModelSpec: every trace offset × every window
 // size that fits in the remaining trace.
 func (s MultiSkipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
@@ -565,8 +547,9 @@ func (s MultiSkipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
 	}
 }
 
-// Hooks implements ModelSpec. The window is counted in executed steps,
-// so it stays contiguous even when a skipped instruction would have
+// Hooks implements ModelSpec. The glitch sustains through the whole
+// skip window, the hook's window. It is counted in executed steps, so
+// it stays contiguous even when a skipped instruction would have
 // branched: the fall-through successors are skipped instead, exactly as
 // a sustained glitch behaves on hardware.
 func (MultiSkipSpec) Hooks(f Fault, cfg *emu.Config) {
@@ -578,12 +561,6 @@ func (MultiSkipSpec) Hooks(f Fault, cfg *emu.Config) {
 		}
 		return emu.ActContinue
 	}, start, end)
-}
-
-// EffectEnd implements EffectHorizon: the glitch sustains through the
-// whole skip window, ending after step TraceIndex+Window-1.
-func (MultiSkipSpec) EffectEnd(f Fault) uint64 {
-	return uint64(f.TraceIndex) + uint64(f.Window)
 }
 
 // ---------------------------------------------------------------------
@@ -625,9 +602,6 @@ func (DataFlipSpec) Model() Model { return ModelDataFlip }
 // Name implements ModelSpec.
 func (DataFlipSpec) Name() string { return "data-bit-flip" }
 
-// NeedsInsts implements ModelSpec.
-func (DataFlipSpec) NeedsInsts() bool { return true }
-
 // Enumerate implements ModelSpec: each traced memory read × each bit
 // of the accessed width.
 func (DataFlipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
@@ -652,10 +626,12 @@ func (DataFlipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
 	}
 }
 
-// Hooks implements ModelSpec. The effective address is resolved in the
-// faulted run's own state at injection time; if execution diverged
-// (order-2 runs) and the instruction at the fault step has no memory
-// operand, there is no access to disturb and the glitch fizzles.
+// Hooks implements ModelSpec. The cell is disturbed during step
+// TraceIndex, the hook's window; whatever it changed is machine state
+// from then on. The effective address is resolved in the faulted run's
+// own state at injection time; if execution diverged (order-2 runs)
+// and the instruction at the fault step has no memory operand, there
+// is no access to disturb and the glitch fizzles.
 func (DataFlipSpec) Hooks(f Fault, cfg *emu.Config) {
 	ti := uint64(f.TraceIndex)
 	byteOff := uint64(f.Bit / 8)
@@ -669,7 +645,3 @@ func (DataFlipSpec) Hooks(f Fault, cfg *emu.Config) {
 		return emu.ActContinue
 	}, ti, ti+1)
 }
-
-// EffectEnd implements EffectHorizon: the cell is disturbed during step
-// TraceIndex; whatever it changed is machine state from then on.
-func (DataFlipSpec) EffectEnd(f Fault) uint64 { return uint64(f.TraceIndex) + 1 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/r2r/reinforce/internal/asm"
+	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/isa"
 	"github.com/r2r/reinforce/internal/trace"
@@ -308,6 +309,98 @@ func TestRegFlipFindsSingleBitVuln(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("rax bit-0 flip at cmp not among successes: %v", rep.Successful())
+	}
+}
+
+// offSweepPin jumps into the immediate of a swept mov eax, imm32
+// (B8 48 83 FF 00), whose bytes hold the check it executes: cmp rdi, 0.
+// The whole-image program's linear sweep decodes the mov, so the cmp
+// is off the sweep. rdi is the input byte minus '1'.
+const offSweepPin = `
+.text
+_start:
+	mov rax, 0
+	mov rdi, 0
+	lea rsi, [rip+buf]
+	mov rdx, 1
+	syscall
+	mov rdi, [rip+buf]
+	sub rdi, 0x31
+	.byte 0xEB, 0x01
+	.byte 0xB8, 0x48, 0x83, 0xFF, 0x00
+	jne deny
+	mov rax, 60
+	mov rdi, 0
+	syscall
+deny:
+	mov rax, 60
+	mov rdi, 1
+	syscall
+.bss
+buf: .zero 8
+`
+
+// TestRegFlipOffSweepInst: an instruction the bad-input trace executes
+// off the program's linear sweep gets the register faults a decode of
+// the entry image's bytes gives, and each simulates like a cold run.
+func TestRegFlipOffSweepInst(t *testing.T) {
+	bin := mustAssemble(t, offSweepPin)
+	s, err := NewSession(Campaign{
+		Binary: bin, Good: []byte("1"), Bad: []byte("2"),
+		Models: []Model{ModelRegFlip},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addr uint64
+	for _, e := range s.trace.Entries {
+		if s.prog.Lookup(e.Addr) == nil {
+			if addr != 0 && addr != e.Addr {
+				t.Fatalf("off-sweep instructions at %#x and %#x, want one", addr, e.Addr)
+			}
+			addr = e.Addr
+		}
+	}
+	text := bin.Text()
+	in, err := decode.Decode(text.Data[addr-text.Addr:], addr)
+	if addr == 0 || err != nil || in.Op != isa.CMP {
+		t.Fatalf("off-sweep instruction at %#x decodes to %v, %v; want the hidden cmp", addr, in, err)
+	}
+	var want, got []Fault
+	for i, e := range s.trace.Entries {
+		if e.Addr != addr {
+			continue
+		}
+		for _, r := range readRegs(&in) {
+			for bit := 0; bit < r.bits; bit++ {
+				want = append(want, Fault{
+					Model: ModelRegFlip, TraceIndex: i,
+					Addr: addr, Op: e.Op, Cond: e.Cond,
+					Reg: r.reg, Bit: bit,
+				})
+			}
+		}
+	}
+	for _, f := range s.Faults() {
+		if f.Addr == addr {
+			got = append(got, f)
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("faults at %#x:\n got %v\nwant %v", addr, got, want)
+	}
+	success := 0
+	for _, f := range got {
+		warm, cold := s.Simulate(f), s.SimulateCold(f)
+		if warm != cold {
+			t.Errorf("%v: snapshot path %v, cold path %v", f, warm, cold)
+		}
+		if warm == OutcomeSuccess {
+			success++
+		}
+	}
+	if success == 0 {
+		t.Error("no off-sweep register fault succeeds; want rdi bit 0")
 	}
 }
 

@@ -186,14 +186,15 @@ func walkSeqs(cand []Fault, k, max int, emit func([]Fault)) int {
 
 // group is one node of the first-fault snapshot tree: every selected
 // sequence sharing one first fault whose later faults all strike at or
-// after the first's effect horizon. The group costs one prefix resume
-// plus one run to the horizon, then at most one cheap snapshot fork per
-// continuation.
+// after the first's effect horizon, the end of its hooks' window. The
+// group costs one prefix resume plus one run to the horizon, then at
+// most one cheap snapshot fork per continuation.
 type group struct {
 	first Fault
-	end   uint64 // snapshot step: the first fault's effect horizon
-	idx   []int  // positions in the shard-local selection
-	rests []rest // the continuation key of each position
+	cfg   emu.Config // the first fault's run, built once per group
+	end   uint64     // snapshot step: the end of cfg's hook window
+	idx   []int      // positions in the shard-local selection
+	rests []rest     // the continuation key of each position
 }
 
 // ExecuteSequences simulates the sequences of shard shardIndex (of
@@ -202,14 +203,13 @@ type group struct {
 // shard-local selection with its outcomes. Each distinct first fault
 // replays its prefix once and serves every continuation (see runGroup):
 // O(distinct first faults) prefix replays instead of O(sequences).
-// Sequences outside the tree — a first fault without an EffectHorizon,
-// a later fault striking inside the first's effect window, or a fault
-// the pruner's solo sweep does not hold — take the per-sequence
-// SimulateSeq path. Outcomes land at fixed positions and are
-// bit-identical to SimulateSeq (and SimulateCold) regardless of worker
-// count, grouping, or what the pruner inherited. progress, when
-// non-nil, is invoked after every classified sequence, possibly from
-// several goroutines at once.
+// Sequences outside the tree — a later fault striking inside the
+// first's hook window, or a fault the pruner's solo sweep does not
+// hold — take the per-sequence SimulateSeq path. Outcomes land at
+// fixed positions and are bit-identical to SimulateSeq (and
+// SimulateCold) regardless of worker count, grouping, or what the
+// pruner inherited. progress, when non-nil, is invoked after every
+// classified sequence, possibly from several goroutines at once.
 func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIndex, shardCount, workers int, progress func(done, total int)) ([]T, []Outcome, Tally) {
 	sel := ShardSelect(items, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))
@@ -218,16 +218,24 @@ func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIn
 	}
 
 	// Partition into snapshot-tree groups (first-seen order) and loose
-	// per-sequence work.
+	// per-sequence work. Each distinct first fault's config is built
+	// once; its hook window gives the horizon every sequence sharing
+	// that first fault is checked against.
 	groupOf := make(map[Fault]*group)
 	var groups []*group
 	var loose []int
 	for i, it := range sel {
 		fs, n := it.Seq()
 		faults := fs[:n]
-		end, ok := effectEnd(faults[0])
+		g := groupOf[faults[0]]
+		if g == nil {
+			g = &group{first: faults[0], cfg: s.config(faults[0])}
+			_, g.end = g.cfg.HookWindow()
+			groupOf[faults[0]] = g
+		}
+		ok := true
 		for _, f := range faults[1:] {
-			ok = ok && uint64(f.TraceIndex) >= end
+			ok = ok && uint64(f.TraceIndex) >= g.end
 		}
 		var r rest
 		if ok {
@@ -237,10 +245,7 @@ func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIn
 			loose = append(loose, i)
 			continue
 		}
-		g, seen := groupOf[faults[0]]
-		if !seen {
-			g = &group{first: faults[0], end: end}
-			groupOf[faults[0]] = g
+		if len(g.idx) == 0 {
 			groups = append(groups, g)
 		}
 		g.idx = append(g.idx, i)
@@ -295,21 +300,21 @@ func ExecuteSequences[T Sequence](s *Session, items []T, pr *PairPruner, shardIn
 // resume, which matches SimulateSeq bit for bit: before the snapshot
 // step no later hook could have fired (eligibility requires every later
 // fault to strike at or after the horizon), and after it the first
-// fault's hooks are inert by its declared EffectHorizon.
+// fault's hooks are inert: the horizon is the end of their window.
 func (s *Session) runGroup(pr *PairPruner, g *group, record func(i int, o Outcome)) {
 	// Transparent first fault: its window writes nothing, so the
 	// machine stays bit-identical to the reference trajectory through
 	// the effect horizon and each sequence runs like its continuation
 	// alone. Any unknown continuation outcome falls back to the dynamic
 	// path for the whole group.
-	if s.transparentFirst(g.first) && pr.knowsAll(g.rests) {
+	if s.transparentFirst(g) && pr.knowsAll(g.rests) {
 		for n, i := range g.idx {
 			record(i, pr.known[g.rests[n]])
 		}
 		pr.inert.Add(int64(len(g.idx)))
 		return
 	}
-	m := s.checkpointFor(uint64(g.first.TraceIndex)).Resume(s.config(g.first))
+	m := s.checkpointFor(uint64(g.first.TraceIndex)).Resume(g.cfg)
 	res, done, err := m.RunUntil(g.end)
 	if done {
 		// The first-fault run ended (exit, crash, or step limit) before

@@ -12,7 +12,6 @@ import (
 
 	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/emu"
-	"github.com/r2r/reinforce/internal/isa"
 	"github.com/r2r/reinforce/internal/trace"
 )
 
@@ -161,16 +160,7 @@ func NewSession(c Campaign) (*Session, error) {
 	}
 	s.memo = newTailMemo(ref)
 
-	// Models whose enumeration inspects operands (register/data faults)
-	// get the load-time instruction at each traced address.
-	var insts map[uint64]*isa.Inst
-	for _, model := range s.c.Models {
-		if spec := SpecOf(model); spec != nil && spec.NeedsInsts() {
-			insts = buildInstMap(base, s.trace, s.prog)
-			break
-		}
-	}
-	faults, err := enumerate(s.c, s.trace, insts)
+	faults, err := enumerate(s.c, s.trace, s.prog, base)
 	if err != nil {
 		return nil, err
 	}
@@ -217,43 +207,6 @@ func NewSession(c Campaign) (*Session, error) {
 		}
 	}
 	return s, nil
-}
-
-// buildInstMap collects the load-time instruction behind every unique
-// traced address, for fault models that enumerate over operands: the
-// whole-image program's, or one decoded from the entry snapshot where
-// the program has none (an address off its linear sweep, or no
-// program at all). Both read base's load-time bytes, also for a
-// reference run that rewrote its own code. Addresses that do not
-// decode are left out — the spec sees a nil Inst and skips the site.
-func buildInstMap(base *emu.Snapshot, tr *trace.Trace, prog *emu.Program) map[uint64]*isa.Inst {
-	insts := make(map[uint64]*isa.Inst)
-	var pm *emu.Machine
-	for _, e := range tr.Entries {
-		if _, done := insts[e.Addr]; done {
-			continue
-		}
-		if prog != nil {
-			if in := prog.Lookup(e.Addr); in != nil {
-				insts[e.Addr] = in
-				continue
-			}
-		}
-		if pm == nil {
-			pm = base.Resume(emu.Config{})
-		}
-		var buf [decode.MaxInstLen]byte
-		n, err := pm.Mem.Fetch(e.Addr, buf[:])
-		if err != nil {
-			continue
-		}
-		in, err := decode.Decode(buf[:n], e.Addr)
-		if err != nil {
-			continue
-		}
-		insts[e.Addr] = &in
-	}
-	return insts
 }
 
 // runReference executes the bad-input reference run, snapshotting the
@@ -333,7 +286,8 @@ func (s *Session) checkpointFor(step uint64) *emu.Snapshot {
 // config builds the emulator configuration of one faulted run: the
 // injection step budget, the campaign's execution mode, and the hooks
 // of every given fault (none for a reference run), each asked of its
-// registered spec. The hooks chain (Config.AddFetchHook/AddStepHook)
+// registered spec. The hooks chain (Config.AddFetchHookWindow/
+// AddStepHookWindow), so the config's hook window spans every fault's,
 // and key any step-indexed behaviour off the machine's absolute step
 // counter, so composed faults stay independent — a later one fires at
 // its step even when an earlier one sent execution down a different

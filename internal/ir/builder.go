@@ -15,9 +15,6 @@ func NewBuilder(b *Block) *Builder { return &Builder{blk: b} }
 // Block returns the block under construction.
 func (bd *Builder) Block() *Block { return bd.blk }
 
-// SetBlock retargets the builder.
-func (bd *Builder) SetBlock(b *Block) { bd.blk = b }
-
 func (bd *Builder) append(i *Instr) *Instr {
 	i.blk = bd.blk
 	fn := bd.blk.fn

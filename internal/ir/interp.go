@@ -16,7 +16,8 @@ var (
 	ErrNoEntry     = errors.New("ir: module has no entry function")
 )
 
-// ExecConfig parameterizes a reference-interpreter run.
+// ExecConfig parameterizes a reference-interpreter run. The stack is
+// the emulator's: emu.DefaultStackSize bytes below emu.DefaultStackTop.
 type ExecConfig struct {
 	Stdin     []byte
 	StepLimit uint64
@@ -25,9 +26,6 @@ type ExecConfig struct {
 	// Sections to map into the flat memory (typically the data
 	// sections of the binary the module was lifted from).
 	Sections []*elf.Section
-
-	StackTop  uint64
-	StackSize uint64
 }
 
 // ExecResult mirrors emu.Result so lifted modules can be compared
@@ -70,12 +68,6 @@ func Exec(m *Module, cfg ExecConfig) (ExecResult, error) {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 256
 	}
-	if cfg.StackTop == 0 {
-		cfg.StackTop = emu.DefaultStackTop
-	}
-	if cfg.StackSize == 0 {
-		cfg.StackSize = emu.DefaultStackSize
-	}
 
 	it := &interp{
 		mod:   m,
@@ -88,9 +80,9 @@ func Exec(m *Module, cfg ExecConfig) (ExecResult, error) {
 	for _, s := range cfg.Sections {
 		it.mem.LoadSection(s)
 	}
-	it.mem.Map(cfg.StackTop-cfg.StackSize, cfg.StackSize, elf.FlagRead|elf.FlagWrite)
+	it.mem.Map(emu.DefaultStackTop-emu.DefaultStackSize, emu.DefaultStackSize, elf.FlagRead|elf.FlagWrite)
 	if _, ok := m.CellType("rsp"); ok {
-		it.cells["rsp"] = cfg.StackTop - 64
+		it.cells["rsp"] = emu.DefaultStackTop - 64
 	}
 
 	err := it.call(entry)

@@ -265,7 +265,7 @@ func regConstAt(p *Program, preds map[uint64][]uint64, addr uint64, reg isa.Reg)
 			in.Dst.Width >= 4 && in.Src.Kind == isa.KindImm {
 			return in.Src.Imm, true
 		}
-		if EffectsOf(in).Write.Has(RegBit(reg)) {
+		if EffectsOf(in).Has(RegBit(reg)) {
 			return 0, false
 		}
 		cur = pa

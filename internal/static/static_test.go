@@ -132,39 +132,39 @@ func TestEffectsTable(t *testing.T) {
 	}
 	imm := func(v int64) isa.Operand { return isa.Operand{Kind: isa.KindImm, Imm: v} }
 
-	// Full-width mov kills the destination.
-	e := EffectsOf(mk(isa.MOV, reg(isa.RAX, 8), reg(isa.RBX, 8)))
-	if !e.Kill.Has(RegBit(isa.RAX)) {
-		t.Errorf("mov rax, rbx effects = %+v", e)
+	// Full-width mov writes the destination.
+	w := EffectsOf(mk(isa.MOV, reg(isa.RAX, 8), reg(isa.RBX, 8)))
+	if !w.Has(RegBit(isa.RAX)) {
+		t.Errorf("mov rax, rbx writes %#x", w)
 	}
-	// 1-byte writes merge: write, no kill.
-	e = EffectsOf(mk(isa.MOV, reg(isa.RAX, 1), imm(7)))
-	if e.Kill.Has(RegBit(isa.RAX)) || !e.Write.Has(RegBit(isa.RAX)) {
-		t.Errorf("mov al, 7 effects = %+v", e)
+	// 1-byte writes merge into the register: still a write.
+	w = EffectsOf(mk(isa.MOV, reg(isa.RAX, 1), imm(7)))
+	if !w.Has(RegBit(isa.RAX)) {
+		t.Errorf("mov al, 7 writes %#x", w)
 	}
-	// inc preserves CF: flags written, not killed.
-	e = EffectsOf(mk(isa.INC, reg(isa.RAX, 8), isa.Operand{}))
-	if e.Kill.Has(Flags) || !e.Write.Has(Flags) {
-		t.Errorf("inc rax effects = %+v", e)
+	// inc preserves CF: the flags unit is written partially.
+	w = EffectsOf(mk(isa.INC, reg(isa.RAX, 8), isa.Operand{}))
+	if !w.Has(Flags) {
+		t.Errorf("inc rax writes %#x", w)
 	}
-	// Shift by zero leaves flags untouched; nonzero kills them.
-	e = EffectsOf(mk(isa.SHL, reg(isa.RAX, 8), imm(0)))
-	if e.Write.Has(Flags) {
-		t.Errorf("shl rax, 0 must not touch flags: %+v", e)
+	// Shift by zero leaves flags untouched; nonzero writes them.
+	w = EffectsOf(mk(isa.SHL, reg(isa.RAX, 8), imm(0)))
+	if w.Has(Flags) {
+		t.Errorf("shl rax, 0 must not touch flags: %#x", w)
 	}
-	e = EffectsOf(mk(isa.SHL, reg(isa.RAX, 8), imm(3)))
-	if !e.Kill.Has(Flags) {
-		t.Errorf("shl rax, 3 must kill flags: %+v", e)
+	w = EffectsOf(mk(isa.SHL, reg(isa.RAX, 8), imm(3)))
+	if !w.Has(Flags) {
+		t.Errorf("shl rax, 3 must write flags: %#x", w)
 	}
-	// adc kills the flags it also reads.
-	e = EffectsOf(mk(isa.ADC, reg(isa.RAX, 8), reg(isa.RBX, 8)))
-	if !e.Kill.Has(Flags) {
-		t.Errorf("adc effects = %+v", e)
+	// adc writes the flags it also reads.
+	w = EffectsOf(mk(isa.ADC, reg(isa.RAX, 8), reg(isa.RBX, 8)))
+	if !w.Has(Flags) {
+		t.Errorf("adc writes %#x", w)
 	}
 	// syscall clobbers rax/rcx/r11.
-	e = EffectsOf(isa.Inst{Op: isa.SYSCALL})
-	if !e.Kill.Has(RegBit(isa.RCX)) || !e.Kill.Has(RegBit(isa.R11)) {
-		t.Errorf("syscall effects = %+v", e)
+	w = EffectsOf(isa.Inst{Op: isa.SYSCALL})
+	if !w.Has(RegBit(isa.RAX)) || !w.Has(RegBit(isa.RCX)) || !w.Has(RegBit(isa.R11)) {
+		t.Errorf("syscall writes %#x", w)
 	}
 }
 

@@ -115,10 +115,7 @@ func verifyOrder2Run(b *bir.Block, lo, hi int, cfg BIRConfig) []Finding {
 			Addr:   b.Insts[idx].I.Addr,
 			Detail: fmt.Sprintf(format, args...)})
 	}
-	writesFlags := func(in isa.Inst) bool {
-		eff := EffectsOf(in)
-		return (eff.Write|eff.Kill)&Flags != 0
-	}
+	writesFlags := func(in isa.Inst) bool { return EffectsOf(in).Has(Flags) }
 
 	prevBranch := lo - 1 // index of the previous detection branch
 	cmpDerived := 0
