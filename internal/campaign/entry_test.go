@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/fault"
@@ -177,15 +179,36 @@ func TestStoreLookupRejectsCorruptEntries(t *testing.T) {
 	}
 }
 
-// fprintfFault is the fmt form of the fault digest, the reference
-// appendFault must reproduce byte for byte.
-func fprintfFault(w io.Writer, f fault.Fault) {
-	fmt.Fprintf(w, "%d|%d|%x|%d|%d|%d|%t|%d|%d\n",
-		f.Model, f.TraceIndex, f.Addr, f.Op, f.Cond, f.Bit, f.Transient, f.Reg, f.Window)
+// refFault is the reference encoding of a fault, written field by
+// field without encoding/binary: Model, Op, Cond, Reg and Transient as
+// one byte each, then TraceIndex, Addr, Bit and Window as varints
+// (zig-zag for the signed fields; seven bits per byte, low group
+// first, the high bit set on every byte but the last). appendFault
+// must reproduce it byte for byte.
+func refFault(w io.Writer, f fault.Fault) {
+	uvarint := func(x uint64) {
+		var b []byte
+		for x >= 0x80 {
+			b = append(b, byte(x&0x7f)|0x80)
+			x >>= 7
+		}
+		w.Write(append(b, byte(x)))
+	}
+	varint := func(x int64) { uvarint(uint64(x<<1) ^ uint64(x>>63)) }
+	var transient byte
+	if f.Transient {
+		transient = 1
+	}
+	w.Write([]byte{byte(f.Model), byte(f.Op), byte(f.Cond), byte(f.Reg), transient})
+	varint(int64(f.TraceIndex))
+	uvarint(f.Addr)
+	varint(int64(f.Bit))
+	varint(int64(f.Window))
 }
 
 // catalogFaults enumerates every catalog case under every registered
-// fault model, plus edge values no enumeration produces.
+// fault model, persistent and transient, plus edge values no
+// enumeration produces.
 func catalogFaults(t *testing.T) []fault.Fault {
 	t.Helper()
 	faults := []fault.Fault{
@@ -193,40 +216,65 @@ func catalogFaults(t *testing.T) []fault.Fault {
 		{Model: math.MaxUint8, TraceIndex: -1, Addr: math.MaxUint64, Op: math.MaxUint8, Cond: math.MaxUint8,
 			Bit: math.MinInt64, Transient: true, Reg: math.MaxUint8, Window: math.MaxInt64},
 		{Model: fault.ModelBitFlip, TraceIndex: math.MinInt64, Addr: 0x401000, Bit: -7, Transient: true, Window: -3},
+		{TraceIndex: math.MaxInt, Addr: ^uint64(0), Bit: math.MaxInt, Window: math.MinInt},
+		{TraceIndex: -64, Addr: 1 << 63, Bit: 63, Window: -65},
 	}
 	for _, c := range cases.Corpus() {
-		s, err := fault.NewSession(fault.Campaign{
-			Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
-			Models: fault.RegisteredModels(), StepLimit: 32 << 20,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
+		for _, transient := range []bool{false, true} {
+			s, err := fault.NewSession(fault.Campaign{
+				Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
+				Models: fault.RegisteredModels(), StepLimit: 32 << 20, Transient: transient,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			faults = append(faults, s.Faults()...)
 		}
-		faults = append(faults, s.Faults()...)
 	}
 	return faults
 }
 
-// TestFaultDigestMatchesFprintf: appendFault writes exactly the bytes
-// of the fmt form for every fault of every catalog case under every
-// registered model and for edge values, and the list digests equal a
-// reference hash computed through that form — so store entries written
-// before the strconv digest stay addressable.
-func TestFaultDigestMatchesFprintf(t *testing.T) {
+// TestFaultEncoding: appendFault writes exactly the reference bytes
+// for every fault of every catalog case under every registered model,
+// persistent and transient, and for edge values; the list digests
+// equal SHA-256 over the reference bytes. Fault's size and field count
+// are pinned, so a field the encoding does not write fails here.
+func TestFaultEncoding(t *testing.T) {
+	if n := reflect.TypeOf(fault.Fault{}).NumField(); n != 9 {
+		t.Fatalf("fault.Fault has %d fields, appendFault encodes 9: extend the encoding (and bump planSchema)", n)
+	}
+	if strconv.IntSize == 64 {
+		for _, sz := range []struct {
+			name      string
+			got, want uintptr
+		}{
+			{"Fault", unsafe.Sizeof(fault.Fault{}), 40},
+			{"Injection", unsafe.Sizeof(fault.Injection{}), 48},
+			{"FaultPair", unsafe.Sizeof(fault.FaultPair{}), 80},
+		} {
+			if sz.got != sz.want {
+				t.Errorf("unsafe.Sizeof(fault.%s) = %d, want %d", sz.name, sz.got, sz.want)
+			}
+		}
+	}
 	faults := catalogFaults(t)
 	var want bytes.Buffer
 	for _, f := range faults {
 		want.Reset()
-		fprintfFault(&want, f)
-		if got := appendFault(nil, f); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("appendFault(%+v) = %q, want %q", f, got, want.Bytes())
+		refFault(&want, f)
+		got := appendFault(nil, f)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendFault(%+v) = %x, want %x", f, got, want.Bytes())
+		}
+		if len(got) > maxFaultEnc {
+			t.Fatalf("appendFault(%+v) wrote %d bytes, over maxFaultEnc %d", f, len(got), maxFaultEnc)
 		}
 	}
 	reference := func(faults ...[]fault.Fault) string {
 		h := sha256.New()
 		for _, fs := range faults {
 			for _, f := range fs {
-				fprintfFault(h, f)
+				refFault(h, f)
 			}
 		}
 		return hex.EncodeToString(h.Sum(nil))

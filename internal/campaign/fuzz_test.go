@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/r2r/reinforce/internal/fault"
+	"github.com/r2r/reinforce/internal/isa"
 )
 
 // FuzzParseShard: any input either fails with an error or yields a
@@ -117,6 +120,72 @@ func FuzzStoreEntry(f *testing.F) {
 		}
 		if !reflect.DeepEqual(e, back) {
 			t.Fatalf("re-saved entry drifted:\n%+v\n%+v", e, back)
+		}
+	})
+}
+
+// faultRecordLen is how many input bytes faultFrom reads per fault.
+const faultRecordLen = 5 + 4*8
+
+// faultFrom builds a fault from the first faultRecordLen bytes of p
+// (zero-padded): the five byte-sized fields, then TraceIndex, Addr, Bit
+// and Window as little-endian 64-bit words.
+func faultFrom(p []byte) fault.Fault {
+	var r [faultRecordLen]byte
+	copy(r[:], p)
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(r[5+8*i:]) }
+	return fault.Fault{
+		Model: fault.Model(r[0]), Op: isa.Op(r[1]), Cond: isa.Cond(r[2]), Reg: isa.Reg(r[3]),
+		Transient:  r[4] != 0,
+		TraceIndex: int(word(0)), Addr: word(1), Bit: int(word(2)), Window: int(word(3)),
+	}
+}
+
+// FuzzFaultEncoding: for two faults built from the input, appendFault's
+// encodings are equal only when the faults are, neither is a proper
+// prefix of the other (so a concatenated list decodes one way), and
+// each matches the reference encoder.
+func FuzzFaultEncoding(f *testing.F) {
+	rec := func(model, op byte, transient bool, ti int64, addr uint64, bit, window int64) []byte {
+		r := []byte{model, op, 0, 0, 0}
+		if transient {
+			r[4] = 1
+		}
+		for _, w := range []uint64{uint64(ti), addr, uint64(bit), uint64(window)} {
+			r = binary.LittleEndian.AppendUint64(r, w)
+		}
+		return r
+	}
+	a := rec(byte(fault.ModelBitFlip), 3, false, 17, 0x401000, 5, 0)
+	for _, b := range [][]byte{
+		a,
+		rec(byte(fault.ModelBitFlip), 3, true, 17, 0x401000, 5, 0),
+		rec(byte(fault.ModelBitFlip), 3, false, 17, 0x401000, -5, 0),
+		rec(byte(fault.ModelBitFlip), 3, false, 17, 0x401000<<7, 5, 0),
+		rec(byte(fault.ModelMultiSkip), 3, false, 17, 0x401000, 0, 5),
+		rec(0, 0, false, -1, ^uint64(0), math.MinInt64, math.MaxInt64),
+		nil,
+	} {
+		f.Add(a, b)
+	}
+	f.Fuzz(func(t *testing.T, pa, pb []byte) {
+		fa, fb := faultFrom(pa), faultFrom(pb)
+		ea, eb := appendFault(nil, fa), appendFault(nil, fb)
+		if bytes.Equal(ea, eb) != (fa == fb) {
+			t.Fatalf("faults %+v and %+v (equal: %v) encode to %x and %x", fa, fb, fa == fb, ea, eb)
+		}
+		if len(ea) != len(eb) && (bytes.HasPrefix(ea, eb) || bytes.HasPrefix(eb, ea)) {
+			t.Fatalf("encoding %x of %+v and %x of %+v: one is a proper prefix of the other", ea, fa, eb, fb)
+		}
+		for _, c := range []struct {
+			f   fault.Fault
+			enc []byte
+		}{{fa, ea}, {fb, eb}} {
+			var want bytes.Buffer
+			refFault(&want, c.f)
+			if !bytes.Equal(c.enc, want.Bytes()) {
+				t.Fatalf("appendFault(%+v) = %x, reference %x", c.f, c.enc, want.Bytes())
+			}
 		}
 	})
 }

@@ -9,10 +9,10 @@ package campaign
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"strconv"
 
 	"github.com/r2r/reinforce/internal/fault"
 )
@@ -31,8 +31,11 @@ import (
 // one entry layout (sequence-list digest plus one outcome column) in
 // place of per-order fields; 4 = columnar entries (one outcome letter
 // per injection for every order, order-1 evidence as step, budget-cut,
-// and interned page-set columns) in place of per-fault JSON records.
-const planSchema = 4
+// and interned page-set columns) in place of per-fault JSON records;
+// 5 = the fault-list digests hash a binary encoding of each fault (one
+// byte per small field, a varint per wide one; see appendFault) in
+// place of its decimal text.
+const planSchema = 5
 
 // Plan is a content-addressed campaign execution: the campaign itself
 // plus the execution parameters that change its results (shard, fault
@@ -103,10 +106,13 @@ func digestSeqs[T fault.Sequence](list []T) string {
 	return d.sum()
 }
 
-// digestChunk is how many serialized bytes a faultDigest buffers
-// before handing them to the hash; one serialized fault is at most 102
-// bytes, so the buffer never regrows.
-const digestChunk = 4096
+// digestChunk is how many encoded bytes a faultDigest buffers before
+// handing them to the hash; one encoded fault is at most maxFaultEnc
+// (45) bytes, so the buffer never regrows.
+const (
+	digestChunk = 4096
+	maxFaultEnc = 5 + 4*binary.MaxVarintLen64
+)
 
 // faultDigest hashes a stream of faults through one reused buffer, so
 // digesting a list costs no allocation per fault.
@@ -116,7 +122,7 @@ type faultDigest struct {
 }
 
 func newFaultDigest() *faultDigest {
-	return &faultDigest{h: sha256.New(), buf: make([]byte, 0, digestChunk+128)}
+	return &faultDigest{h: sha256.New(), buf: make([]byte, 0, digestChunk+maxFaultEnc)}
 }
 
 func (d *faultDigest) add(f fault.Fault) {
@@ -132,30 +138,21 @@ func (d *faultDigest) sum() string {
 	return hex.EncodeToString(d.h.Sum(nil))
 }
 
-// appendFault serializes every identity field of a fault, explicitly —
-// adding a Fault field without extending this list is caught by the
-// store round-trip tests. The bytes must stay those the fault digest
-// has hashed since planSchema 1, the fmt format
-// "%d|%d|%x|%d|%d|%d|%t|%d|%d\n" over Model, TraceIndex, Addr, Op,
-// Cond, Bit, Transient, Reg, Window (TestFaultDigestMatchesFprintf),
-// or a digest change needs a planSchema bump.
+// appendFault encodes every identity field of a fault: Model, Op,
+// Cond, Reg and Transient as one byte each, then TraceIndex, Addr, Bit
+// and Window as varints. Every field's length follows from its own
+// bytes, so the encoding is prefix-free and the concatenated list a
+// digest hashes names exactly one fault list. A field added to Fault
+// without extending this list fails TestFaultEncoding; a change to the
+// bytes needs a planSchema bump.
 func appendFault(b []byte, f fault.Fault) []byte {
-	b = strconv.AppendUint(b, uint64(f.Model), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(f.TraceIndex), 10)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, f.Addr, 16)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, uint64(f.Op), 10)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, uint64(f.Cond), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(f.Bit), 10)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, f.Transient)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, uint64(f.Reg), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(f.Window), 10)
-	return append(b, '\n')
+	var transient byte
+	if f.Transient {
+		transient = 1
+	}
+	b = append(b, byte(f.Model), byte(f.Op), byte(f.Cond), byte(f.Reg), transient)
+	b = binary.AppendVarint(b, int64(f.TraceIndex))
+	b = binary.AppendUvarint(b, f.Addr)
+	b = binary.AppendVarint(b, int64(f.Bit))
+	return binary.AppendVarint(b, int64(f.Window))
 }

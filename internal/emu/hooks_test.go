@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/asm"
@@ -103,6 +104,81 @@ _start:
 	}
 	if a != int(res.Steps) || b != int(res.Steps) {
 		t.Errorf("fetch hook calls = (%d, %d), want both %d", a, b, res.Steps)
+	}
+}
+
+// TestHookWindowsArmApart: two hooks whose windows lie far apart arm
+// only their own windows. The chained fetch hook runs on exactly the
+// steps of the two windows, the fast path covers the gap between them,
+// and the config still reports their union as its hook window.
+func TestHookWindowsArmApart(t *testing.T) {
+	src := `
+.text
+_start:
+	mov rcx, 100
+loop:
+	dec rcx
+	jne loop
+	mov rax, 60
+	mov rdi, 0
+	syscall
+`
+	bin, err := asm.Assemble(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second []uint64
+	cfg := Config{}
+	cfg.AddFetchHookWindow(func(m *Machine) { first = append(first, m.Steps) }, 3, 5)
+	cfg.AddFetchHookWindow(func(m *Machine) { second = append(second, m.Steps) }, 150, 153)
+	if start, end := cfg.HookWindow(); start != 3 || end != 153 {
+		t.Errorf("HookWindow = [%d, %d), want the union [3, 153)", start, end)
+	}
+	m := New(bin, cfg)
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 204 || res.ExitCode != 0 {
+		t.Fatalf("run = %d steps, exit %d; want 204 steps, exit 0", res.Steps, res.ExitCode)
+	}
+	if m.HooksInertAt() != 153 {
+		t.Errorf("HooksInertAt = %d, want 153", m.HooksInertAt())
+	}
+	want := []uint64{3, 4, 150, 151, 152} // (5-3) + (153-150) steps
+	if !slices.Equal(first, want) || !slices.Equal(second, want) {
+		t.Errorf("chained fetch hook ran on steps %v and %v, want %v", first, second, want)
+	}
+}
+
+// TestArmWindowsMerge: the arming list stays sorted and disjoint,
+// merges overlapping and touching windows, drops empty ones, and
+// collapses to the union when a window would overflow it.
+func TestArmWindowsMerge(t *testing.T) {
+	type win = struct{ start, end uint64 }
+	for _, tc := range []struct {
+		add  []win
+		want []win
+	}{
+		{nil, nil},
+		{[]win{{5, 5}}, nil},
+		{[]win{{10, 12}, {3, 4}}, []win{{3, 4}, {10, 12}}},
+		{[]win{{3, 5}, {5, 9}}, []win{{3, 9}}},
+		{[]win{{3, 5}, {10, 12}, {4, 11}}, []win{{3, 12}}},
+		{[]win{{20, 30}, {1, 2}, {25, 40}, {8, 9}}, []win{{1, 2}, {8, 9}, {20, 40}}},
+		{[]win{{0, 1}, {2, 3}, {4, 5}, {6, 7}}, []win{{0, 1}, {2, 3}, {4, 5}, {6, 7}}},
+		{[]win{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}}, []win{{0, 9}}},
+		{[]win{{2, 3}, {4, 5}, {6, 7}, {8, 9}, {0, 1}}, []win{{0, 9}}},
+		{[]win{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {3, 4}}, []win{{0, 1}, {2, 5}, {6, 7}}},
+		{[]win{{0, 1}, {100, ^uint64(0)}}, []win{{0, 1}, {100, ^uint64(0)}}},
+	} {
+		var a armWindows
+		for _, w := range tc.add {
+			a.add(w.start, w.end)
+		}
+		if got := a.w[:a.n]; !slices.Equal(got, tc.want) {
+			t.Errorf("add %v: windows %v, want %v", tc.add, got, tc.want)
+		}
 	}
 }
 

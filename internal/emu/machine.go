@@ -79,13 +79,15 @@ type Config struct {
 	fetchHook func(m *Machine)
 	stepHook  func(m *Machine, in *isa.Inst) StepAction
 
-	// Hook arming window, the union of the installed hooks' windows
-	// (empty when none is installed): hooks may only act during steps s
-	// with hookStart <= s < hookEnd (s is the machine's pre-increment
-	// step counter — the dynamic trace index of the instruction about
-	// to execute). Outside the window the machine may dispatch
+	// Hook arming windows: hooks may only act during steps s inside one
+	// of the windows they were installed with (s is the machine's
+	// pre-increment step counter — the dynamic trace index of the
+	// instruction about to execute). arm lists those windows, sorted
+	// and merged; hookStart/hookEnd is their union (empty when no hook
+	// is installed). Outside every window the machine may dispatch
 	// predecoded micro-op blocks without calling the hooks at all;
-	// inside it, it single-steps so every hook observes every step.
+	// inside one, it single-steps so every hook observes every step.
+	arm       armWindows
 	hookStart uint64
 	hookEnd   uint64
 }
@@ -97,16 +99,69 @@ type Config struct {
 // effect horizon of the faults the hooks realize.
 func (c *Config) HookWindow() (start, end uint64) { return c.hookStart, c.hookEnd }
 
-// noteWindow unions [start, end) into the config's hook arming window.
-// Called before the hook is chained, so the first hook's window starts
-// the union.
+// noteWindow adds [start, end) to the config's arming windows and
+// unions it into the hook window. Called before the hook is chained,
+// so the first hook's window starts the union.
 func (c *Config) noteWindow(start, end uint64) {
+	c.arm.add(start, end)
 	if c.fetchHook == nil && c.stepHook == nil {
 		c.hookStart, c.hookEnd = start, end
 		return
 	}
 	c.hookStart = min(c.hookStart, start)
 	c.hookEnd = max(c.hookEnd, end)
+}
+
+// maxArmWindows is how many disjoint arming windows a config keeps
+// apart: enough for a triple's three faults and one more.
+const maxArmWindows = 4
+
+// armWindows is a short sorted list of disjoint, non-touching step
+// windows [start, end), held by value so configs and machines carry it
+// without allocating. A list that would outgrow its capacity collapses
+// to the union of its windows, which single-steps more but stays sound.
+type armWindows struct {
+	w [maxArmWindows]struct{ start, end uint64 }
+	n int
+}
+
+// add inserts [start, end), merging every window it overlaps or
+// touches. An empty window arms nothing and is dropped.
+func (a *armWindows) add(start, end uint64) {
+	if start >= end {
+		return
+	}
+	var out armWindows
+	placed := false
+	for _, w := range a.w[:a.n] {
+		switch {
+		case w.end < start:
+			out.push(w.start, w.end)
+		case end < w.start:
+			if !placed {
+				out.push(start, end)
+				placed = true
+			}
+			out.push(w.start, w.end)
+		default:
+			start, end = min(start, w.start), max(end, w.end)
+		}
+	}
+	if !placed {
+		out.push(start, end)
+	}
+	*a = out
+}
+
+// push appends a window past every window in the list, collapsing the
+// list to its union when it is full.
+func (a *armWindows) push(start, end uint64) {
+	if a.n == maxArmWindows {
+		a.w[0].end, a.n = end, 1
+		return
+	}
+	a.w[a.n].start, a.w[a.n].end = start, end
+	a.n++
 }
 
 // AddFetchHookWindow chains h after any already-installed fetch hook,
@@ -215,18 +270,18 @@ type Machine struct {
 	// ones an edit does touch (sorted uop indices, valid for poisonGen;
 	// poisonBuf backs the usual short list). priv holds blocks this
 	// machine translated itself (lazily, keyed by entry address, valid
-	// for privGen). armStart/armEnd is the union of the config's hook
-	// arming windows: while Steps is inside [armStart, armEnd) — or
-	// when singleStep or trace recording is on — the machine
-	// single-steps so hooks and the trace observe every instruction;
-	// everywhere else RunUntil dispatches straight-line micro-op blocks.
+	// for privGen). arm holds the config's hook arming windows: while
+	// Steps is inside one of them — or when singleStep or trace
+	// recording is on — the machine single-steps so hooks and the trace
+	// observe every instruction; everywhere else RunUntil dispatches
+	// straight-line micro-op blocks. armEnd is the end of their union.
 	prog       *Program
 	poison     []int32
 	poisonBuf  [4]int32
 	poisonGen  uint64
 	priv       *privProg
 	privGen    uint64
-	armStart   uint64
+	arm        armWindows
 	armEnd     uint64
 	singleStep bool
 }
@@ -265,7 +320,8 @@ func (m *Machine) configure(cfg Config) {
 	m.recordTrace = cfg.RecordTrace
 	m.singleStep = cfg.SingleStep
 	m.fetchHook, m.stepHook = cfg.fetchHook, cfg.stepHook
-	m.armStart, m.armEnd = cfg.HookWindow()
+	m.arm = cfg.arm
+	_, m.armEnd = cfg.HookWindow()
 	if cfg.RecordPages {
 		m.pageLog = make(map[uint64]uint64, 8)
 		m.lastPage = ^uint64(0)
@@ -378,7 +434,7 @@ func (m *Machine) Step() error {
 	}
 	if in == nil {
 		if m.icache == nil {
-			m.icache = make(map[uint64]*isa.Inst, 64)
+			m.icache = make(map[uint64]*isa.Inst)
 		} else if gen != m.icacheGen {
 			clear(m.icache)
 		}

@@ -718,24 +718,21 @@ func (m *Machine) poisonFor(p *Program, gen uint64) {
 
 // fastLimit returns the step count up to which the machine may run on
 // the micro-op fast path right now: the caller's stop boundary,
-// clamped by the step limit and by the start of the hook arming
+// clamped by the step limit and by the start of the next hook arming
 // window. Zero (or any value <= Steps) means single-step: a trace is
-// recorded, single-stepping was forced, or Steps is inside the arming
+// recorded, single-stepping was forced, or Steps is inside an arming
 // window. The page log needs no single-stepping; runFast keeps it.
 func (m *Machine) fastLimit(stop uint64) uint64 {
 	if m.singleStep || m.recordTrace {
 		return 0
 	}
-	lim := stop
-	if m.StepLimit < lim {
-		lim = m.StepLimit
-	}
-	if m.armEnd > m.armStart {
-		if m.Steps >= m.armStart && m.Steps < m.armEnd {
-			return 0
+	lim := min(stop, m.StepLimit)
+	for _, w := range m.arm.w[:m.arm.n] {
+		if m.Steps < w.start {
+			return min(lim, w.start)
 		}
-		if m.Steps < m.armStart && m.armStart < lim {
-			lim = m.armStart
+		if m.Steps < w.end {
+			return 0
 		}
 	}
 	return lim

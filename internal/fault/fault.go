@@ -38,17 +38,21 @@ const DetectedExitCode = 42
 
 // Fault identifies one injection: a fault model applied at a dynamic
 // trace offset, plus the model-specific coordinates (bit position,
-// register, window length).
+// register, window length). The four word-sized fields come first and
+// the five byte-sized ones last, so a Fault packs into 40 bytes on
+// 64-bit platforms: every per-fault array of a campaign (fault lists,
+// injections, pair and triple lists) is held at that size.
 type Fault struct {
-	Model      Model
 	TraceIndex int    // dynamic occurrence index in the bad-input trace
 	Addr       uint64 // static address of the faulted instruction
-	Op         isa.Op // mnemonic at that address (from the trace)
-	Cond       isa.Cond
-	Bit        int     // bit offset: instruction encoding (bitflip), register (reg-flip), operand cell (data-flip)
-	Transient  bool    // restore the flipped bit after one fetch (bitflip)
-	Reg        isa.Reg // faulted register (reg-flip)
-	Window     int     // consecutive instructions skipped (multi-skip)
+	Bit        int    // bit offset: instruction encoding (bitflip), register (reg-flip), operand cell (data-flip)
+	Window     int    // consecutive instructions skipped (multi-skip)
+
+	Model     Model
+	Op        isa.Op // mnemonic at that address (from the trace)
+	Cond      isa.Cond
+	Reg       isa.Reg // faulted register (reg-flip)
+	Transient bool    // restore the flipped bit after one fetch (bitflip)
 }
 
 // String renders the fault for reports.
