@@ -1,5 +1,5 @@
 // Benchmark for the static countermeasure verifier: full catalog
-// verification (CFG recovery, dominators, check-coverage proof) over
+// verification (CFG recovery, check-coverage proof) over
 // the Faulter+Patcher-hardened corpus. This is the price the post-pass
 // gates add to `r2r patch` and `r2r hybrid`.
 package reinforce

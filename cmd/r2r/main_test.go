@@ -161,10 +161,10 @@ func TestPatchOrder2JSONGolden(t *testing.T) {
 }
 
 // TestPatchOrder2DefaultModelsGolden pins `r2r patch -order 2 -json`
-// under the default fault models (skip and bitflip) on otpauth: the
-// path whose solo sweeps record footprints and whose bit flips mutate
-// code. The JSON keeps the footprint-dependent reused/resimulated
-// counters, and the hardened ELF is pinned by its SHA-256.
+// under the default fault models (skip and bitflip) on otpauth, whose
+// bit flips mutate code. The JSON keeps the cache counters of the
+// driver's private store, and the hardened ELF is pinned by its
+// SHA-256.
 func TestPatchOrder2DefaultModelsGolden(t *testing.T) {
 	bin, good, bad := writeCase(t, cases.OTPAuth())
 	hard := bin + ".h2"
@@ -509,9 +509,9 @@ func TestUsageErrorClassification(t *testing.T) {
 }
 
 // cacheCounters lists the JSON fields that account for how a run was
-// answered (store hits and misses, memo reuse) rather than what it
-// found; a warm rerun may differ from the cold run only there.
-var cacheCounters = []string{"cache", "cache_hit", "cache_hits", "reused", "resimulated"}
+// answered (store hits and misses, simulated injections) rather than
+// what it found; a warm rerun may differ from the cold run only there.
+var cacheCounters = []string{"cache", "cache_hit", "cache_hits", "resimulated"}
 
 // storeMisses sums every "misses" counter inside a "cache" block and
 // reports how many blocks it saw.

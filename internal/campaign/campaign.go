@@ -181,57 +181,28 @@ func (opt Options) session(c fault.Campaign) (*fault.Session, error) {
 // With Options.Store set, the plan is answered from the store when
 // possible and recorded into it otherwise.
 func Run(c fault.Campaign, opt Options) (*fault.Report, error) {
-	res, err := runInc("", 0, 1, c, opt, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
+	res, err := runSolo("", 0, 1, c, opt)
+	return res.Report, err
 }
 
-// RunResult is the full outcome of an incremental campaign run: the
-// report, the memo a follow-up run against a patched binary can reuse
-// outcomes from, and the cache accounting.
-type RunResult struct {
-	Report *fault.Report
-	Tally  fault.Tally
-	Memo   *Memo
-	Cache  CacheStats
-	Prune  *fault.PruneStats // pruning accounting; nil unless Options.Prune
-}
-
-// RunIncremental executes one campaign through the planner → store →
-// executor path. prev, when non-nil, is the memo of a previous run
-// (typically against the pre-patch binary of a driver iteration): every
-// fault whose recorded footprint avoids the bytes changed since is
-// answered from it, and only the rest are re-simulated. Results are
-// bit-identical to Run without any cache.
-func RunIncremental(c fault.Campaign, opt Options, prev *Memo) (*RunResult, error) {
-	return runInc("", 0, 1, c, opt, prev, true)
-}
-
-// runInc is the shared order-1 execution path. wantMemo gates the
-// footprint recording and memo assembly: callers that discard the memo
-// and bring no cache (Run, RunAll without a store) keep the plain
-// simulation hot path.
-func runInc(name string, jobIndex, jobs int, c fault.Campaign, opt Options, prev *Memo, wantMemo bool) (*RunResult, error) {
+// runSolo is the one order-1 execution path behind Run, RunAll and the
+// corpus's order-1 cells: the store answers the plan when it can, and
+// the session simulates it otherwise. The returned Result carries
+// neither Name nor Elapsed.
+func runSolo(name string, jobIndex, jobs int, c fault.Campaign, opt Options) (Result, error) {
 	shard, err := opt.Shard.normalize()
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	s, err := opt.session(c)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	e := &executor{s: s, store: opt.Store, prune: opt.Prune}
-	progress := progressFunc(opt, name, jobIndex, jobs)
-	injections, tally, memo, stats, err := e.solo(c, shard, opt.Workers, prev, wantMemo, progress)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
+	injections, tally, stats := e.solo(c, shard, opt.Workers, progressFunc(opt, name, jobIndex, jobs))
+	return Result{
 		Report: s.Report(injections),
 		Tally:  tally,
-		Memo:   memo,
 		Cache:  stats,
 		Prune:  e.pruneStats(),
 	}, nil
@@ -274,7 +245,7 @@ type Result struct {
 	Report  *fault.Report // nil when Err is set
 	Tally   fault.Tally
 	Elapsed time.Duration
-	Cache   CacheStats        // store/memo accounting (hit/miss counters zero without Options.Store)
+	Cache   CacheStats        // store accounting (hit/miss counters zero without Options.Store)
 	Prune   *fault.PruneStats // pruning accounting; nil unless Options.Prune
 	Err     error
 }
@@ -287,14 +258,9 @@ func RunAll(jobs []Job, opt Options) []Result {
 	out := make([]Result, len(jobs))
 	for i, job := range jobs {
 		start := time.Now() //lint:allow wallclock (Elapsed is reporting-only, stripped before determinism comparisons)
-		res, err := runInc(job.Name, i, len(jobs), job.Campaign, opt, nil, false)
-		out[i] = Result{Name: job.Name, Elapsed: time.Since(start), Err: err}
-		if err == nil {
-			out[i].Report = res.Report
-			out[i].Tally = res.Tally
-			out[i].Cache = res.Cache
-			out[i].Prune = res.Prune
-		}
+		res, err := runSolo(job.Name, i, len(jobs), job.Campaign, opt)
+		res.Name, res.Elapsed, res.Err = job.Name, time.Since(start), err
+		out[i] = res
 	}
 	return out
 }
@@ -362,37 +328,36 @@ func (r *Order2Report) SuccessfulPairs() []fault.PairInjection {
 // sweep, results are bit-identical across worker counts and shard
 // decompositions — and across store hits and cold runs.
 func RunOrder2(c fault.Campaign, opt Options) (*Order2Report, error) {
-	res, err := runOrderInc("", 0, 1, 2, c, opt, nil, false)
+	res, err := runOrder("", 0, 1, 2, c, opt)
 	if err != nil {
 		return nil, err
 	}
 	return res.Report, nil
 }
 
-// Order2Result is the full outcome of an incremental multi-fault run.
+// Order2Result is the full outcome of a multi-fault run.
 type Order2Result struct {
 	Report *Order2Report
-	Memo   *Memo // solo-sweep memo, reusable by the next incremental run
 	Cache  CacheStats
 	Prune  *fault.PruneStats // pruning accounting; nil unless Options.Prune
 }
 
 // RunOrder2Result is RunOrder2 returning the full result — cache and
-// pruning accounting included — without the incremental memo
-// machinery. The CLI surfaces these stats; the report itself is
-// bit-identical to RunOrder2's.
+// pruning accounting included. The CLI surfaces these stats; the report
+// itself is bit-identical to RunOrder2's. The solo sweep is stored
+// under its own order-1 plan key, so order-1 and order-2 campaigns of
+// the same binary share it.
 func RunOrder2Result(c fault.Campaign, opt Options) (*Order2Result, error) {
-	return runOrderInc("", 0, 1, 2, c, opt, nil, false)
+	return runOrder("", 0, 1, 2, c, opt)
 }
 
-// RunOrder2Incremental is RunOrder2 through the planner → store →
-// executor path. The solo sweep reuses prev like RunIncremental (and is
-// stored under its own order-1 plan key, so order-1 and order-2
-// campaigns of the same binary share it); the pair stage is reused on
-// exact plan-key matches only, since pair runs fork mid-trace faulted
-// machines whose footprints are not recorded.
-func RunOrder2Incremental(c fault.Campaign, opt Options, prev *Memo) (*Order2Result, error) {
-	return runOrderInc("", 0, 1, 2, c, opt, prev, true)
+// RunOrder2Incremental is RunOrder2Result. It remains only for
+// bench/layers, whose store probes call it; prev must be nil.
+func RunOrder2Incremental(c fault.Campaign, opt Options, prev any) (*Order2Result, error) {
+	if prev != nil {
+		return nil, errors.New("campaign: RunOrder2Incremental takes no previous run; pass nil")
+	}
+	return RunOrder2Result(c, opt)
 }
 
 // RunOrder3 executes a budget-capped order-3 multi-fault campaign: the
@@ -405,10 +370,10 @@ func RunOrder2Incremental(c fault.Campaign, opt Options, prev *Memo) (*Order2Res
 // (Options.Prune is forced on). With Options.Store, each stage is
 // answered from its own plan key when possible.
 func RunOrder3(c fault.Campaign, opt Options) (*Order2Result, error) {
-	return runOrderInc("", 0, 1, 3, c, opt, nil, false)
+	return runOrder("", 0, 1, 3, c, opt)
 }
 
-// runOrderInc is the one multi-fault execution path (order 2 or 3):
+// runOrder is the one multi-fault execution path (order 2 or 3):
 // the solo sweep, then each stage on the pruned first-fault tree. Only
 // the top stage is sharded. With an empty name the phases report as
 // stand-alone jobs ("order-1" 0/order ... "order-k" k-1/order); a batch
@@ -417,7 +382,7 @@ func RunOrder3(c fault.Campaign, opt Options) (*Order2Result, error) {
 // the Done-is-monotonic-per-job contract of Options.Progress holds.
 // Every stage stores under its own plan key, so a corpus cell chain
 // {2, 3} answers the order-3 pair stage from the order-2 cell's entry.
-func runOrderInc(name string, jobIndex, jobs, order int, c fault.Campaign, opt Options, prev *Memo, wantMemo bool) (*Order2Result, error) {
+func runOrder(name string, jobIndex, jobs, order int, c fault.Campaign, opt Options) (*Order2Result, error) {
 	if order >= 3 {
 		opt.Prune = true
 	}
@@ -436,10 +401,7 @@ func runOrderInc(name string, jobIndex, jobs, order int, c fault.Campaign, opt O
 		return nil, err
 	}
 	e := &executor{s: s, store: opt.Store, prune: opt.Prune}
-	solo, _, memo, stats, err := e.solo(c, Shard{}, opt.Workers, prev, wantMemo, progress(1))
-	if err != nil {
-		return nil, err
-	}
+	solo, _, stats := e.solo(c, Shard{}, opt.Workers, progress(1))
 	rep := &Order2Report{Solo: s.Report(solo)}
 	pairShard := shard
 	if order >= 3 {
@@ -455,7 +417,7 @@ func runOrderInc(name string, jobIndex, jobs, order int, c fault.Campaign, opt O
 		rep.Triples, rep.TripleTally = fault.TripleInjections(triples, outcomes), tally
 		stats.Add(st)
 	}
-	return &Order2Result{Report: rep, Memo: memo, Cache: stats, Prune: e.pruneStats()}, nil
+	return &Order2Result{Report: rep, Cache: stats, Prune: e.pruneStats()}, nil
 }
 
 // budget resolves an enumeration cap against its default.

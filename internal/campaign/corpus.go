@@ -3,19 +3,16 @@
 // campaign shape, RunCorpus fans out the full (case × model × order)
 // matrix the way the evaluation methodology papers ask for — every
 // program of the corpus attacked under the same attacker model — while
-// sharing one content-addressed Store and one cross-binary Memo chain
-// per case, so repeated structure (the order-2 solo sweep of a case
-// already swept at order 1, a hardened variant differing from its
-// baseline by a few patched bytes, a warm re-run) is answered from
-// cache instead of re-simulated.
+// sharing one content-addressed Store, so repeated structure (the
+// order-2 solo sweep of a case already swept at order 1, a warm
+// re-run) is answered from cache instead of re-simulated.
 //
-// Cells are grouped into per-case chains (the memo chain and the
-// store's order-over-order reuse both follow a case's job order, so a
-// chain must run sequentially); with ParallelCells > 1 the chains run
-// concurrently on one shared fault.WorkerPool whose budget is
-// Options.Workers: each cell stage submits one batch, and a batch that
-// runs dry hands its slots to the others' tails. Results are
-// deterministic either way — every cell lands at its fixed position in
+// Cells are grouped into per-case chains (the store's order-over-order
+// reuse follows a case's job order, so a chain runs sequentially); with
+// ParallelCells > 1 the chains run concurrently on one shared
+// fault.WorkerPool whose budget is Options.Workers: each cell stage
+// submits one batch, and a batch that runs dry hands its slots to the
+// others' tails. Results are deterministic either way — every cell lands at its fixed position in
 // Results, and every constituent campaign is bit-identical across
 // worker counts, chunking, slot handoffs, and store replay — so the
 // parallel sweep's reports match the sequential runner's bit for bit.
@@ -30,10 +27,8 @@ import (
 )
 
 // CorpusJob names one case study (or hardened variant) of a corpus
-// sweep. Jobs with the same Case name share a memo chain: a later job's
-// campaign reuses every recorded outcome whose code-page footprint
-// avoids the bytes that changed since the earlier binary — the
-// cross-binary rule the incremental patch driver uses.
+// sweep. Jobs with the same Case name form one chain and run in input
+// order.
 type CorpusJob struct {
 	Case     string
 	Campaign fault.Campaign
@@ -63,9 +58,10 @@ type CorpusOptions struct {
 
 	// ParallelCells bounds how many case chains execute concurrently
 	// (<= 1: strictly sequential, the historical behavior). The cells
-	// of one case always run in sequence — the memo chain demands it —
-	// so the bound is over distinct cases. All concurrent cells share
-	// one fault.WorkerPool of Options.Workers workers.
+	// of one case always run in sequence — a higher order answers its
+	// lower stages from the earlier cells' entries — so the bound is
+	// over distinct cases. All concurrent cells share one
+	// fault.WorkerPool of Options.Workers workers.
 	ParallelCells int
 }
 
@@ -87,23 +83,23 @@ type CorpusCaseResult struct {
 type CorpusResult struct {
 	Results []CorpusCaseResult
 
-	// Cache aggregates every cell's store/memo accounting — the numbers
-	// that prove cross-campaign sharing happened (or did not).
+	// Cache aggregates every cell's store accounting — the numbers that
+	// prove cross-campaign sharing happened (or did not).
 	Cache CacheStats
 }
 
 // corpusChain is the unit of corpus concurrency: the consecutive cells
-// of one case, executed in order so the memo chain and the
-// order-over-order store reuse see their predecessors.
+// of one case, executed in order so the order-over-order store reuse
+// sees their predecessors.
 type corpusChain struct {
 	jobs  []CorpusJob
 	cells []int // Results index of each (job, order) cell, job-major
 }
 
 // RunCorpus executes the corpus sweep: every job at every order,
-// sharing one store and per-case memo chains. Cell numbering — and the
-// Results slice — is always job-major in input order, identical for
-// sequential and parallel runs. A failing cell records its error and
+// sharing one store. Cell numbering — and the Results slice — is
+// always job-major in input order, identical for sequential and
+// parallel runs. A failing cell records its error and
 // the sweep continues.
 func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 	orders := opt.Orders
@@ -189,14 +185,13 @@ func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 	return res, nil
 }
 
-// runChain executes one case chain's cells in order, threading the
-// memo across jobs and reusing one fault.Session across the orders of
-// each job (construction replays the golden runs — once per binary,
-// not once per cell). Each cell writes its result at its fixed
-// job-major index, so interleaved chains never perturb merge order.
+// runChain executes one case chain's cells in order, reusing one
+// fault.Session across the orders of each job (construction replays
+// the golden runs — once per binary, not once per cell). Each cell
+// writes its result at its fixed job-major index, so interleaved
+// chains never perturb merge order.
 func runChain(ch *corpusChain, orders []int, opt CorpusOptions, results []CorpusCaseResult) {
 	cells := len(results)
-	var memo *Memo
 	cell := 0
 	for _, job := range ch.jobs {
 		jobOpt := opt.Options
@@ -220,23 +215,21 @@ func runChain(ch *corpusChain, orders []int, opt CorpusOptions, results []Corpus
 			out := CorpusCaseResult{Case: job.Case, Order: order}
 			switch order {
 			case 1:
-				r, err := runInc(name, idx, cells, job.Campaign, jobOpt, memo, true)
+				r, err := runSolo(name, idx, cells, job.Campaign, jobOpt)
 				if err != nil {
 					out.Err = err
 					break
 				}
-				memo = r.Memo
 				out.Report = r.Report
 				out.Cache = r.Cache
 				out.Prune = r.Prune
 				out.Summary = Summarize(name, r.Report)
 			default:
-				r, err := runOrderInc(name, idx, cells, order, job.Campaign, jobOpt, memo, true)
+				r, err := runOrder(name, idx, cells, order, job.Campaign, jobOpt)
 				if err != nil {
 					out.Err = err
 					break
 				}
-				memo = r.Memo
 				out.Report = r.Report.Solo
 				out.Order2 = r.Report
 				out.Cache = r.Cache

@@ -122,41 +122,6 @@ func TestCorpusWarmReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCorpusMemoAcrossVariants: two jobs under one case name chain the
-// cross-binary memo. The second binary differs only in never-executed
-// code on its own page (the store therefore *misses* — different
-// digest, different plan key), so any reuse can come only from the
-// memo chain; a regression dropping the per-case memo threading makes
-// Reused collapse to zero and this test fail.
-func TestCorpusMemoAcrossVariants(t *testing.T) {
-	binA := assembleT(t, deadTailSource("mov rax, 1"))
-	binB := assembleT(t, deadTailSource("mov rax, 2"))
-	if binA.Digest() == binB.Digest() {
-		t.Fatal("variant binaries share a digest")
-	}
-	res := runCorpus(t, []CorpusJob{
-		{Case: "mini", Campaign: miniCampaign(binA, fault.ModelSkip)},
-		{Case: "mini", Campaign: miniCampaign(binB, fault.ModelSkip)},
-	}, CorpusOptions{})
-	second := res.Results[1]
-	if second.Cache.Hits != 0 {
-		t.Fatalf("dead-tail variant hit the store (%+v) — the memo is not what answered", second.Cache)
-	}
-	if second.Cache.Reused == 0 {
-		t.Fatalf("memo chain answered nothing across variants: %+v", second.Cache)
-	}
-	// The variants' outcome vectors must agree (the dead tail is
-	// unreachable), and the memo-assisted run must equal a cold run of
-	// the second binary.
-	cold, err := Run(miniCampaign(binB, fault.ModelSkip), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold.Injections, second.Report.Injections) {
-		t.Fatal("memo-assisted corpus run differs from a cold run of the variant")
-	}
-}
-
 // TestCorpusDefaultsAndValidation: order defaults to {1}; orders
 // outside {1, 2, 3} are rejected; a failing cell does not sink the
 // sweep.

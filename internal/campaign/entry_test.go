@@ -50,7 +50,7 @@ func layoutCampaign(t *testing.T) fault.Campaign {
 func TestEntryLayoutGolden(t *testing.T) {
 	dir := t.TempDir()
 	st := newTestStore(t, dir)
-	if _, err := RunOrder2Incremental(layoutCampaign(t), Options{Workers: 2, Store: st}, nil); err != nil {
+	if _, err := RunOrder2Result(layoutCampaign(t), Options{Workers: 2, Store: st}); err != nil {
 		t.Fatal(err)
 	}
 	saved, err := filepath.Glob(filepath.Join(dir, "*.json"))
@@ -107,30 +107,36 @@ func TestEntryLayoutGolden(t *testing.T) {
 	}
 }
 
-// entryDoc renders a hand-written order-1 entry document for key "k",
-// with the given column values spliced in verbatim.
-func entryDoc(outcomes, steps, limitHit, pageSets, pageSet string) string {
+// entryDoc renders a hand-written order-1 entry document for key "k"
+// with the given outcome column, and extra (when non-empty) spliced in
+// verbatim as further fields.
+func entryDoc(outcomes, extra string) string {
 	return fmt.Sprintf(`{"schema":%d,"key":"k","faults_digest":"fd",`+
 		`"good_oracle":{"Stdout":"ok\n","ExitCode":0},"bad_oracle":{"Stdout":"no\n","ExitCode":1},`+
-		`"injection_step_limit":100,"outcomes":%q,"steps":%s,"limit_hit":%s,"page_sets":%s,"page_set":%s}`,
-		planSchema, outcomes, steps, limitHit, pageSets, pageSet)
+		`"injection_step_limit":100,"outcomes":%q%s}`, planSchema, outcomes, extra)
 }
 
-// TestStoreLookupRejectsCorruptEntries: a store file that breaks any
-// column invariant, is cut short, or predates the current layout is a
-// miss — never an error, a panic, or a partially decoded entry.
+// evidence renders the order-1 evidence columns of planSchema 5 (step
+// counts, budget-cut indices, interned page sets and each injection's
+// page set) as extra fields for entryDoc.
+func evidence(steps, limitHit, pageSets, pageSet string) string {
+	return fmt.Sprintf(`,"steps":%s,"limit_hit":%s,"page_sets":%s,"page_set":%s`, steps, limitHit, pageSets, pageSet)
+}
+
+// TestStoreLookupRejectsCorruptEntries: a store file that breaks the
+// layout, is cut short, or predates the current layout is a miss —
+// never an error, a panic, or a partially decoded entry. The layout
+// has no evidence columns since planSchema 6, so a document carrying
+// any of them, well-formed or not, is not one this layout writes: the
+// schema-5 cases stay as such documents under the current header.
 func TestStoreLookupRejectsCorruptEntries(t *testing.T) {
-	valid := entryDoc("iSc", "[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")
+	valid := entryDoc("iSc", "")
 	want := &Entry{
 		Schema: planSchema, Key: "k", FaultsDigest: "fd",
 		GoodOracle: fault.Observable{Stdout: "ok\n"},
 		BadOracle:  fault.Observable{Stdout: "no\n", ExitCode: 1},
 		Limit:      100,
-		Records: []Record{
-			{Steps: 5, Pages: []uint64{4096}, Outcome: fault.OutcomeIgnored},
-			{Steps: 9, Pages: []uint64{4096, 8192}, Outcome: fault.OutcomeSuccess, LimitHit: true},
-			{Steps: 7, Pages: []uint64{4096}, Outcome: fault.OutcomeCrash, LimitHit: true},
-		},
+		Outcomes:   []fault.Outcome{fault.OutcomeIgnored, fault.OutcomeSuccess, fault.OutcomeCrash},
 	}
 	if enc, err := want.MarshalJSON(); err != nil || string(enc) != valid {
 		t.Fatalf("control entry encodes as\n%s (%v)\nwant\n%s", enc, err, valid)
@@ -142,18 +148,20 @@ func TestStoreLookupRejectsCorruptEntries(t *testing.T) {
 		{"valid", valid},
 		{"truncated", valid[:len(valid)/2]},
 		{"empty file", ""},
-		{"steps shorter than outcomes", entryDoc("iSc", "[5,9]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"page_set shorter than outcomes", entryDoc("iSc", "[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1]")},
-		{"page_set index out of range", entryDoc("iSc", "[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,2,0]")},
-		{"limit_hit unsorted", entryDoc("iSc", "[5,9,7]", "[2,1]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"limit_hit duplicate", entryDoc("iSc", "[5,9,7]", "[1,1]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"limit_hit out of range", entryDoc("iSc", "[5,9,7]", "[1,3]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"unknown outcome letter", entryDoc("iSx", "[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"negative step", entryDoc("iSc", "[5,-9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"fractional step", entryDoc("iSc", "[5,9.5,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"step overflows uint64", entryDoc("iSc", "[5,18446744073709551616,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"string column", entryDoc("iSc", `"5,9,7"`, "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")},
-		{"evidence without steps", entryDoc("iSc", "null", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]")},
+		{"steps shorter than outcomes", entryDoc("iSc", evidence("[5,9]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"page_set shorter than outcomes", entryDoc("iSc", evidence("[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1]"))},
+		{"page_set index out of range", entryDoc("iSc", evidence("[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,2,0]"))},
+		{"limit_hit unsorted", entryDoc("iSc", evidence("[5,9,7]", "[2,1]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"limit_hit duplicate", entryDoc("iSc", evidence("[5,9,7]", "[1,1]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"limit_hit out of range", entryDoc("iSc", evidence("[5,9,7]", "[1,3]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"unknown outcome letter", entryDoc("iSx", "")},
+		{"negative step", entryDoc("iSc", evidence("[5,-9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"fractional step", entryDoc("iSc", evidence("[5,9.5,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"step overflows uint64", entryDoc("iSc", evidence("[5,18446744073709551616,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"string column", entryDoc("iSc", evidence(`"5,9,7"`, "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"evidence without steps", entryDoc("iSc", evidence("null", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"well-formed evidence", entryDoc("iSc", evidence("[5,9,7]", "[1,2]", "[[4096],[4096,8192]]", "[0,1,0]"))},
+		{"trailing data", valid + `{}`},
 		{"schema-3 document", schema3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -262,7 +270,7 @@ func TestFaultEncoding(t *testing.T) {
 	for _, f := range faults {
 		want.Reset()
 		refFault(&want, f)
-		got := appendFault(nil, f)
+		got := appendFault(nil, &f)
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("appendFault(%+v) = %x, want %x", f, got, want.Bytes())
 		}
@@ -304,41 +312,5 @@ func TestFaultEncoding(t *testing.T) {
 	// the list: no allocation per sequence.
 	if allocs := testing.AllocsPerRun(5, func() { digestSeqs(pairs) }); allocs > 8 {
 		t.Errorf("digestSeqs over %d pairs made %.0f allocations", len(pairs), allocs)
-	}
-}
-
-// TestMemoFromStoreHit: the memo a warm run rebuilds from a decoded
-// store entry (records sharing page-set slices, fault index built on
-// first lookup) answers an incremental run against a patched binary
-// exactly like the memo of the cold run that stored it, with eight
-// workers racing to the first lookup.
-func TestMemoFromStoreHit(t *testing.T) {
-	campA := miniCampaign(assembleT(t, deadTailSource("mov rax, 1")), fault.ModelSkip, fault.ModelBitFlip)
-	campB := miniCampaign(assembleT(t, deadTailSource("mov rax, 2")), fault.ModelSkip, fault.ModelBitFlip)
-	dir := t.TempDir()
-	cold, err := RunIncremental(campA, Options{Store: newTestStore(t, dir)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunIncremental(campA, Options{Store: newTestStore(t, dir)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cache.Hits != 1 {
-		t.Fatalf("second run over the store: %+v, want a hit", warm.Cache)
-	}
-	want, err := RunIncremental(campB, Options{Workers: 8}, cold.Memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Cache.Reused == 0 {
-		t.Fatalf("cold memo reused nothing: %+v", want.Cache)
-	}
-	got, err := RunIncremental(campB, Options{Workers: 8}, warm.Memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cache != want.Cache || !reflect.DeepEqual(got.Report.Injections, want.Report.Injections) {
-		t.Fatalf("memo from the store hit: %+v, want %+v as from the cold run", got.Cache, want.Cache)
 	}
 }

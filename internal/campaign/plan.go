@@ -34,8 +34,10 @@ import (
 // and interned page-set columns) in place of per-fault JSON records;
 // 5 = the fault-list digests hash a binary encoding of each fault (one
 // byte per small field, a varint per wide one; see appendFault) in
-// place of its decimal text.
-const planSchema = 5
+// place of its decimal text; 6 = order-1 entries carry only the
+// outcome column, like multi-fault entries (the step, budget-cut and
+// page-set evidence columns are gone).
+const planSchema = 6
 
 // Plan is a content-addressed campaign execution: the campaign itself
 // plus the execution parameters that change its results (shard, fault
@@ -88,19 +90,29 @@ func NewPlan(c fault.Campaign, shard Shard, order, maxPairs int) Plan {
 // behind the plan key, guarding schema drift in enumeration itself).
 func digestFaults(faults []fault.Fault) string {
 	d := newFaultDigest()
-	for _, f := range faults {
-		d.add(f)
+	for i := range faults {
+		d.add(&faults[i])
 	}
 	return d.sum()
 }
 
-// digestSeqs content-addresses an enumerated multi-fault sequence list.
+// digestSeqs content-addresses an enumerated multi-fault sequence list:
+// the digest of the concatenation of every sequence's faults. Each
+// fault is encoded where it lies in the list, since copying the
+// sequences out (Sequence.Seq) dominated the digest's cost.
 func digestSeqs[T fault.Sequence](list []T) string {
 	d := newFaultDigest()
-	for _, it := range list {
-		seq, n := it.Seq()
-		for _, f := range seq[:n] {
-			d.add(f)
+	switch l := any(list).(type) {
+	case []fault.FaultPair:
+		for i := range l {
+			d.add(&l[i].First)
+			d.add(&l[i].Second)
+		}
+	case []fault.FaultTriple:
+		for i := range l {
+			d.add(&l[i].First)
+			d.add(&l[i].Second)
+			d.add(&l[i].Third)
 		}
 	}
 	return d.sum()
@@ -125,7 +137,7 @@ func newFaultDigest() *faultDigest {
 	return &faultDigest{h: sha256.New(), buf: make([]byte, 0, digestChunk+maxFaultEnc)}
 }
 
-func (d *faultDigest) add(f fault.Fault) {
+func (d *faultDigest) add(f *fault.Fault) {
 	d.buf = appendFault(d.buf, f)
 	if len(d.buf) >= digestChunk {
 		d.h.Write(d.buf)
@@ -145,7 +157,7 @@ func (d *faultDigest) sum() string {
 // digest hashes names exactly one fault list. A field added to Fault
 // without extending this list fails TestFaultEncoding; a change to the
 // bytes needs a planSchema bump.
-func appendFault(b []byte, f fault.Fault) []byte {
+func appendFault(b []byte, f *fault.Fault) []byte {
 	var transient byte
 	if f.Transient {
 		transient = 1

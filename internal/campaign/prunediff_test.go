@@ -53,8 +53,7 @@ func diffMatrix(t *testing.T) (names []string, modelSets [][]fault.Model) {
 // TestPruneDifferentialOrder1: pruned order-1 campaigns are
 // bit-identical to exhaustive ones across the whole matrix, and their
 // accounting does not depend on the store: a run through a fresh store
-// (the evidence-recording path) reports the same PruneStats as the
-// store-less run.
+// reports the same PruneStats as the store-less run.
 func TestPruneDifferentialOrder1(t *testing.T) {
 	names, modelSets := diffMatrix(t)
 	for _, name := range names {

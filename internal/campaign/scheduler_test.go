@@ -79,11 +79,11 @@ func TestStoreConcurrentSaveLookup(t *testing.T) {
 	// (Save stamps the schema). Writers differ in digest and length, so
 	// a mix of two writes cannot decode as either.
 	entry := func(key string, w int) *Entry {
-		recs := make([]Record, 3+5*w)
-		for i := range recs {
-			recs[i] = Record{Outcome: fault.Outcome(i % 4), Steps: uint64(100*w + i), Pages: []uint64{uint64(w+1) << 12}}
+		outcomes := make([]fault.Outcome, 3+5*w)
+		for i := range outcomes {
+			outcomes[i] = fault.Outcome((i + w) % 4)
 		}
-		return &Entry{Key: key, FaultsDigest: fmt.Sprintf("writer-%d", w), Limit: 99, Records: recs}
+		return &Entry{Key: key, FaultsDigest: fmt.Sprintf("writer-%d", w), Limit: 99, Outcomes: outcomes}
 	}
 	// encode renders an entry for comparison; reader goroutines call it,
 	// so a failure is t.Error, not t.Fatal.

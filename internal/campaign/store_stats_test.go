@@ -31,7 +31,7 @@ func TestStoreStatsConcurrent(t *testing.T) {
 				if _, ok := st.Lookup(key); ok {
 					t.Errorf("lookup of unsaved %s hit", key)
 				}
-				if err := st.Save(&Entry{Key: key, Records: []Record{{Outcome: fault.OutcomeIgnored}}}); err != nil {
+				if err := st.Save(&Entry{Key: key, Outcomes: []fault.Outcome{fault.OutcomeIgnored}}); err != nil {
 					t.Errorf("save %s: %v", key, err)
 				}
 				if _, ok := st.Lookup(key); !ok {

@@ -11,7 +11,7 @@ import (
 	"github.com/r2r/reinforce/internal/fault"
 )
 
-// newTestStore builds a disk-backed store in a test temp dir.
+// newTestStore builds a store over dir (in-memory for "").
 func newTestStore(t *testing.T, dir string) *Store {
 	t.Helper()
 	st, err := NewStore(dir)
@@ -19,6 +19,17 @@ func newTestStore(t *testing.T, dir string) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// runOne runs one order-1 campaign as a batch of one, for the cache
+// accounting Run does not return.
+func runOne(t *testing.T, c fault.Campaign, opt Options) Result {
+	t.Helper()
+	res := RunAll([]Job{{Campaign: c}}, opt)[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return res
 }
 
 // TestCachedRunBitIdentity: a campaign run through the store — cold
@@ -33,14 +44,8 @@ func TestCachedRunBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := newTestStore(t, t.TempDir())
-	cold, err := RunIncremental(c, Options{Store: st}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunIncremental(c, Options{Store: st}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := runOne(t, c, Options{Store: st})
+	warm := runOne(t, c, Options{Store: st})
 	if !reflect.DeepEqual(plain.Injections, cold.Report.Injections) {
 		t.Fatal("cold cached run differs from uncached run")
 	}
@@ -64,15 +69,9 @@ func TestCachedRunAcrossStores(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip)
 	dir := t.TempDir()
-	first, err := RunIncremental(c, Options{Store: newTestStore(t, dir)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := runOne(t, c, Options{Store: newTestStore(t, dir)})
 	second := newTestStore(t, dir)
-	warm, err := RunIncremental(c, Options{Store: second}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := runOne(t, c, Options{Store: second})
 	if warm.Cache.Hits != 1 {
 		t.Fatalf("fresh store over a warm dir missed: %+v", warm.Cache)
 	}
@@ -94,11 +93,11 @@ func TestCachedOrder2BitIdentity(t *testing.T) {
 	}
 	st := newTestStore(t, t.TempDir())
 	opt.Store = st
-	cold, err := RunOrder2Incremental(c, opt, nil)
+	cold, err := RunOrder2Result(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunOrder2Incremental(c, opt, nil)
+	warm, err := RunOrder2Result(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,21 +117,6 @@ func TestCachedOrder2BitIdentity(t *testing.T) {
 	}
 }
 
-// deadTailSource builds the mini pincheck with a page-spanning dead
-// tail whose final instruction is caller-chosen — two variants differ
-// only in bytes no run ever fetches, on a page of their own.
-func deadTailSource(tail string) string {
-	var sb strings.Builder
-	sb.WriteString(miniPincheck[:strings.Index(miniPincheck, ".rodata")])
-	sb.WriteString("deadcode:\n")
-	for i := 0; i < 4200; i++ {
-		sb.WriteString("\tnop\n")
-	}
-	sb.WriteString("\t" + tail + "\n")
-	sb.WriteString(miniPincheck[strings.Index(miniPincheck, ".rodata"):])
-	return sb.String()
-}
-
 func assembleT(t *testing.T, src string) *elf.Binary {
 	t.Helper()
 	bin, err := asm.Assemble(src, nil)
@@ -142,63 +126,10 @@ func assembleT(t *testing.T, src string) *elf.Binary {
 	return bin
 }
 
-// TestIncrementalReuseAcrossBinaries is the driver's invalidation rule
-// in isolation: two binaries differing only in never-executed code on
-// a page outside every footprint must reuse every outcome, while a
-// change to live code re-simulates (and both stay bit-identical to
-// cold runs of the new binary).
-func TestIncrementalReuseAcrossBinaries(t *testing.T) {
-	binA := assembleT(t, deadTailSource("mov rax, 1"))
-	binB := assembleT(t, deadTailSource("mov rax, 2"))
-	campA := miniCampaign(binA, fault.ModelSkip)
-	campB := miniCampaign(binB, fault.ModelSkip)
-	if binA.Digest() == binB.Digest() {
-		t.Fatal("variant binaries share a digest — dead tail not encoded?")
-	}
-
-	first, err := RunIncremental(campA, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unchanged binary: the memo answers everything.
-	same, err := RunIncremental(campA, Options{}, first.Memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Cache.Resimulated != 0 || same.Cache.Reused != len(first.Report.Injections) {
-		t.Errorf("unchanged binary: %+v, want all %d reused", same.Cache, len(first.Report.Injections))
-	}
-	if !reflect.DeepEqual(first.Report.Injections, same.Report.Injections) {
-		t.Fatal("memo replay differs from original run")
-	}
-
-	// Dead-code-only change: footprints avoid the changed page, so the
-	// memo still answers everything — and the result must equal a cold
-	// run of the changed binary.
-	cold, err := Run(campB, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := RunIncremental(campB, Options{}, first.Memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold.Injections, inc.Report.Injections) {
-		t.Fatal("incremental run differs from cold run of the changed binary")
-	}
-	// Nearly everything reuses. Not literally everything: skipping the
-	// final exit syscall falls through *into* the dead tail, so that
-	// one fault's footprint rightly includes the changed page — the
-	// invalidation rule catching a reachable "dead" byte is exactly the
-	// soundness this test guards.
-	if inc.Cache.Reused <= inc.Cache.Resimulated {
-		t.Errorf("dead-code change should mostly reuse: %+v", inc.Cache)
-	}
-}
-
-// TestIncrementalInvalidatesLiveCode: changing an executed instruction
-// must invalidate the faults whose runs fetch its page — correctness
-// first, reuse second.
+// TestIncrementalInvalidatesLiveCode: a patch round's re-run of a
+// binary whose executed code changed must not be answered by the
+// entry of the binary before the patch — the binary digest in the plan
+// key misses it — and must equal a cold run of the new binary.
 func TestIncrementalInvalidatesLiveCode(t *testing.T) {
 	binA := buildMini(t)
 	// Same program with a different denial exit code: live .text change.
@@ -208,23 +139,18 @@ func TestIncrementalInvalidatesLiveCode(t *testing.T) {
 	}
 	binB := assembleT(t, src)
 
-	first, err := RunIncremental(miniCampaign(binA, fault.ModelSkip), Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestStore(t, "")
+	runOne(t, miniCampaign(binA, fault.ModelSkip), Options{Store: st})
 	cold, err := Run(miniCampaign(binB, fault.ModelSkip), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := RunIncremental(miniCampaign(binB, fault.ModelSkip), Options{}, first.Memo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := runOne(t, miniCampaign(binB, fault.ModelSkip), Options{Store: st})
 	if !reflect.DeepEqual(cold.Injections, inc.Report.Injections) {
-		t.Fatal("incremental run differs from cold run after live-code change")
+		t.Fatal("re-run differs from cold run after live-code change")
 	}
-	if inc.Cache.Resimulated == 0 {
-		t.Error("live-code change re-simulated nothing — invalidation rule broken")
+	if inc.Cache.Hits != 0 || inc.Cache.Resimulated != len(cold.Injections) {
+		t.Errorf("live-code change: %+v, want a miss simulating all %d faults", inc.Cache, len(cold.Injections))
 	}
 }
 
@@ -368,7 +294,7 @@ func TestStoreEviction(t *testing.T) {
 	}
 	entry := func(key string) *Entry {
 		return &Entry{Key: key, FaultsDigest: "fd-" + key, Limit: 7,
-			Records: []Record{{Outcome: fault.OutcomeIgnored, Steps: 3}}}
+			Outcomes: []fault.Outcome{fault.OutcomeIgnored}}
 	}
 	for _, k := range []string{"a", "b", "c"} {
 		if err := st.Save(entry(k)); err != nil {
@@ -436,20 +362,14 @@ func TestCappedStoreReplaysBitIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunIncremental(c, Options{Store: tiny}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := runOne(t, c, Options{Store: tiny})
 	// Churn the store so the campaign's entry is evicted from memory.
 	for i := 0; i < 4; i++ {
 		if err := tiny.Save(&Entry{Key: fmt.Sprintf("churn-%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	warm, err := RunIncremental(c, Options{Store: tiny}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := runOne(t, c, Options{Store: tiny})
 	if warm.Cache.Hits != 1 || warm.Cache.Misses != 0 {
 		t.Fatalf("warm run against churned capped store: %+v, want a pure hit", warm.Cache)
 	}

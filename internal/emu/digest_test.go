@@ -72,7 +72,7 @@ func TestStateDigestZeroPageCanonical(t *testing.T) {
 	// Touch an untouched stack page on one machine: a zero write
 	// materializes the page without changing visible memory.
 	sp := a.Regs[isa.RSP]
-	target := (sp - 4*PageSize) &^ uint64(PageSize-1)
+	target := (sp - 4*pageSize) &^ uint64(pageSize-1)
 	if err := a.Mem.Write(target, []byte{0}); err != nil {
 		t.Fatalf("write: %v", err)
 	}

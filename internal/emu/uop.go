@@ -3,8 +3,7 @@
 //
 // The single-step interpreter (Step in machine.go) pays per-step costs
 // that exist only to support hooks, recorders, and self-modifying
-// code: hook nil checks, page logging, code-generation checks, decode
-// cache lookups, and the operand-kind switches inside exec. Fault
+// code: hook nil checks, code-generation checks, decode cache lookups, and the operand-kind switches inside exec. Fault
 // campaigns execute the same golden instructions millions of times
 // with all of that machinery idle, so each decoded instruction is
 // translated once into a compact micro-op (uop) — operand kinds
@@ -31,13 +30,12 @@
 //
 // Correctness contract: the fast path is bit-identical to Step. It
 // only runs while no hook arming window is open, no trace is recorded
-// and single-stepping is not forced (Machine.fastLimit); it logs the
-// page of each uop's first and last encoded byte before counting the
-// step, exactly like Step's page log. Errors leave RIP at the faulting
-// instruction with the step already counted exactly like Step, RunUntil
-// boundaries pause at precise step counts, and a uop that may write
-// memory re-checks the code generation so self-modifying stores drop
-// back to the interpreter before a stale block executes. Arithmetic
+// and single-stepping is not forced (Machine.fastLimit). Errors leave
+// RIP at the faulting instruction with the step already counted
+// exactly like Step, RunUntil boundaries pause at precise step counts,
+// and a uop that may write memory re-checks the code generation so
+// self-modifying stores drop back to the interpreter before a stale
+// block executes. Arithmetic
 // flags are lazy (flagRecord, see runUops) and materialized before
 // runFast returns, so RFLAGS is exact at every pause. The differential
 // fuzz targets (FuzzUopTranslator, FuzzProgramOverlay,
@@ -721,7 +719,7 @@ func (m *Machine) poisonFor(p *Program, gen uint64) {
 // clamped by the step limit and by the start of the next hook arming
 // window. Zero (or any value <= Steps) means single-step: a trace is
 // recorded, single-stepping was forced, or Steps is inside an arming
-// window. The page log needs no single-stepping; runFast keeps it.
+// window.
 func (m *Machine) fastLimit(stop uint64) uint64 {
 	if m.singleStep || m.recordTrace {
 		return 0
@@ -742,9 +740,7 @@ func (m *Machine) fastLimit(stop uint64) uint64 {
 // address, or an error. It reports whether any step executed (moved ==
 // false means the caller must single-step to make progress). RIP is
 // valid on every return path; errors are returned with RIP at the
-// faulting instruction and the step counted, exactly like Step. With a
-// page log attached, each uop logs the pages of its first and last
-// encoded byte before its step counts, like Step does.
+// faulting instruction and the step counted, exactly like Step.
 //
 // Every return materializes the pending flag record, so whenever
 // runFast is not running Rflags is exact: Step, hooks, snapshots,
@@ -779,7 +775,6 @@ func (m *Machine) runUops(limit uint64) (bool, error) {
 		return false, nil
 	}
 	gen := m.Mem.codeGen
-	logPages := m.pageLog != nil
 	moved := false
 	for {
 		if m.Steps >= limit {
@@ -787,10 +782,6 @@ func (m *Machine) runUops(limit uint64) (bool, error) {
 			return moved, nil
 		}
 		u := &uops[i]
-		if logPages {
-			m.notePage(u.addr)
-			m.notePage(u.next - 1)
-		}
 		m.Steps++
 		var err error
 		switch u.kind {

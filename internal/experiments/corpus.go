@@ -95,8 +95,6 @@ func tableCorpus(opt campaign.Options) (*report.Table, []CorpusData, error) {
 				return nil, nil, fmt.Errorf("%s/%s: static analysis: %w", c.Name, v.name, err)
 			}
 			jobs = append(jobs, campaign.CorpusJob{
-				// One memo chain per case: the hardened variants reuse
-				// every baseline outcome their patches did not disturb.
 				Case: c.Name,
 				Campaign: fault.Campaign{
 					Binary: v.bin, Good: c.Good, Bad: c.Bad,
@@ -174,8 +172,8 @@ func tableCorpus(opt campaign.Options) (*report.Table, []CorpusData, error) {
 			pctFloor(tot.SurvivalPct), "", verifyCell(tot.VerifyFindings))
 	}
 	tab.AddNote(fmt.Sprintf(
-		"one shared store across all %d campaigns: %d hits / %d misses, %d outcomes memo-reused",
-		len(res.Results), res.Cache.Hits, res.Cache.Misses, res.Cache.Reused))
+		"one shared store across all %d campaigns: %d hits / %d misses",
+		len(res.Results), res.Cache.Hits, res.Cache.Misses))
 	tab.AddNote("both pipelines cut the corpus-wide successful-fault count; the richer cases (fwupdate, crtsign) keep residual surface the paper's pair never showed")
 	tab.AddNote("static verify proves check coverage, not fault immunity: crtsign's built-in sign-then-verify already passes it, yet data faults still slip through")
 	return tab, out, nil

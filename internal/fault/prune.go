@@ -35,11 +35,9 @@ import (
 // PruneStats accounts for how a pruned campaign's injections were
 // classified. Every count is a pure function of the campaign, the shard
 // and the lower-order outcomes the pruner was given: none depends on
-// how workers interleave, and an order-1 sweep counts alike on the
-// plain and the evidence-recording path (a stage answered from a store
-// counts nothing). Like CacheStats, the split is execution accounting,
-// not part of the report — pruned and exhaustive reports are
-// bit-identical.
+// how workers interleave (a stage answered from a store counts
+// nothing). Like CacheStats, the split is execution accounting, not
+// part of the report — pruned and exhaustive reports are bit-identical.
 type PruneStats struct {
 	StaticDecode int `json:"static_decode"` // classified by the decode pre-screen
 	StaticInert  int `json:"static_inert"`  // inherited past a transparent first fault
@@ -63,10 +61,10 @@ func (s *PruneStats) Add(o PruneStats) {
 }
 
 // Pruner is the order-1 pruning pass over one session: a drop-in
-// replacement for Session.Simulate / Session.SimulateRecord that
-// answers undecodable bit flips with the decode pre-screen and counts
-// what it did. Safe for concurrent use; plug it into ExecuteShardSim
-// like any simulation function.
+// replacement for Session.Simulate that answers undecodable bit flips
+// with the decode pre-screen and counts what it did. Safe for
+// concurrent use; plug it into ExecuteShardSim like any simulation
+// function.
 type Pruner struct {
 	s           *Session
 	decode, sim atomic.Int64
@@ -85,18 +83,6 @@ func (p *Pruner) Simulate(f Fault) Outcome {
 	}
 	p.sim.Add(1)
 	return p.s.SimulateSeq(f)
-}
-
-// SimulateRecord is Session.SimulateRecord with the same accounting as
-// Simulate, so a sweep counts alike on the plain and the
-// evidence-recording path.
-func (p *Pruner) SimulateRecord(f Fault) SimRecord {
-	if p.s.decodePreScreen(f) {
-		p.decode.Add(1)
-		return p.s.preScreenRecord(f)
-	}
-	p.sim.Add(1)
-	return p.s.simulateRecordDynamic(f)
 }
 
 // Stats snapshots the pass's accounting.

@@ -49,29 +49,6 @@ func TestPrunerStaticDecode(t *testing.T) {
 	}
 }
 
-// TestPrunerRecordBitIdentical: the recording pruner path produces the
-// same evidence records as SimulateRecord for every fault.
-func TestPrunerRecordBitIdentical(t *testing.T) {
-	s, err := NewSession(Campaign{
-		Binary: buildMini(t), Good: goodPin, Bad: badPin,
-		Models: []Model{ModelSkip, ModelBitFlip},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := s.NewPruner()
-	for _, f := range s.Faults() {
-		plain := s.SimulateRecord(f)
-		pruned := pr.SimulateRecord(f)
-		if !reflect.DeepEqual(plain, pruned) {
-			t.Fatalf("fault %v: pruned record differs from plain", f)
-		}
-	}
-	if st := pr.Stats(); st.Total() != s.NumFaults() {
-		t.Fatalf("prune stats cover %d of %d faults", st.Total(), s.NumFaults())
-	}
-}
-
 // TestExecutePairShardPrunedBitIdentical: the equivalence-pruned pair
 // sweep is bit-identical to one simulation per pair across model
 // combinations, worker counts, and shardings — and the pruner's

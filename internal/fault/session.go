@@ -1,11 +1,8 @@
 package fault
 
 import (
-	"cmp"
-	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,12 +62,6 @@ type Session struct {
 	// decode nor translate what the golden path or a faulted detour
 	// runs through. Nil when the executable span exceeds 1 MiB.
 	prog *emu.Program
-
-	// refPages is the reference run's code-page footprint, ascending by
-	// page: each fetched page with the step count at its first fetch.
-	// SimulateRecord slices it at an injection's fault step to account
-	// for the golden prefix the forked run inherits.
-	refPages []refPage
 
 	// probes caches the fetchable instruction bytes at each traced
 	// address, for the bit-flip decode pre-screen (see Simulate). Nil
@@ -137,17 +128,13 @@ func NewSession(c Campaign) (*Session, error) {
 	}
 
 	s := &Session{c: c, ckpts: []*emu.Snapshot{base}, prog: prog}
-	rm := base.Resume(emu.Config{StepLimit: c.StepLimit, RecordTrace: true, RecordPages: true})
+	rm := base.Resume(emu.Config{StepLimit: c.StepLimit, RecordTrace: true})
 	badRes, badErr := s.runReference(rm)
 	if badErr != nil {
 		return nil, fmt.Errorf("%w: bad input: %v", ErrBadRun, badErr)
 	}
 
 	s.trace = &trace.Trace{Entries: rm.Trace, Result: badRes}
-	for pa, first := range rm.PageLog() {
-		s.refPages = append(s.refPages, refPage{pa, first})
-	}
-	slices.SortFunc(s.refPages, func(a, b refPage) int { return cmp.Compare(a.page, b.page) })
 	s.good = observe(goodRes)
 	s.bad = observe(badRes)
 	if s.good == s.bad {
@@ -362,106 +349,6 @@ func (s *Session) SimulateSeq(faults ...Fault) Outcome {
 // flip from exit to step-limit crash.
 func (s *Session) InjectionLimit() uint64 { return s.c.InjectionStepLimit }
 
-// SimRecord is the full account of one injection run — everything a
-// cross-binary campaign cache needs to decide later whether the
-// outcome is still valid:
-//
-//   - Pages is the run's code footprint: every page the machine fetched
-//     instruction bytes from, including the golden prefix the forked
-//     snapshot inherited (the prefix determines the fork state). If
-//     none of these pages' bytes changed, the run replays identically.
-//   - Steps and LimitHit qualify the outcome against a different
-//     injection step budget: a finished run stays valid under any
-//     budget >= Steps, a budget-cut run only under a budget that cuts
-//     at least as early.
-type SimRecord struct {
-	Outcome  Outcome
-	Steps    uint64   // steps completed when the run ended (0: decode pre-screen)
-	LimitHit bool     // run was cut off by the injection step limit
-	Pages    []uint64 // sorted code pages fetched by prefix + faulted run
-}
-
-// SimulateRecord runs one injection like Simulate and additionally
-// records the evidence the outcome rests on. Safe for concurrent use.
-func (s *Session) SimulateRecord(f Fault) SimRecord {
-	if s.decodePreScreen(f) {
-		return s.preScreenRecord(f)
-	}
-	return s.simulateRecordDynamic(f)
-}
-
-// preScreenRecord builds the evidence record behind a decode
-// pre-screened crash. The crash rests on the reference run reaching
-// the site (the prefix) and on the flipped instruction's own bytes.
-// Only valid after decodePreScreen(f) answered true.
-func (s *Session) preScreenRecord(f Fault) SimRecord {
-	p := s.probes[f.Addr]
-	var buf [4]uint64
-	extra := buf[:0]
-	for a := f.Addr &^ (emu.PageSize - 1); a < f.Addr+uint64(p.n); a += emu.PageSize {
-		extra = append(extra, a)
-	}
-	if p.n < decode.MaxInstLen {
-		// The probe window was truncated: the crash also rests on the
-		// page that cut it short staying unfetchable, so it must
-		// invalidate the record if it changes (mirrors the emulator's
-		// decode-failure page logging).
-		extra = append(extra, (f.Addr+uint64(p.n))&^uint64(emu.PageSize-1))
-	}
-	return SimRecord{Outcome: OutcomeCrash, Pages: s.runPages(uint64(f.TraceIndex)+1, extra)}
-}
-
-// simulateRecordDynamic is the evidence-recording simulation core
-// behind SimulateRecord, minus the decode pre-screen.
-func (s *Session) simulateRecordDynamic(f Fault) SimRecord {
-	cfg := s.config(f)
-	cfg.RecordPages = true
-	m := s.checkpointFor(uint64(f.TraceIndex)).Resume(cfg)
-	res, err := m.Run()
-	// Account the golden prefix up to the fault step itself (capped like
-	// checkpointFor), a superset of the resumed checkpoint's actual
-	// prefix. Checkpoint positions are deterministic, so either bound
-	// would be schedule-independent, but this one decides the recorded
-	// page sets and so the store entries: changing it would change them.
-	bound := uint64(f.TraceIndex)
-	if lim := s.c.InjectionStepLimit; lim > 0 && bound > lim-1 {
-		bound = lim - 1
-	}
-	var buf [8]uint64
-	extra := buf[:0]
-	for pa := range m.PageLog() {
-		extra = append(extra, pa)
-	}
-	rec := SimRecord{
-		Outcome:  classify(res, err, s.good),
-		Steps:    res.Steps,
-		LimitHit: errors.Is(err, emu.ErrStepLimit),
-		Pages:    s.runPages(bound+1, extra),
-	}
-	m.Release()
-	return rec
-}
-
-// refPage is one page of the reference run's footprint and the step
-// count at its first fetch.
-type refPage struct{ page, first uint64 }
-
-// runPages returns a run's code footprint, ascending and without
-// duplicates: the reference run's pages first fetched before the given
-// step — the pages whose bytes determined the machine state a snapshot
-// taken at that step carries — plus the run's own pages in extra.
-func (s *Session) runPages(step uint64, extra []uint64) []uint64 {
-	out := make([]uint64, 0, len(s.refPages)+len(extra))
-	for _, p := range s.refPages {
-		if p.first < step {
-			out = append(out, p.page)
-		}
-	}
-	out = append(out, extra...)
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 // SimulateCold runs one injection of the given faults (one, or a
 // multi-fault sequence) from a freshly initialized machine, replaying
 // the whole prefix — the reference semantics every snapshot path must
@@ -512,22 +399,12 @@ func (s *Session) ExecuteShard(shardIndex, shardCount, workers int, progress fun
 }
 
 // ExecuteShardSim is ExecuteShard with a caller-supplied simulation
-// function — the seam the incremental campaign executor uses to splice
-// cached outcomes in (answering from a memo, falling back to
-// SimulateRecord on a miss) while keeping the engine's scheduling,
-// sharding, and bit-identity guarantees. sim must be safe for
-// concurrent use and deterministic, like Simulate.
+// function — the seam the campaign executor plugs the counting Pruner
+// into while keeping the engine's scheduling, sharding, and
+// bit-identity guarantees. sim must be safe for concurrent use and
+// deterministic, like Simulate.
 func (s *Session) ExecuteShardSim(shardIndex, shardCount, workers int, sim func(Fault) Outcome, progress func(done, total int)) ([]Injection, Tally) {
-	return s.ExecuteShardIndexed(shardIndex, shardCount, workers, func(_ int, f Fault) Outcome { return sim(f) }, progress)
-}
-
-// ExecuteShardIndexed is ExecuteShardSim with each fault's position in
-// the shard's selection (ShardSelect) passed to sim alongside it — the
-// index of its injection in the result — so a caller recording
-// per-fault evidence can store it by position without a fault-keyed
-// map.
-func (s *Session) ExecuteShardIndexed(shardIndex, shardCount, workers int, sim func(i int, f Fault) Outcome, progress func(done, total int)) ([]Injection, Tally) {
-	sel, outcomes, tally := runShard(s.faults, shardIndex, shardCount, s.executePool(workers), sim, progress)
+	sel, outcomes, tally := runShard(s.faults, shardIndex, shardCount, s.executePool(workers), func(_ int, f Fault) Outcome { return sim(f) }, progress)
 	out := make([]Injection, len(sel))
 	for i, f := range sel {
 		out[i] = Injection{Fault: f, Outcome: outcomes[i]}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -137,40 +136,5 @@ func TestPairAdjacentSecondFault(t *testing.T) {
 				checkTreeVsCold(t, s, pr, triples)
 			}
 		})
-	}
-}
-
-// TestSimulateRecordConsistent: the recording variant must classify
-// exactly like Simulate, report a footprint that includes the fault
-// site's page, and be deterministic.
-func TestSimulateRecordConsistent(t *testing.T) {
-	s, err := NewSession(Campaign{
-		Binary: buildMini(t), Good: goodPin, Bad: badPin,
-		Models: []Model{ModelSkip, ModelBitFlip},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range s.Faults() {
-		rec := s.SimulateRecord(f)
-		if got := s.Simulate(f); rec.Outcome != got {
-			t.Errorf("%v: SimulateRecord %v, Simulate %v", f, rec.Outcome, got)
-		}
-		if len(rec.Pages) == 0 {
-			t.Fatalf("%v: empty footprint", f)
-		}
-		sitePage := f.Addr &^ 0xFFF
-		found := false
-		for _, pa := range rec.Pages {
-			if pa == sitePage {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%v: footprint %x misses the fault site page %#x", f, rec.Pages, sitePage)
-		}
-		if again := s.SimulateRecord(f); !reflect.DeepEqual(rec, again) {
-			t.Errorf("%v: SimulateRecord not deterministic", f)
-		}
 	}
 }

@@ -45,11 +45,10 @@ type Options struct {
 	// Store, when non-nil, persists campaign results content-addressed
 	// by binary digest + campaign options, so a repeated `r2r patch`
 	// invocation (or any other campaign over the same binaries) replays
-	// from the cache. Independent of the store, the driver always
-	// reuses outcomes *across its own iterations* through the
-	// footprint memo: after each patch round, only faults whose
-	// recorded execution window overlaps the changed bytes are
-	// re-simulated.
+	// from the cache. Without one the driver uses a private in-memory
+	// store, which answers its own repeats: the first pair round's solo
+	// sweep and the final verification re-run binaries an earlier
+	// campaign already swept.
 	Store *campaign.Store
 
 	// Log receives one line per iteration when non-nil.
@@ -67,7 +66,6 @@ type IterationStats struct {
 	Detected   int
 	CodeSize   int // .text bytes after this round's patching
 
-	Reused      int  // injections answered from the previous round's memo
 	Resimulated int  // injections actually simulated this round
 	CacheHit    bool // the whole campaign was answered from the store
 }
@@ -82,7 +80,6 @@ type PairIterationStats struct {
 	Residual  int // pair sites that could not be escalated
 	CodeSize  int // .text bytes after this round's escalation
 
-	Reused      int // solo injections answered from the previous memo
 	Resimulated int // solo injections actually simulated
 	CacheHits   int // store hits across the round's solo + pair stages
 }
@@ -100,9 +97,8 @@ type Result struct {
 	PairIterations []PairIterationStats
 	FinalPairs     []fault.PairInjection
 
-	// Cache is the cumulative store/memo accounting over every
-	// campaign the driver ran (iterations, escalation rounds, final
-	// verification).
+	// Cache is the cumulative store accounting over every campaign the
+	// driver ran (iterations, escalation rounds, final verification).
 	Cache campaign.CacheStats
 
 	OriginalCodeSize int
@@ -136,16 +132,13 @@ func (r *Result) Overhead() float64 {
 	return float64(r.Binary.CodeSize()-r.OriginalCodeSize) / float64(r.OriginalCodeSize)
 }
 
-// faulter runs the driver's campaigns through the incremental
-// plan → execute → store engine, threading one footprint memo across
-// iterations: every campaign reuses the previous round's outcomes for
-// faults whose recorded execution window avoids the bytes that round
-// changed, and (with a store) whole campaigns are answered
-// content-addressed — which makes the driver's final verification
-// sweep, and any warm re-invocation over the same binary, nearly free.
+// faulter runs the driver's campaigns through the plan → execute →
+// store engine: a campaign over a binary the store has seen is
+// answered content-addressed — which makes the driver's final
+// verification sweep, and any warm re-invocation over the same binary,
+// nearly free.
 type faulter struct {
 	opt   Options
-	memo  *campaign.Memo
 	cache campaign.CacheStats
 }
 
@@ -162,27 +155,25 @@ func (fl *faulter) campaignFor(bin *elf.Binary) fault.Campaign {
 	}
 }
 
-// run executes the order-1 campaign for a binary incrementally.
+// run executes the order-1 campaign for a binary.
 func (fl *faulter) run(bin *elf.Binary) (*fault.Report, campaign.CacheStats, error) {
-	res, err := campaign.RunIncremental(fl.campaignFor(bin),
-		campaign.Options{Store: fl.opt.Store}, fl.memo)
-	if err != nil {
-		return nil, campaign.CacheStats{}, err
+	res := campaign.RunAll([]campaign.Job{{Campaign: fl.campaignFor(bin)}},
+		campaign.Options{Store: fl.opt.Store})[0]
+	if res.Err != nil {
+		return nil, campaign.CacheStats{}, res.Err
 	}
-	fl.memo = res.Memo
 	fl.cache.Add(res.Cache)
 	return res.Report, res.Cache, nil
 }
 
-// runOrder2 executes the order-2 campaign for a binary incrementally
-// (memo-assisted solo sweep, store-cached pair stage).
+// runOrder2 executes the order-2 campaign for a binary (its solo sweep
+// stored under the order-1 plan key the order-1 loop uses).
 func (fl *faulter) runOrder2(bin *elf.Binary) (*campaign.Order2Report, campaign.CacheStats, error) {
-	res, err := campaign.RunOrder2Incremental(fl.campaignFor(bin),
-		campaign.Options{Store: fl.opt.Store, MaxPairs: fl.opt.MaxPairs}, fl.memo)
+	res, err := campaign.RunOrder2Result(fl.campaignFor(bin),
+		campaign.Options{Store: fl.opt.Store, MaxPairs: fl.opt.MaxPairs})
 	if err != nil {
 		return nil, campaign.CacheStats{}, err
 	}
-	fl.memo = res.Memo
 	fl.cache.Add(res.Cache)
 	return res.Report, res.Cache, nil
 }
@@ -194,6 +185,13 @@ func (fl *faulter) runOrder2(bin *elf.Binary) (*campaign.Order2Report, campaign.
 func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 	if opt.MaxIterations <= 0 {
 		opt.MaxIterations = 10
+	}
+	if opt.Store == nil {
+		st, err := campaign.NewStore("")
+		if err != nil {
+			return nil, err
+		}
+		opt.Store = st
 	}
 	logf := func(format string, args ...any) {
 		if opt.Log != nil {
@@ -229,7 +227,6 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 			Sites:       len(sites),
 			Detected:    rep.Count(fault.OutcomeDetected),
 			CodeSize:    cur.CodeSize(),
-			Reused:      cs.Reused,
 			Resimulated: cs.Resimulated,
 			CacheHit:    cs.Hits > 0,
 		}
@@ -267,8 +264,8 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 		}
 		stats.CodeSize = cur.CodeSize()
 		res.Iterations = append(res.Iterations, stats)
-		logf("iteration %d: %d injections (%d reused, %d simulated), %d successes at %d sites, %d patched, %d residual, text %dB",
-			iter, stats.Injections, stats.Reused, stats.Resimulated, stats.Successes,
+		logf("iteration %d: %d injections (%d simulated), %d successes at %d sites, %d patched, %d residual, text %dB",
+			iter, stats.Injections, stats.Resimulated, stats.Successes,
 			stats.Sites, stats.Patched, stats.Residual, stats.CodeSize)
 
 		if stats.Patched == 0 {
@@ -287,8 +284,8 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 	}
 
 	// Final verification campaign. The binary is unchanged since the
-	// last converged iteration, so the memo (and any store) answers it
-	// without re-simulating.
+	// last campaign over it, so the store answers it without
+	// re-simulating.
 	final, _, err := fl.run(cur)
 	if err != nil {
 		return nil, fmt.Errorf("patch: final verification: %w", err)
@@ -315,7 +312,7 @@ func hardenPairs(prog *bir.Program, cur *elf.Binary, opt Options, res *Result, f
 		res.FinalPairs = injs
 		stats := PairIterationStats{
 			Iteration: iter, Solo: len(solo), Pairs: len(injs), CodeSize: cur.CodeSize(),
-			Reused: cs.Reused, Resimulated: cs.Resimulated, CacheHits: cs.Hits,
+			Resimulated: cs.Resimulated, CacheHits: cs.Hits,
 		}
 
 		// Distinct sites of successful pairs, in address order: both
@@ -369,8 +366,8 @@ func hardenPairs(prog *bir.Program, cur *elf.Binary, opt Options, res *Result, f
 		}
 		stats.CodeSize = cur.CodeSize()
 		res.PairIterations = append(res.PairIterations, stats)
-		logf("pair iteration %d: %d solo (%d reused, %d simulated), %d pairs, %d successes, %d escalated, %d residual, text %dB",
-			iter, stats.Solo, stats.Reused, stats.Resimulated, stats.Pairs,
+		logf("pair iteration %d: %d solo (%d simulated), %d pairs, %d successes, %d escalated, %d residual, text %dB",
+			iter, stats.Solo, stats.Resimulated, stats.Pairs,
 			stats.Successes, stats.Escalated, stats.Residual, stats.CodeSize)
 		if stats.Escalated == 0 {
 			logf("pair iteration %d: fixed point (nothing left to escalate)", iter)

@@ -79,26 +79,37 @@ func TestDriverWarmStoreBitIdentity(t *testing.T) {
 	}
 }
 
-// TestDriverStorelessMatchesStored: the incremental memo (always on)
-// and the store (opt-in) must not change results — a driver run with
-// neither matches one with both.
+// TestDriverStorelessMatchesStored: without a store the driver runs on
+// a private in-memory one, so a storeless order-2 run answers its own
+// repeats from it — the first pair round's solo sweep and the final
+// verification re-run binaries already swept — and reports exactly
+// what a run over a cold disk store reports, cache block included,
+// with the same hardened binary.
 func TestDriverStorelessMatchesStored(t *testing.T) {
-	plain := hardenWith(t, nil, 1)
+	plain := hardenWith(t, nil, 2)
 	st, err := campaign.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := hardenWith(t, st, 1)
+	stored := hardenWith(t, st, 2)
 	if !bytes.Equal(binImage(t, plain), binImage(t, stored)) {
 		t.Fatal("store changed the hardened binary")
 	}
 	if !reflect.DeepEqual(plain.Final.Injections, stored.Final.Injections) {
 		t.Fatal("store changed the final report")
 	}
-	// The storeless run still reuses across iterations via the memo:
-	// the final verification re-ran an unchanged binary.
-	if plain.Cache.Reused == 0 {
-		t.Error("driver memo reused nothing across iterations")
+	if plain.Cache.Hits != 2 {
+		t.Errorf("storeless run: %+v, want 2 hits (first pair round's solo sweep, final verification)", plain.Cache)
+	}
+	var a, b bytes.Buffer
+	if err := plain.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := stored.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("storeless JSON differs from the cold store's\n--- storeless ---\n%s\n--- stored ---\n%s", a.String(), b.String())
 	}
 }
 

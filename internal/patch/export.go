@@ -23,8 +23,8 @@ type Export struct {
 	// ran with Order < 2).
 	Order2 *ExportOrder2 `json:"order2,omitempty"`
 
-	// Cache is the cumulative store/memo accounting across every
-	// campaign the driver ran.
+	// Cache is the cumulative store accounting across every campaign
+	// the driver ran.
 	Cache campaign.CacheStats `json:"cache"`
 }
 
@@ -37,8 +37,8 @@ type ExportOrder2 struct {
 }
 
 // ExportIteration is one order-1 rinse-and-repeat round. The cache
-// fields report the incremental engine's work avoidance (zero when
-// everything was simulated cold).
+// fields report what the round simulated and whether the store
+// answered it instead.
 type ExportIteration struct {
 	Iteration  int `json:"iteration"`
 	Injections int `json:"injections"`
@@ -49,7 +49,6 @@ type ExportIteration struct {
 	Detected   int `json:"detected"`
 	CodeSize   int `json:"code_size"`
 
-	Reused      int  `json:"reused,omitempty"`
 	Resimulated int  `json:"resimulated,omitempty"`
 	CacheHit    bool `json:"cache_hit,omitempty"`
 }
@@ -64,7 +63,6 @@ type ExportPairIteration struct {
 	Residual  int `json:"residual"`
 	CodeSize  int `json:"code_size"`
 
-	Reused      int `json:"reused,omitempty"`
 	Resimulated int `json:"resimulated,omitempty"`
 	CacheHits   int `json:"cache_hits,omitempty"`
 }

@@ -18,11 +18,10 @@ func fuzzBin(code []byte) *elf.Binary {
 	}
 }
 
-// FuzzCFGBuilder: decoding arbitrary bytes and building the CFG and
-// dominator tree must never panic, and the structural invariants the
-// verifier leans on must hold: blocks partition the reachable
-// instructions, edges are symmetric, and the entry dominates every
-// reachable block.
+// FuzzCFGBuilder: decoding arbitrary bytes and building the CFG must
+// never panic, and the structural invariants the verifier leans on
+// must hold: blocks partition the reachable instructions and edges are
+// symmetric.
 func FuzzCFGBuilder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x90, 0x90, 0xC3})                               // nop; nop; ret
@@ -75,15 +74,6 @@ func FuzzCFGBuilder(f *testing.F) {
 				if !found {
 					t.Fatalf("edge %#x->%#x not in preds", b.Start, s.Start)
 				}
-			}
-		}
-		reach := g.Reachable()
-		for _, b := range g.Blocks {
-			if reach[b.Start] && !g.Entry.Dominates(b) {
-				t.Fatalf("entry does not dominate reachable block %#x", b.Start)
-			}
-			if !reach[b.Start] && b.Idom() != nil {
-				t.Fatalf("unreachable block %#x has an idom", b.Start)
 			}
 		}
 		for addr := range p.Insts {

@@ -1,8 +1,8 @@
 // Package static is the CFG analysis engine over decoded programs:
-// basic blocks, the dominator tree and per-instruction register/flag
-// effects (sem.go), plus the countermeasure verifier built on top of
-// them (verify.go, verifyir.go, verifybir.go) and the transparent-skip
-// test the multi-fault pruner consumes (inert.go).
+// basic blocks and per-instruction register/flag effects (sem.go),
+// plus the countermeasure verifier built on top of them (verify.go,
+// verifyir.go, verifybir.go) and the transparent-skip test the
+// multi-fault pruner consumes (inert.go).
 //
 // The paper's loop only ever *measures* countermeasure strength by
 // exhaustive fault simulation; this package closes the gap Rauzy &
@@ -21,6 +21,7 @@ package static
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/r2r/reinforce/internal/decode"
@@ -77,8 +78,6 @@ type Block struct {
 
 	// Index is the block's position in CFG.Blocks (ascending Start).
 	Index int
-
-	idom *Block
 }
 
 // End returns the address of the block's last instruction.
@@ -95,26 +94,24 @@ type CFG struct {
 // BlockAt returns the block whose leader is addr, or nil.
 func (g *CFG) BlockAt(addr uint64) *Block { return g.byAddr[addr] }
 
-// Analysis bundles the program with its CFG and dominator tree, the
-// facts the verifier consumes.
+// Analysis bundles the program with its CFG, the facts the verifier
+// consumes.
 type Analysis struct {
 	Bin  *elf.Binary
 	Prog *Program
 	CFG  *CFG
 }
 
-// Analyze decodes the binary from its entry point and builds the CFG
-// and dominator tree. It fails only when the entry itself is unmapped;
-// unreachable or undecodable tails are recorded, not fatal (the
-// emulator crashes there, which the analyses model as terminal nodes).
+// Analyze decodes the binary from its entry point and builds the CFG.
+// It fails only when the entry itself is unmapped; unreachable or
+// undecodable tails are recorded, not fatal (the emulator crashes
+// there, which the analyses model as terminal nodes).
 func Analyze(bin *elf.Binary) (*Analysis, error) {
 	prog, err := Explore(bin)
 	if err != nil {
 		return nil, err
 	}
-	cfg := BuildCFG(prog)
-	cfg.Dominators()
-	return &Analysis{Bin: bin, Prog: prog, CFG: cfg}, nil
+	return &Analysis{Bin: bin, Prog: prog, CFG: BuildCFG(prog)}, nil
 }
 
 // Explore decodes every instruction reachable from the binary's entry
@@ -181,23 +178,31 @@ func exitSyscall(rax int64) bool { return rax == 60 || rax == 231 }
 // gives every syscall a fall-through edge, but a syscall whose RAX is
 // statically a proven exit number never returns — keeping its phantom
 // edge would route reachability through a crash node and destroy
-// precision right where the hardening patterns put their exit stubs. For each syscall, RAX (and RDI, for the exit status) is
-// resolved by a bounded straight-line backward walk; proven exits lose
-// their successors, and addresses only reachable through those phantom
-// edges are dropped from the program.
+// precision right where the hardening patterns put their exit stubs.
+// For each syscall, in address order, RAX (and RDI, for the exit
+// status) is resolved by a bounded straight-line backward walk; proven
+// exits lose their successors, and addresses only reachable through
+// those phantom edges are dropped from the program. A walk reads the
+// successors of the syscalls before it, so the fixed order keeps the
+// result independent of map iteration.
 func refineExits(p *Program) {
 	preds := make(map[uint64][]uint64, len(p.Succs))
+	//lint:allow maprange (predecessor lists: regConstAt follows only a list of length one, so their order never matters)
 	for a, succs := range p.Succs {
 		for _, s := range succs {
 			preds[s] = append(preds[s], a)
 		}
 	}
+	var syscalls []uint64
+	for addr, in := range p.Insts {
+		if in.Op == isa.SYSCALL {
+			syscalls = append(syscalls, addr)
+		}
+	}
+	slices.Sort(syscalls)
 	p.Exits = make(map[uint64]Exit)
 	changed := false
-	for addr, in := range p.Insts {
-		if in.Op != isa.SYSCALL {
-			continue
-		}
+	for _, addr := range syscalls {
 		rax, raxKnown := regConstAt(p, preds, addr, isa.RAX)
 		if raxKnown && !exitSyscall(rax) {
 			continue // a proven read/write syscall: plain fall-through
@@ -295,11 +300,6 @@ func successors(in isa.Inst) []uint64 {
 	}
 }
 
-// IsTerminal reports whether the address ends its path: an instruction
-// with no static successors, or an undecodable/unmapped address (the
-// emulator crashes there).
-func (p *Program) IsTerminal(addr uint64) bool { return len(p.Succs[addr]) == 0 }
-
 // BuildCFG groups a Program's instructions into basic blocks. Leaders
 // are the entry, every branch/call target, and every successor of an
 // instruction with more than one successor or with none (path ends).
@@ -309,6 +309,7 @@ func BuildCFG(p *Program) *CFG {
 	for addr := range p.Undecoded {
 		leader[addr] = true
 	}
+	//lint:allow maprange (builds the leader set: set insertion commutes)
 	for addr, succs := range p.Succs {
 		in := p.Insts[addr]
 		if len(succs) != 1 || in.Op.IsBranch() {
@@ -320,6 +321,7 @@ func BuildCFG(p *Program) *CFG {
 	// A fall-through target that some other instruction also jumps to
 	// must start its own block.
 	preds := map[uint64]int{}
+	//lint:allow maprange (counts predecessors: addition commutes)
 	for _, succs := range p.Succs {
 		for _, t := range succs {
 			preds[t]++
@@ -365,26 +367,4 @@ func BuildCFG(p *Program) *CFG {
 	}
 	g.Entry = g.byAddr[p.Entry]
 	return g
-}
-
-// Reachable returns the blocks reachable from the entry block, as a
-// set keyed by leader address.
-func (g *CFG) Reachable() map[uint64]bool {
-	seen := map[uint64]bool{}
-	if g.Entry == nil {
-		return seen
-	}
-	work := []*Block{g.Entry}
-	seen[g.Entry.Start] = true
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range b.Succs {
-			if !seen[s.Start] {
-				seen[s.Start] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return seen
 }
