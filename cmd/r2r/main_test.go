@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/r2r/reinforce"
+	"github.com/r2r/reinforce/internal/campaign"
 	"github.com/r2r/reinforce/internal/cases"
 )
 
@@ -136,6 +139,71 @@ func TestCampaignOrder2JSONGolden(t *testing.T) {
 		t.Fatalf("order-2 summary missing the order2 block:\n%s", got)
 	}
 	checkGolden(t, "campaign_pincheck_order2.json", got)
+}
+
+// TestCampaignShardsSumToWhole: running every `-shard i/n -json` of a
+// campaign and adding up the summaries, as the README suggests,
+// reproduces the unsharded summary. At order 1 the outcome counts and
+// the per-site successes add up; at order 2 the order2 blocks do, while
+// every shard repeats the whole order-1 sweep its pairs derive from.
+func TestCampaignShardsSumToWhole(t *testing.T) {
+	bin, good, bad := writeCase(t, cases.Pincheck())
+	run := func(args ...string) campaign.Summary {
+		t.Helper()
+		args = append([]string{"-good", good, "-bad", bad, "-q", "-json"}, append(args, bin)...)
+		var out bytes.Buffer
+		if err := cmdCampaign(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		var sums []campaign.Summary
+		if err := json.Unmarshal(out.Bytes(), &sums); err != nil || len(sums) != 1 {
+			t.Fatalf("%v: %d summaries, %v", args, len(sums), err)
+		}
+		return sums[0]
+	}
+	counts := func(s campaign.Summary) [5]int {
+		return [5]int{s.Injections, s.Success, s.Detected, s.Crash, s.Ignored}
+	}
+	sites := func(s campaign.Summary, into map[uint64]int) {
+		for _, site := range s.Sites {
+			into[site.Addr] += site.Successes
+		}
+	}
+
+	full := run("-model", "bitflip")
+	wantSites, gotSites := map[uint64]int{}, map[uint64]int{}
+	sites(full, wantSites)
+	var got [5]int
+	for i := 0; i < 4; i++ {
+		s := run("-model", "bitflip", "-shard", fmt.Sprintf("%d/4", i))
+		for k, v := range counts(s) {
+			got[k] += v
+		}
+		sites(s, gotSites)
+	}
+	if got != counts(full) || full.Success == 0 {
+		t.Errorf("order 1: shards sum to %v, unsharded %v", got, counts(full))
+	}
+	if !reflect.DeepEqual(gotSites, wantSites) {
+		t.Errorf("order 1: shards' site successes %v, unsharded %v", gotSites, wantSites)
+	}
+
+	full = run("-order", "2", "-max-pairs", "2000")
+	var o2 campaign.Order2Summary
+	for i := 0; i < 3; i++ {
+		s := run("-order", "2", "-max-pairs", "2000", "-shard", fmt.Sprintf("%d/3", i))
+		if counts(s) != counts(full) || s.Order2 == nil {
+			t.Fatalf("order 2 shard %d/3: order-1 counts %v, want the whole sweep's %v", i, counts(s), counts(full))
+		}
+		o2.Pairs += s.Order2.Pairs
+		o2.Success += s.Order2.Success
+		o2.Detected += s.Order2.Detected
+		o2.Crash += s.Order2.Crash
+		o2.Ignored += s.Order2.Ignored
+	}
+	if full.Order2 == nil || o2 != *full.Order2 {
+		t.Errorf("order 2: shards sum to %+v, unsharded %+v", o2, full.Order2)
+	}
 }
 
 // TestPatchOrder2JSONGolden pins the `r2r patch -order 2 -json` export:

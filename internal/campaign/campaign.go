@@ -9,8 +9,9 @@
 //     re-initializing memory and registers (the state-reuse strategy
 //     that makes exhaustive fault simulation tractable, cf. ARMORY).
 //   - Shard{I, N} restricts a run to every N-th fault, so one campaign
-//     can be split across processes or machines; Merge recombines the
-//     per-shard reports into a report bit-identical to an unsharded run.
+//     can be split across processes or machines: shard I's report holds
+//     exactly the unsharded run's injections I, I+N, I+2N, ..., so the
+//     shards' outcome counts add up to the unsharded run's.
 //   - RunAll sweeps many binaries/variants in one call with aggregate
 //     progress callbacks — the shape of the paper's evaluation, which
 //     compares the same campaign across original, Faulter+Patcher,
@@ -104,7 +105,9 @@ type Options struct {
 
 	// Shard restricts execution to one shard of the fault list (for
 	// RunOrder2 and RunOrder3, one shard of the top stage's sequence
-	// list — see there).
+	// list; the lower stages run whole — see there). A shard's list is
+	// the unsharded run's items i, i+n, i+2n, ... in order; nothing
+	// merges shards back, their counts simply add up.
 	Shard Shard
 
 	// MaxPairs caps order-2 pair enumeration (RunOrder2 and RunOrder3;
@@ -141,60 +144,24 @@ type Options struct {
 	// to (see Store). Results are bit-identical with or without it —
 	// test-enforced alongside the worker/shard determinism guarantees.
 	Store *Store
-
-	// pool, when non-nil, is the shared WorkerPool the run's sessions
-	// execute on instead of a private pool per stage — set by RunCorpus
-	// so concurrent cells share one worker budget. Like Workers, it
-	// never changes results, only where the simulations run; it is not
-	// part of the plan key.
-	pool *fault.WorkerPool
-
-	// newSession, when set, replaces fault.NewSession for the run —
-	// the corpus runner's hook for reusing one session across the
-	// orders of a cell chain (session construction replays the golden
-	// runs and snapshots the trace, too expensive to repeat per cell).
-	newSession func(fault.Campaign) (*fault.Session, error)
-}
-
-// session builds (or fetches, via the newSession hook) the run's
-// session and injects the shared pool when one is configured.
-func (opt Options) session(c fault.Campaign) (*fault.Session, error) {
-	var s *fault.Session
-	var err error
-	if opt.newSession != nil {
-		s, err = opt.newSession(c)
-	} else {
-		s, err = fault.NewSession(c)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if opt.pool != nil {
-		s.SetPool(opt.pool)
-	}
-	return s, nil
 }
 
 // Run executes one fault campaign on the engine and assembles the
 // standard report. With a non-trivial shard, the report holds only that
-// shard's injections (in shard-local order); Merge recombines them.
-// With Options.Store set, the plan is answered from the store when
-// possible and recorded into it otherwise.
+// shard's injections, in shard-local order. With Options.Store set, the
+// plan is answered from the store when possible and recorded into it
+// otherwise.
 func Run(c fault.Campaign, opt Options) (*fault.Report, error) {
-	res, err := runSolo("", 0, 1, c, opt)
-	return res.Report, err
+	res := RunAll([]Job{{Campaign: c}}, opt)[0]
+	return res.Report, res.Err
 }
 
 // runSolo is the one order-1 execution path behind Run, RunAll and the
-// corpus's order-1 cells: the store answers the plan when it can, and
-// the session simulates it otherwise. The returned Result carries
-// neither Name nor Elapsed.
-func runSolo(name string, jobIndex, jobs int, c fault.Campaign, opt Options) (Result, error) {
+// corpus's order-1 cells, on the campaign's session s: the store
+// answers the plan when it can, and the session simulates it
+// otherwise. The returned Result carries neither Name nor Elapsed.
+func runSolo(name string, jobIndex, jobs int, s *fault.Session, c fault.Campaign, opt Options) (Result, error) {
 	shard, err := opt.Shard.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	s, err := opt.session(c)
 	if err != nil {
 		return Result{}, err
 	}
@@ -258,7 +225,11 @@ func RunAll(jobs []Job, opt Options) []Result {
 	out := make([]Result, len(jobs))
 	for i, job := range jobs {
 		start := time.Now() //lint:allow wallclock (Elapsed is reporting-only, stripped before determinism comparisons)
-		res, err := runSolo(job.Name, i, len(jobs), job.Campaign, opt)
+		var res Result
+		s, err := fault.NewSession(job.Campaign)
+		if err == nil {
+			res, err = runSolo(job.Name, i, len(jobs), s, job.Campaign, opt)
+		}
 		res.Name, res.Elapsed, res.Err = job.Name, time.Since(start), err
 		out[i] = res
 	}
@@ -272,10 +243,10 @@ type Order2Report struct {
 	Solo  *fault.Report         // the complete order-1 campaign
 	Pairs []fault.PairInjection // simulated pairs, in enumeration order
 
-	// PairTally is the engine-provided outcome aggregate of Pairs
-	// (populated by RunOrder2 and MergeOrder2, like Result.Tally for
-	// order-1 batches). PairCount and SummarizeOrder2 derive from
-	// Pairs directly, so they are exact on any report.
+	// PairTally is the engine-provided outcome aggregate of Pairs (the
+	// shard's pairs for a sharded order-2 run), like Result.Tally for
+	// order-1 batches. PairCount and SummarizeOrder2 derive from Pairs
+	// directly, so they are exact on any report.
 	PairTally fault.Tally
 
 	// Triples is the order-3 stage, in enumeration order: nil for an
@@ -328,7 +299,7 @@ func (r *Order2Report) SuccessfulPairs() []fault.PairInjection {
 // sweep, results are bit-identical across worker counts and shard
 // decompositions — and across store hits and cold runs.
 func RunOrder2(c fault.Campaign, opt Options) (*Order2Report, error) {
-	res, err := runOrder("", 0, 1, 2, c, opt)
+	res, err := RunOrder2Result(c, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +319,7 @@ type Order2Result struct {
 // under its own order-1 plan key, so order-1 and order-2 campaigns of
 // the same binary share it.
 func RunOrder2Result(c fault.Campaign, opt Options) (*Order2Result, error) {
-	return runOrder("", 0, 1, 2, c, opt)
+	return runOrderAlone(2, c, opt)
 }
 
 // RunOrder2Incremental is RunOrder2Result. It remains only for
@@ -370,19 +341,30 @@ func RunOrder2Incremental(c fault.Campaign, opt Options, prev any) (*Order2Resul
 // (Options.Prune is forced on). With Options.Store, each stage is
 // answered from its own plan key when possible.
 func RunOrder3(c fault.Campaign, opt Options) (*Order2Result, error) {
-	return runOrder("", 0, 1, 3, c, opt)
+	return runOrderAlone(3, c, opt)
 }
 
-// runOrder is the one multi-fault execution path (order 2 or 3):
-// the solo sweep, then each stage on the pruned first-fault tree. Only
-// the top stage is sharded. With an empty name the phases report as
+// runOrderAlone is runOrder for a stand-alone multi-fault campaign, on
+// a session of its own.
+func runOrderAlone(order int, c fault.Campaign, opt Options) (*Order2Result, error) {
+	s, err := fault.NewSession(c)
+	if err != nil {
+		return nil, err
+	}
+	return runOrder("", 0, 1, order, s, c, opt)
+}
+
+// runOrder is the one multi-fault execution path (order 2 or 3), on
+// the campaign's session s: the solo sweep, then each stage on the
+// pruned first-fault tree. Only the top stage is sharded. With an
+// empty name the phases report as
 // stand-alone jobs ("order-1" 0/order ... "order-k" k-1/order); a batch
 // caller (RunCorpus) passes its own name/jobIndex/jobs and the phases
 // report as "<name> order-k" under that index — still separate jobs, so
 // the Done-is-monotonic-per-job contract of Options.Progress holds.
 // Every stage stores under its own plan key, so a corpus cell chain
 // {2, 3} answers the order-3 pair stage from the order-2 cell's entry.
-func runOrder(name string, jobIndex, jobs, order int, c fault.Campaign, opt Options) (*Order2Result, error) {
+func runOrder(name string, jobIndex, jobs, order int, s *fault.Session, c fault.Campaign, opt Options) (*Order2Result, error) {
 	if order >= 3 {
 		opt.Prune = true
 	}
@@ -393,10 +375,6 @@ func runOrder(name string, jobIndex, jobs, order int, c fault.Campaign, opt Opti
 		return progressFunc(opt, fmt.Sprintf("%s order-%d", name, k), jobIndex, jobs)
 	}
 	shard, err := opt.Shard.normalize()
-	if err != nil {
-		return nil, err
-	}
-	s, err := opt.session(c)
 	if err != nil {
 		return nil, err
 	}
@@ -426,122 +404,4 @@ func budget(max, def int) int {
 		return def
 	}
 	return max
-}
-
-// MergeOrder2 recombines the pair shards of one order-2 campaign
-// (shards[i] produced with Shard{i, len(shards)}) into a report
-// bit-identical to the unsharded run. Every shard carries the same
-// (unsharded) solo report; the pair lists recombine round-robin. The
-// shards of an order-3 campaign are rejected: each carries the full
-// pair list and only its share of the triples.
-func MergeOrder2(shards []*Order2Report) (*Order2Report, error) {
-	n := len(shards)
-	if n == 0 {
-		return nil, errors.New("campaign: no shards to merge")
-	}
-	for i, sh := range shards {
-		if sh == nil {
-			return nil, fmt.Errorf("campaign: shard %d is nil", i)
-		}
-		if sh.Triples != nil {
-			return nil, fmt.Errorf("campaign: shard %d is an order-3 shard; order-3 shards do not merge", i)
-		}
-	}
-	if n == 1 {
-		return shards[0], nil
-	}
-	total := 0
-	for i, sh := range shards {
-		if sh.Solo.GoodOracle != shards[0].Solo.GoodOracle ||
-			sh.Solo.BadOracle != shards[0].Solo.BadOracle ||
-			len(sh.Solo.Injections) != len(shards[0].Solo.Injections) {
-			return nil, fmt.Errorf("campaign: shard %d solo sweep differs — not the same campaign", i)
-		}
-		total += len(sh.Pairs)
-	}
-	for i, sh := range shards {
-		want := (total - i + n - 1) / n
-		if len(sh.Pairs) != want {
-			return nil, fmt.Errorf("campaign: shard %d has %d pairs, want %d of %d total",
-				i, len(sh.Pairs), want, total)
-		}
-		// An engine-populated tally must agree with the pair list it
-		// came with — a cheap integrity check that catches truncated or
-		// hand-edited shards the size decomposition alone cannot (a
-		// shorter pair list can masquerade as a smaller campaign).
-		// Hand-built reports with an unpopulated tally are exempt.
-		if sh.PairTally.Total() == 0 {
-			continue
-		}
-		var tt fault.Tally
-		for _, p := range sh.Pairs {
-			tt[p.Outcome]++
-		}
-		if tt != sh.PairTally {
-			return nil, fmt.Errorf("campaign: shard %d pair tally %v inconsistent with its %d pairs",
-				i, sh.PairTally, len(sh.Pairs))
-		}
-	}
-	merged := &Order2Report{
-		Solo:  shards[0].Solo,
-		Pairs: make([]fault.PairInjection, 0, total),
-	}
-	cursor := make([]int, n)
-	for j := 0; j < total; j++ {
-		w := j % n
-		merged.Pairs = append(merged.Pairs, shards[w].Pairs[cursor[w]])
-		cursor[w]++
-	}
-	for _, p := range merged.Pairs {
-		merged.PairTally[p.Outcome]++
-	}
-	return merged, nil
-}
-
-// Merge recombines the reports of all Count shards of one campaign
-// (shards[i] produced with Shard{i, len(shards)}) into a single report
-// bit-identical to the unsharded run. The shard reports must come from
-// the same campaign and be passed in shard order.
-func Merge(shards []*fault.Report) (*fault.Report, error) {
-	n := len(shards)
-	if n == 0 {
-		return nil, errors.New("campaign: no shards to merge")
-	}
-	for i, sh := range shards {
-		if sh == nil {
-			return nil, fmt.Errorf("campaign: shard %d is nil", i)
-		}
-	}
-	if n == 1 {
-		return shards[0], nil
-	}
-	total := 0
-	for i, sh := range shards {
-		if sh.GoodOracle != shards[0].GoodOracle || sh.BadOracle != shards[0].BadOracle {
-			return nil, fmt.Errorf("campaign: shard %d oracles differ — not the same campaign", i)
-		}
-		total += len(sh.Injections)
-	}
-	// Round-robin assignment means shard i holds faults i, i+n, i+2n...
-	// — so shard sizes must match that decomposition exactly.
-	for i, sh := range shards {
-		want := (total - i + n - 1) / n
-		if len(sh.Injections) != want {
-			return nil, fmt.Errorf("campaign: shard %d has %d injections, want %d of %d total",
-				i, len(sh.Injections), want, total)
-		}
-	}
-	merged := &fault.Report{
-		Trace:      shards[0].Trace,
-		GoodOracle: shards[0].GoodOracle,
-		BadOracle:  shards[0].BadOracle,
-		Injections: make([]fault.Injection, 0, total),
-	}
-	cursor := make([]int, n)
-	for j := 0; j < total; j++ {
-		w := j % n
-		merged.Injections = append(merged.Injections, shards[w].Injections[cursor[w]])
-		cursor[w]++
-	}
-	return merged, nil
 }

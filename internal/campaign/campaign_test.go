@@ -98,8 +98,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardRecombination: running shards i/n separately and merging
-// reproduces the unsharded report exactly.
+// TestShardRecombination: shard i of n holds exactly the unsharded
+// run's injections i, i+n, i+2n, ... (written out here, not taken from
+// fault.ShardSelect), under the same oracles, with an engine tally that
+// counts them.
 func TestShardRecombination(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip, fault.ModelBitFlip)
@@ -108,19 +110,27 @@ func TestShardRecombination(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 3
-	shards := make([]*fault.Report, n)
 	for i := 0; i < n; i++ {
-		shards[i], err = Run(c, Options{Shard: Shard{Index: i, Count: n}, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
+		res := RunAll([]Job{{Name: "shard", Campaign: c}}, Options{Shard: Shard{Index: i, Count: n}, Workers: 2})[0]
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-	}
-	merged, err := Merge(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Injections, full.Injections) {
-		t.Fatal("merged shards differ from the unsharded run")
+		var want []fault.Injection
+		var tally fault.Tally
+		for j := i; j < len(full.Injections); j += n {
+			want = append(want, full.Injections[j])
+			tally[full.Injections[j].Outcome]++
+		}
+		if !reflect.DeepEqual(res.Report.Injections, want) {
+			t.Fatalf("shard %d/%d: %d injections, want the unsharded run's %d at j = %d mod %d",
+				i, n, len(res.Report.Injections), len(want), i, n)
+		}
+		if res.Report.GoodOracle != full.GoodOracle || res.Report.BadOracle != full.BadOracle {
+			t.Fatalf("shard %d/%d: oracles differ from the unsharded run", i, n)
+		}
+		if res.Tally != tally {
+			t.Fatalf("shard %d/%d: tally %v, its injections count %v", i, n, res.Tally, tally)
+		}
 	}
 }
 
@@ -128,21 +138,6 @@ func TestShardValidation(t *testing.T) {
 	bin := buildMini(t)
 	if _, err := Run(miniCampaign(bin, fault.ModelSkip), Options{Shard: Shard{Index: 5, Count: 3}}); err == nil {
 		t.Error("out-of-range shard index accepted")
-	}
-	if _, err := Merge(nil); err == nil {
-		t.Error("empty merge accepted")
-	}
-	full, err := Run(miniCampaign(bin, fault.ModelSkip), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	truncated := &fault.Report{
-		GoodOracle: full.GoodOracle,
-		BadOracle:  full.BadOracle,
-		Injections: full.Injections[:1],
-	}
-	if _, err := Merge([]*fault.Report{truncated, full}); err == nil {
-		t.Error("size-inconsistent shards accepted")
 	}
 }
 
@@ -279,63 +274,6 @@ func TestOrder2WorkerInvariance(t *testing.T) {
 	}
 	if len(serial.Pairs) == 0 {
 		t.Fatal("no pairs simulated")
-	}
-}
-
-// TestOrder2ShardRecombination: pair shards run separately merge into a
-// report bit-identical to the unsharded order-2 run.
-func TestOrder2ShardRecombination(t *testing.T) {
-	c := cases.Pincheck()
-	camp := fault.Campaign{
-		Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
-		Models:     []fault.Model{fault.ModelSkip, fault.ModelBitFlip},
-		DedupSites: true,
-	}
-	full, err := RunOrder2(camp, Options{MaxPairs: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	shards := make([]*Order2Report, n)
-	for i := 0; i < n; i++ {
-		shards[i], err = RunOrder2(camp, Options{Shard: Shard{Index: i, Count: n}, Workers: 2, MaxPairs: 300})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := MergeOrder2(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Pairs, full.Pairs) {
-		t.Fatal("merged pair shards differ from the unsharded run")
-	}
-	if merged.PairTally != full.PairTally {
-		t.Fatalf("merged tally %v != full tally %v", merged.PairTally, full.PairTally)
-	}
-	// Degenerate and invalid merges.
-	if _, err := MergeOrder2(nil); err == nil {
-		t.Error("empty order-2 merge accepted")
-	}
-	truncated := &Order2Report{Solo: full.Solo, Pairs: full.Pairs[:1]}
-	if _, err := MergeOrder2([]*Order2Report{truncated, full}); err == nil {
-		t.Error("size-inconsistent pair shards accepted")
-	}
-	// Order-3 shards each carry the full pair list beside their share of
-	// the triples: merging them as pair shards would double every pair
-	// and drop the triples.
-	o3 := make([]*Order2Report, 2)
-	for i := range o3 {
-		res, err := RunOrder3(camp, Options{Shard: Shard{Index: i, Count: 2}, MaxPairs: 300, MaxTriples: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		o3[i] = res.Report
-	}
-	if m, err := MergeOrder2(o3); err == nil {
-		t.Errorf("order-3 shards merged as pair shards: %d pairs, triples nil %v", len(m.Pairs), m.Triples == nil)
-	} else if !strings.Contains(err.Error(), "order-3") {
-		t.Errorf("order-3 shard merge: unexpected error %v", err)
 	}
 }
 

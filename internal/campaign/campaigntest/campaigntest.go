@@ -110,6 +110,39 @@ func Lower(rep *campaign.Order2Report) *campaign.Order2Report {
 	return &campaign.Order2Report{Solo: rep.Solo, Pairs: rep.Pairs, PairTally: rep.PairTally}
 }
 
+// EveryNth returns items i, i+n, i+2n, ... of a list, in order: what
+// shard i of n must select. It is written out here so that shard tests
+// do not take the selection from fault.ShardSelect, the code they test.
+func EveryNth[T any](items []T, i, n int) []T {
+	out := []T{}
+	for j := i; j < len(items); j += n {
+		out = append(out, items[j])
+	}
+	return out
+}
+
+// AssertShard fails unless shard, run with Shard{i, n}, holds what the
+// shard contract promises against the unsharded run full: its top
+// stage (the triples of an order-3 report, else the pairs) is full's
+// items i, i+n, i+2n, ... in order, its lower stages equal full's, and
+// its engine tallies count its own lists.
+func AssertShard(tb testing.TB, label string, full, shard *campaign.Order2Report, i, n int) {
+	tb.Helper()
+	want := Lower(full)
+	if full.Triples == nil {
+		want.Pairs, want.PairTally = EveryNth(full.Pairs, i, n), fault.Tally{}
+		for _, p := range want.Pairs {
+			want.PairTally[p.Outcome]++
+		}
+	} else {
+		want.Triples = EveryNth(full.Triples, i, n)
+		for _, tr := range want.Triples {
+			want.TripleTally[tr.Outcome]++
+		}
+	}
+	AssertOrder2Equal(tb, label, want, shard)
+}
+
 // ReferenceSweep simulates every sequence of a list on its own — one
 // Session.SimulateSeq per sequence, no snapshot tree and no pruner: the
 // reference a campaign's multi-fault stage must match bit for bit.

@@ -140,10 +140,11 @@ func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 	if parallel > len(chains) {
 		parallel = len(chains)
 	}
+	var pool *fault.WorkerPool
 	if parallel > 1 {
 		// All concurrent cells draw from one worker budget; slots a
 		// finished stage frees go to the stragglers' batches.
-		opt.pool = fault.NewWorkerPool(opt.Workers)
+		pool = fault.NewWorkerPool(opt.Workers)
 		// Options.Progress promises serialized delivery; with chains
 		// interleaving, serialize here (per-cell monotonicity is
 		// progressFunc's, which each cell stage owns privately).
@@ -168,13 +169,13 @@ func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				runChain(ch, orders, opt, res.Results)
+				runChain(ch, orders, opt, pool, res.Results)
 			}(ch)
 		}
 		wg.Wait()
 	} else {
 		for _, ch := range chains {
-			runChain(ch, orders, opt, res.Results)
+			runChain(ch, orders, opt, nil, res.Results)
 		}
 	}
 	for i := range res.Results {
@@ -185,37 +186,36 @@ func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 	return res, nil
 }
 
-// runChain executes one case chain's cells in order, reusing one
-// fault.Session across the orders of each job (construction replays
-// the golden runs — once per binary, not once per cell). Each cell
-// writes its result at its fixed job-major index, so interleaved
-// chains never perturb merge order.
-func runChain(ch *corpusChain, orders []int, opt CorpusOptions, results []CorpusCaseResult) {
+// runChain executes one case chain's cells in order, building one
+// fault.Session per job for all its orders (construction replays the
+// golden runs — once per binary, not once per cell) and running it on
+// pool when cells run in parallel. A job whose session fails fails
+// every one of its cells with that error. Each cell writes its result
+// at its fixed job-major index, so interleaved chains never perturb
+// the Results order.
+func runChain(ch *corpusChain, orders []int, opt CorpusOptions, pool *fault.WorkerPool, results []CorpusCaseResult) {
 	cells := len(results)
 	cell := 0
 	for _, job := range ch.jobs {
-		jobOpt := opt.Options
-		var cached *fault.Session
-		jobOpt.newSession = func(c fault.Campaign) (*fault.Session, error) {
-			if cached != nil {
-				return cached, nil
-			}
-			s, err := fault.NewSession(c)
-			if err != nil {
-				return nil, err
-			}
-			cached = s
-			return s, nil
-		}
-		for _, order := range orders {
+		var s *fault.Session
+		var serr error
+		for k, order := range orders {
 			idx := ch.cells[cell]
 			cell++
 			name := fmt.Sprintf("%s/o%d", job.Case, order)
 			start := time.Now() //lint:allow wallclock (ElapsedMS is reporting-only, stripped before determinism comparisons)
+			if k == 0 {
+				// The first cell's elapsed time covers the session.
+				if s, serr = fault.NewSession(job.Campaign); serr == nil && pool != nil {
+					s.SetPool(pool)
+				}
+			}
 			out := CorpusCaseResult{Case: job.Case, Order: order}
-			switch order {
-			case 1:
-				r, err := runSolo(name, idx, cells, job.Campaign, jobOpt)
+			switch {
+			case serr != nil:
+				out.Err = serr
+			case order == 1:
+				r, err := runSolo(name, idx, cells, s, job.Campaign, opt.Options)
 				if err != nil {
 					out.Err = err
 					break
@@ -225,7 +225,7 @@ func runChain(ch *corpusChain, orders []int, opt CorpusOptions, results []Corpus
 				out.Prune = r.Prune
 				out.Summary = Summarize(name, r.Report)
 			default:
-				r, err := runOrder(name, idx, cells, order, job.Campaign, jobOpt)
+				r, err := runOrder(name, idx, cells, order, s, job.Campaign, opt.Options)
 				if err != nil {
 					out.Err = err
 					break

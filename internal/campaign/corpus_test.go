@@ -146,6 +146,21 @@ func TestCorpusDefaultsAndValidation(t *testing.T) {
 	if res.Results[1].Err != nil {
 		t.Fatal("healthy cell failed alongside the broken one")
 	}
+	// A job whose session fails fails every cell of its chain, with the
+	// same error, in sequence and on the shared pool alike.
+	for _, parallel := range []int{1, 2} {
+		res, err = RunCorpus(bad, CorpusOptions{Options: Options{MaxPairs: 16}, Orders: []int{1, 2}, ParallelCells: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.Results
+		if r[0].Err == nil || r[1].Err == nil || r[0].Err.Error() != r[1].Err.Error() {
+			t.Errorf("parallel=%d: broken job's cells: %v, %v; want one error for both", parallel, r[0].Err, r[1].Err)
+		}
+		if r[2].Err != nil || r[3].Err != nil {
+			t.Errorf("parallel=%d: healthy job's cells failed: %v, %v", parallel, r[2].Err, r[3].Err)
+		}
+	}
 }
 
 // TestCorpusSummaries: the export path — per-cell rows plus the

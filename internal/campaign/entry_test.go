@@ -180,9 +180,6 @@ func TestStoreLookupRejectsCorruptEntries(t *testing.T) {
 			if ok || got != nil {
 				t.Fatalf("corrupt entry answered a lookup: %+v", got)
 			}
-			if s := st.Stats(); s.Misses != 1 || s.Hits != 0 {
-				t.Errorf("store stats %+v, want one miss", s)
-			}
 		})
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/r2r/reinforce/internal/fault"
 )
@@ -156,32 +155,6 @@ type Store struct {
 	mu  sync.Mutex
 	mem map[string]*list.Element // key → element; Value is *memEntry
 	lru *list.List               // front = most recently used
-
-	// Lifetime counters, atomic so Stats() can be read while shards
-	// execute (Lookup/Save run concurrently from worker goroutines).
-	hits, misses, saves atomic.Int64
-}
-
-// StoreStats is a point-in-time snapshot of a store's lifetime
-// counters: lookups answered (from memory or disk), lookups that found
-// nothing usable, and entries saved. Unlike CacheStats — per-run
-// accounting that also knows when a returned entry was rejected as
-// stale — these are raw store-level counts across every run sharing
-// the store.
-type StoreStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Saves  int64 `json:"saves"`
-}
-
-// Stats snapshots the store's lifetime counters. Safe to call at any
-// time, including while campaigns execute against the store.
-func (st *Store) Stats() StoreStats {
-	return StoreStats{
-		Hits:   st.hits.Load(),
-		Misses: st.misses.Load(),
-		Saves:  st.saves.Load(),
-	}
 }
 
 // memEntry is one resident cache entry.
@@ -260,7 +233,6 @@ func (st *Store) Lookup(key string) (*Entry, bool) {
 	defer st.mu.Unlock()
 	if el, ok := st.mem[key]; ok {
 		st.lru.MoveToFront(el)
-		st.hits.Add(1)
 		return el.Value.(*memEntry).e, true
 	}
 	if st.dir != "" {
@@ -271,12 +243,10 @@ func (st *Store) Lookup(key string) (*Entry, bool) {
 			var e Entry
 			if e.UnmarshalJSON(data) == nil && e.Schema == planSchema && e.Key == key {
 				st.insert(key, &e)
-				st.hits.Add(1)
 				return &e, true
 			}
 		}
 	}
-	st.misses.Add(1)
 	return nil, false
 }
 
@@ -287,7 +257,6 @@ func (st *Store) Lookup(key string) (*Entry, bool) {
 // unaffected, and only a later process re-executes the plan.
 func (st *Store) Save(e *Entry) error {
 	e.Schema = planSchema
-	st.saves.Add(1)
 	st.mu.Lock()
 	st.insert(e.Key, e)
 	st.mu.Unlock()
@@ -328,8 +297,3 @@ func (st *Store) writeFile(e *Entry) error {
 // Close is a no-op: Save is synchronous, so nothing is ever pending.
 // The method remains only for bench/layers' store probe.
 func (st *Store) Close() {}
-
-// errStale marks a store entry that no longer matches the session it
-// would be zipped against (enumeration drift, oracle change); callers
-// treat it as a miss.
-var errStale = errors.New("campaign: stale cache entry")

@@ -179,111 +179,6 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// TestMergeErrorPaths: every rejection reason of Merge fires with a
-// precise message — empty input, nil shard, mismatched campaigns,
-// wrong round-robin decomposition.
-func TestMergeErrorPaths(t *testing.T) {
-	bin := buildMini(t)
-	c := miniCampaign(bin, fault.ModelSkip)
-	full, err := Run(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]*fault.Report, 2)
-	for i := range shards {
-		if shards[i], err = Run(c, Options{Shard: Shard{Index: i, Count: 2}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if _, err := Merge(nil); err == nil {
-		t.Error("Merge(nil) succeeded")
-	}
-	if _, err := Merge([]*fault.Report{}); err == nil {
-		t.Error("Merge(empty) succeeded")
-	}
-	if _, err := Merge([]*fault.Report{shards[0], nil}); err == nil || !strings.Contains(err.Error(), "nil") {
-		t.Errorf("Merge with nil shard: %v", err)
-	}
-	// A lone nil shard is rejected too, not returned as the merge.
-	if _, err := Merge([]*fault.Report{nil}); err == nil || !strings.Contains(err.Error(), "nil") {
-		t.Errorf("Merge of a lone nil shard: %v", err)
-	}
-	// Mismatched campaigns: different oracles.
-	other := *shards[1]
-	other.GoodOracle.ExitCode++
-	if _, err := Merge([]*fault.Report{shards[0], &other}); err == nil || !strings.Contains(err.Error(), "not the same campaign") {
-		t.Errorf("Merge with foreign shard: %v", err)
-	}
-	// Mismatched fault sets: a truncated shard breaks the round-robin
-	// size decomposition.
-	trunc := *shards[1]
-	trunc.Injections = trunc.Injections[:len(trunc.Injections)-1]
-	if _, err := Merge([]*fault.Report{shards[0], &trunc}); err == nil ||
-		!strings.Contains(err.Error(), "injections") {
-		t.Errorf("Merge with truncated shard: %v", err)
-	}
-	// Sanity: the healthy path still recombines to the full run.
-	merged, err := Merge([]*fault.Report{shards[0], shards[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Injections, full.Injections) {
-		t.Error("healthy merge no longer matches the unsharded run")
-	}
-}
-
-// TestMergeOrder2ErrorPaths mirrors the error coverage for the order-2
-// recombiner.
-func TestMergeOrder2ErrorPaths(t *testing.T) {
-	bin := buildMini(t)
-	c := miniCampaign(bin, fault.ModelSkip)
-	opt := Options{MaxPairs: 128}
-	full, err := RunOrder2(c, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]*Order2Report, 2)
-	for i := range shards {
-		o := opt
-		o.Shard = Shard{Index: i, Count: 2}
-		if shards[i], err = RunOrder2(c, o); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if _, err := MergeOrder2(nil); err == nil {
-		t.Error("MergeOrder2(nil) succeeded")
-	}
-	if _, err := MergeOrder2([]*Order2Report{shards[0], nil}); err == nil || !strings.Contains(err.Error(), "nil") {
-		t.Errorf("MergeOrder2 with nil shard: %v", err)
-	}
-	// Mismatched solo sweeps (different fault sets).
-	foreign := &Order2Report{Solo: &fault.Report{
-		GoodOracle: shards[0].Solo.GoodOracle,
-		BadOracle:  shards[0].Solo.BadOracle,
-		Injections: shards[0].Solo.Injections[:1],
-	}}
-	if _, err := MergeOrder2([]*Order2Report{shards[0], foreign}); err == nil || !strings.Contains(err.Error(), "not the same campaign") {
-		t.Errorf("MergeOrder2 with foreign solo sweep: %v", err)
-	}
-	// Truncated pair list: caught by the size decomposition or, when
-	// the sizes still happen to add up, by the tally integrity check.
-	trunc := *shards[1]
-	trunc.Pairs = trunc.Pairs[:len(trunc.Pairs)-1]
-	if _, err := MergeOrder2([]*Order2Report{shards[0], &trunc}); err == nil ||
-		!strings.Contains(err.Error(), "pair") {
-		t.Errorf("MergeOrder2 with truncated shard: %v", err)
-	}
-	merged, err := MergeOrder2([]*Order2Report{shards[0], shards[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Pairs, full.Pairs) {
-		t.Error("healthy order-2 merge no longer matches the unsharded run")
-	}
-}
-
 // TestStoreEviction: the in-memory LRU honors its cap, evicts coldest
 // first, and keeps serving evicted entries from disk.
 func TestStoreEviction(t *testing.T) {

@@ -77,34 +77,18 @@ type Config struct {
 	// of the windows they were installed with (s is the machine's
 	// pre-increment step counter — the dynamic trace index of the
 	// instruction about to execute). arm lists those windows, sorted
-	// and merged; hookStart/hookEnd is their union (empty when no hook
-	// is installed). Outside every window the machine may dispatch
+	// and merged. Outside every window the machine may dispatch
 	// predecoded micro-op blocks without calling the hooks at all;
 	// inside one, it single-steps so every hook observes every step.
-	arm       armWindows
-	hookStart uint64
-	hookEnd   uint64
+	arm armWindows
 }
 
 // HookWindow returns the step range [start, end) in which the
 // config's hooks may act: the union of the windows they were installed
-// with, empty when no hook is installed. A machine that has completed
+// with, (0, 0) when no hook is installed. A machine that has completed
 // end steps runs exactly like an unhooked one from then on — the
 // effect horizon of the faults the hooks realize.
-func (c *Config) HookWindow() (start, end uint64) { return c.hookStart, c.hookEnd }
-
-// noteWindow adds [start, end) to the config's arming windows and
-// unions it into the hook window. Called before the hook is chained,
-// so the first hook's window starts the union.
-func (c *Config) noteWindow(start, end uint64) {
-	c.arm.add(start, end)
-	if c.fetchHook == nil && c.stepHook == nil {
-		c.hookStart, c.hookEnd = start, end
-		return
-	}
-	c.hookStart = min(c.hookStart, start)
-	c.hookEnd = max(c.hookEnd, end)
-}
+func (c *Config) HookWindow() (start, end uint64) { return c.arm.union() }
 
 // maxArmWindows is how many disjoint arming windows a config keeps
 // apart: enough for a triple's three faults and one more.
@@ -147,6 +131,16 @@ func (a *armWindows) add(start, end uint64) {
 	*a = out
 }
 
+// union returns the smallest window holding every window of the list:
+// the first one's start and the last one's end, (0, 0) for an empty
+// list.
+func (a *armWindows) union() (start, end uint64) {
+	if a.n == 0 {
+		return 0, 0
+	}
+	return a.w[0].start, a.w[a.n-1].end
+}
+
 // push appends a window past every window in the list, collapsing the
 // list to its union when it is full.
 func (a *armWindows) push(start, end uint64) {
@@ -169,7 +163,7 @@ func (a *armWindows) push(start, end uint64) {
 // narrow is a soundness bug. A hook that acts during the whole run
 // declares [0, ^uint64(0)).
 func (c *Config) AddFetchHookWindow(h func(m *Machine), start, end uint64) {
-	c.noteWindow(start, end)
+	c.arm.add(start, end)
 	if prev := c.fetchHook; prev != nil {
 		c.fetchHook = func(m *Machine) { prev(m); h(m) }
 	} else {
@@ -183,7 +177,7 @@ func (c *Config) AddFetchHookWindow(h func(m *Machine), start, end uint64) {
 // chain asks to skip the instruction, it is skipped (later hooks still
 // run, so their own step-indexed state machines observe every step).
 func (c *Config) AddStepHookWindow(h func(m *Machine, in *isa.Inst) StepAction, start, end uint64) {
-	c.noteWindow(start, end)
+	c.arm.add(start, end)
 	if prev := c.stepHook; prev != nil {
 		c.stepHook = func(m *Machine, in *isa.Inst) StepAction {
 			a := prev(m, in)
@@ -262,7 +256,7 @@ type Machine struct {
 	// Steps is inside one of them — or when singleStep or trace
 	// recording is on — the machine single-steps so hooks and the trace
 	// observe every instruction; everywhere else RunUntil dispatches
-	// straight-line micro-op blocks. armEnd is the end of their union.
+	// straight-line micro-op blocks.
 	prog       *Program
 	poison     []int32
 	poisonBuf  [4]int32
@@ -270,7 +264,6 @@ type Machine struct {
 	priv       *privProg
 	privGen    uint64
 	arm        armWindows
-	armEnd     uint64
 	singleStep bool
 }
 
@@ -309,7 +302,6 @@ func (m *Machine) configure(cfg Config) {
 	m.singleStep = cfg.SingleStep
 	m.fetchHook, m.stepHook = cfg.fetchHook, cfg.stepHook
 	m.arm = cfg.arm
-	_, m.armEnd = cfg.HookWindow()
 }
 
 // Result summarizes a finished (or crashed) run.
@@ -335,7 +327,10 @@ func (m *Machine) Run() (Result, error) {
 // when no hook is installed, ^uint64(0) for a hook armed for the whole
 // run — so a machine paused at or past it runs exactly like an
 // unhooked one.
-func (m *Machine) HooksInertAt() uint64 { return m.armEnd }
+func (m *Machine) HooksInertAt() uint64 {
+	_, end := m.arm.union()
+	return end
+}
 
 // RunUntil executes until the machine has completed `stop` steps, or
 // until exit, fault, or step limit, whichever comes first. It returns

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/campaign"
+	"github.com/r2r/reinforce/internal/campaign/campaigntest"
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/fault"
 )
@@ -70,9 +72,9 @@ func TestTableBeyond2(t *testing.T) {
 }
 
 // TestBeyond2Determinism: the order-2 campaign on the skip-window
-// hardened pincheck binary is bit-identical across worker counts and
-// recombines exactly from pair shards — the engine guarantees hold on
-// the new hardened variants too.
+// hardened pincheck binary is bit-identical across worker counts, and
+// each pair shard holds exactly its share of the unsharded run — the
+// engine guarantees hold on the new hardened variants too.
 func TestBeyond2Determinism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the order-2 hybrid pipeline plus repeated campaigns; run without -short")
@@ -114,26 +116,15 @@ func TestBeyond2Determinism(t *testing.T) {
 		}
 	}
 
-	// Shard recombination.
+	// Shards.
 	const shards = 3
-	parts := make([]*campaign.Order2Report, shards)
 	for i := 0; i < shards; i++ {
 		o := opt
 		o.Shard = campaign.Shard{Index: i, Count: shards}
-		if parts[i], err = campaign.RunOrder2(camp, o); err != nil {
+		part, err := campaign.RunOrder2(camp, o)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	merged, err := campaign.MergeOrder2(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Pairs) != len(ref.Pairs) {
-		t.Fatalf("merged %d pairs vs %d", len(merged.Pairs), len(ref.Pairs))
-	}
-	for i := range merged.Pairs {
-		if merged.Pairs[i] != ref.Pairs[i] {
-			t.Fatalf("merged pair %d differs: %+v vs %+v", i, merged.Pairs[i], ref.Pairs[i])
-		}
+		campaigntest.AssertShard(t, fmt.Sprintf("pair shard %d/%d", i, shards), ref, part, i, shards)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/fault"
 	"github.com/r2r/reinforce/internal/harden"
-	"github.com/r2r/reinforce/internal/ir"
 	"github.com/r2r/reinforce/internal/isa"
 	"github.com/r2r/reinforce/internal/lift"
 	"github.com/r2r/reinforce/internal/passes"
@@ -702,16 +701,12 @@ func Figures() (*report.Table, *FigureData, error) {
 	if err := passes.Run(lr.Module, passes.BranchHarden{Stats: &stats}); err != nil {
 		return nil, nil, err
 	}
+	after := f.Census()
 	data := &FigureData{
 		BlocksBefore:      before,
-		BlocksAfter:       len(f.Blocks),
+		BlocksAfter:       after.Blocks,
 		BranchesProtected: stats.BranchesProtected,
-	}
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t != nil && t.Op == ir.OpFaultResp {
-			data.FaultRespBlocks++
-		}
+		FaultRespBlocks:   after.FaultResps,
 	}
 	data.ValidationBlocks = data.BlocksAfter - data.BlocksBefore - data.FaultRespBlocks
 

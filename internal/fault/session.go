@@ -237,15 +237,12 @@ func (s *Session) runReference(m *emu.Machine) (emu.Result, error) {
 // must not mutate it.
 func (s *Session) Faults() []Fault { return s.faults }
 
-// NumFaults returns the campaign's total injection count.
-func (s *Session) NumFaults() int { return len(s.faults) }
-
 // Oracles returns the observable behaviour of the good and bad golden
 // runs.
 func (s *Session) Oracles() (good, bad Observable) { return s.good, s.bad }
 
 // Report assembles a campaign report around a set of injections (as
-// produced by ExecuteShard, or merged from several shards).
+// produced by ExecuteShard).
 func (s *Session) Report(injections []Injection) *Report {
 	return &Report{
 		Trace:      s.trace,

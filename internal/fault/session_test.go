@@ -138,9 +138,9 @@ func TestExecuteShardCoversAllFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	full, fullTally := s.ExecuteShard(0, 1, 2, nil)
-	if fullTally.Total() != len(full) || len(full) != s.NumFaults() {
+	if fullTally.Total() != len(full) || len(full) != len(s.Faults()) {
 		t.Fatalf("full shard: %d injections, tally %d, faults %d",
-			len(full), fullTally.Total(), s.NumFaults())
+			len(full), fullTally.Total(), len(s.Faults()))
 	}
 
 	const n = 3

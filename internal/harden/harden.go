@@ -11,8 +11,7 @@
 //   - Duplication / DuplicationIR: the blanket duplication baselines.
 //
 // Evaluate runs the same fault campaign against any binary so the
-// pipelines can be compared on equal terms; EvaluateOrder2 does the
-// same for order-2 pair campaigns.
+// pipelines can be compared on equal terms.
 package harden
 
 import (
@@ -237,49 +236,6 @@ func Evaluate(original, hardened *elf.Binary, good, bad []byte, models []fault.M
 		}
 	}
 	return &Evaluation{Before: results[0].Report, After: results[1].Report}, nil
-}
-
-// Order2Evaluation compares order-2 multi-fault campaigns before and
-// after hardening — the evaluation that shows where single-fault
-// countermeasures stop: a binary whose order-1 sweep comes back clean
-// can still fall to a coordinated fault pair.
-type Order2Evaluation struct {
-	Before *campaign.Order2Report
-	After  *campaign.Order2Report
-}
-
-// PairSuccessBefore returns the successful fault pairs pre-hardening.
-func (e *Order2Evaluation) PairSuccessBefore() int {
-	return e.Before.PairCount(fault.OutcomeSuccess)
-}
-
-// PairSuccessAfter returns the successful fault pairs post-hardening.
-func (e *Order2Evaluation) PairSuccessAfter() int {
-	return e.After.PairCount(fault.OutcomeSuccess)
-}
-
-// EvaluateOrder2 runs the same order-2 campaign (see campaign.RunOrder2)
-// on the original and hardened binaries: identical models, step budget,
-// and pair cap, so the two pair sweeps are comparable.
-func EvaluateOrder2(original, hardened *elf.Binary, good, bad []byte, models []fault.Model, stepLimit uint64, maxPairs int) (*Order2Evaluation, error) {
-	run := func(b *elf.Binary) (*campaign.Order2Report, error) {
-		return campaign.RunOrder2(fault.Campaign{
-			Binary:    b,
-			Good:      good,
-			Bad:       bad,
-			Models:    models,
-			StepLimit: stepLimit,
-		}, campaign.Options{MaxPairs: maxPairs})
-	}
-	before, err := run(original)
-	if err != nil {
-		return nil, fmt.Errorf("harden: original order-2 campaign: %w", err)
-	}
-	after, err := run(hardened)
-	if err != nil {
-		return nil, fmt.Errorf("harden: hardened order-2 campaign: %w", err)
-	}
-	return &Order2Evaluation{Before: before, After: after}, nil
 }
 
 // EvaluateAgainst compares a memoized baseline report against a fresh

@@ -3,14 +3,16 @@ package harden
 import (
 	"testing"
 
+	"github.com/r2r/reinforce/internal/campaign"
 	"github.com/r2r/reinforce/internal/cases"
+	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/fault"
 )
 
-// TestEvaluateOrder2: the order-2 evaluation runs the same pair
-// campaign on both binaries; hardening against single skips must
-// resolve the order-1 successes while the pair stage reports the
-// residual multi-fault surface.
+// TestEvaluateOrder2: the same order-2 pair campaign runs on the
+// original and the Faulter+Patcher binary; hardening against single
+// skips must resolve the order-1 successes while the pair stage
+// reports the residual multi-fault surface.
 func TestEvaluateOrder2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the Faulter+Patcher pipeline plus two order-2 campaigns; run without -short")
@@ -23,23 +25,29 @@ func TestEvaluateOrder2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluateOrder2(bin, fp.Binary, c.Good, c.Bad,
-		[]fault.Model{fault.ModelSkip}, 32<<20, 500)
-	if err != nil {
-		t.Fatal(err)
+	run := func(b *elf.Binary) *campaign.Order2Report {
+		rep, err := campaign.RunOrder2(fault.Campaign{
+			Binary: b, Good: c.Good, Bad: c.Bad,
+			Models: []fault.Model{fault.ModelSkip}, StepLimit: 32 << 20,
+		}, campaign.Options{MaxPairs: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	if ev.Before.Solo.Count(fault.OutcomeSuccess) == 0 {
+	before, after := run(bin), run(fp.Binary)
+	if before.Solo.Count(fault.OutcomeSuccess) == 0 {
 		t.Error("no order-1 skip successes on the unprotected binary")
 	}
-	if after := ev.After.Solo.Count(fault.OutcomeSuccess); after != 0 {
-		t.Errorf("%d order-1 skip successes remain after hardening", after)
+	if n := after.Solo.Count(fault.OutcomeSuccess); n != 0 {
+		t.Errorf("%d order-1 skip successes remain after hardening", n)
 	}
-	if len(ev.Before.Pairs) == 0 || len(ev.After.Pairs) == 0 {
-		t.Fatalf("pair stages empty: before %d, after %d", len(ev.Before.Pairs), len(ev.After.Pairs))
+	if len(before.Pairs) == 0 || len(after.Pairs) == 0 {
+		t.Fatalf("pair stages empty: before %d, after %d", len(before.Pairs), len(after.Pairs))
 	}
 	t.Logf("order-2 pairs: before %d/%d successful, after %d/%d successful",
-		ev.PairSuccessBefore(), len(ev.Before.Pairs),
-		ev.PairSuccessAfter(), len(ev.After.Pairs))
+		before.PairCount(fault.OutcomeSuccess), len(before.Pairs),
+		after.PairCount(fault.OutcomeSuccess), len(after.Pairs))
 }
 
 // TestHybridPincheckBehaviour: the Hybrid output must satisfy the case

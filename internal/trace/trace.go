@@ -46,22 +46,6 @@ func (t *Trace) Sites() []uint64 {
 	return out
 }
 
-// FirstDivergence returns the first index at which two traces execute
-// different addresses, or -1 if one is a prefix of the other (equal
-// lengths with no divergence also return -1).
-func FirstDivergence(a, b *Trace) int {
-	n := len(a.Entries)
-	if len(b.Entries) < n {
-		n = len(b.Entries)
-	}
-	for i := 0; i < n; i++ {
-		if a.Entries[i].Addr != b.Entries[i].Addr {
-			return i
-		}
-	}
-	return -1
-}
-
 // Summary renders a short human-readable description.
 func (t *Trace) Summary() string {
 	status := "exit"

@@ -79,28 +79,6 @@ loop:
 	}
 }
 
-func TestFirstDivergence(t *testing.T) {
-	bin, err := asm.Assemble(branchy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := Capture(bin, []byte("y"), 0)
-	bad := Capture(bin, []byte("n"), 0)
-	div := FirstDivergence(good, bad)
-	if div < 0 {
-		t.Fatal("traces did not diverge")
-	}
-	// Divergence happens right after the conditional jump executes:
-	// both traces contain the jne at the same index, then split.
-	if good.Entries[div-1].Addr != bad.Entries[div-1].Addr {
-		t.Error("entry before divergence differs")
-	}
-	same := FirstDivergence(good, good)
-	if same != -1 {
-		t.Errorf("self-divergence = %d, want -1", same)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	bin, err := asm.Assemble(branchy, nil)
 	if err != nil {

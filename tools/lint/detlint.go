@@ -1,6 +1,6 @@
 // detlint: the determinism rules. The campaign engine promises
 // bit-identical reports for a given binary and configuration — across
-// worker counts, shard recombination, and cache replay — so the
+// worker counts, shard decompositions, and cache replay — so the
 // packages on its merge/export paths must not let Go's randomized map
 // iteration order, the wall clock, or a PRNG reach any result.
 package main
