@@ -222,6 +222,9 @@ func TestExportJSONAndCSV(t *testing.T) {
 		t.Errorf("summary sites = %d, want %d", len(sum.Sites), len(rep.VulnerableSites()))
 	}
 
+	// A run under 1 ms still writes elapsed_ms: the document's shape
+	// must not depend on the wall clock.
+	sum.ElapsedMS = 0
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, []Summary{sum}); err != nil {
 		t.Fatal(err)
@@ -232,6 +235,10 @@ func TestExportJSONAndCSV(t *testing.T) {
 	}
 	if len(back) != 1 || back[0].Injections != sum.Injections {
 		t.Errorf("JSON round-trip mismatch: %+v", back)
+	}
+	var keys []map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &keys); err != nil || len(keys) != 1 || keys[0]["elapsed_ms"] == nil {
+		t.Errorf("summary with zero ElapsedMS lacks elapsed_ms:\n%s", buf.String())
 	}
 
 	buf.Reset()

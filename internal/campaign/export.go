@@ -67,7 +67,7 @@ type Summary struct {
 	Sites      []SiteSummary    `json:"vulnerable_sites"`
 	GoodExit   int              `json:"good_exit"`
 	BadExit    int              `json:"bad_exit"`
-	ElapsedMS  int64            `json:"elapsed_ms,omitempty"`
+	ElapsedMS  int64            `json:"elapsed_ms"`
 
 	// Cache reports how the run's work was answered by the
 	// content-addressed store (absent when no store was configured).

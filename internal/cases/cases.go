@@ -15,8 +15,8 @@
 //
 // Beyond the paper's pair, the corpus case studies (otpauth, fwupdate,
 // crtsign — see corpus.go) extend the evaluation to more scenarios;
-// every case registers in the catalog (catalog.go), and Corpus()
-// returns the full set in registration order.
+// every case is one row of the catalog table (catalog.go), and Corpus()
+// returns the full set in the table's order.
 package cases
 
 import (
@@ -252,7 +252,7 @@ fw_buf: .zero %d
 	}
 }
 
-// All returns the paper's two case studies (§V-C). The full registered
+// All returns the paper's two case studies (§V-C). The full catalog
 // corpus — these two plus the beyond-the-paper cases — is Corpus().
 func All() []*Case {
 	return []*Case{Pincheck(), Bootloader()}

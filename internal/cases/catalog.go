@@ -1,88 +1,59 @@
-// Catalog: the case-study registry. Like the fault package's ModelSpec
-// registry, case studies register a named builder once and every
-// consumer — the corpus campaign runner, the CLI's -cases flag, the
-// experiments suite — resolves them through one catalog, so adding a
-// case study is one Register call, not a tour of the call sites.
+// Catalog: the case-study table. Every consumer — the corpus campaign
+// runner, the CLI's -cases flag, the experiments suite — resolves case
+// studies through it, so adding a case study is one builder plus one
+// row, not a tour of the call sites.
 package cases
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Builder constructs a registered case study. Builders are called per
-// request (cases carry mutable oracle byte slices), so registration
-// stores the recipe, not a shared instance.
-type Builder func() *Case
-
-var (
-	catMu    sync.RWMutex
-	catalog  = map[string]Builder{}
-	catOrder []string // registration order — the corpus sweep order
-)
-
-// Register installs a case-study builder under its name. It panics on a
-// duplicate or empty name — registration is an init-time,
-// programmer-error surface, exactly like fault.Register.
-func Register(name string, b Builder) {
-	catMu.Lock()
-	defer catMu.Unlock()
-	if name == "" || b == nil {
-		panic("cases: Register needs a name and a builder")
-	}
-	if _, dup := catalog[name]; dup {
-		panic(fmt.Sprintf("cases: case %q registered twice", name))
-	}
-	catalog[name] = b
-	catOrder = append(catOrder, name)
+// catalog lists every case study in corpus order: the paper's pair
+// first (the order All() documents), then the corpus extensions. A row
+// holds a builder, not a shared instance, because cases carry mutable
+// oracle byte slices and are built per request.
+var catalog = []struct {
+	name  string
+	build func() *Case
+}{
+	{"pincheck", Pincheck},
+	{"bootloader", Bootloader},
+	{"otpauth", OTPAuth},
+	{"fwupdate", FWUpdate},
+	{"crtsign", CRTSign},
 }
 
-// Names returns every registered case-study name in registration order
-// (the deterministic corpus order).
+// Names returns every case-study name in corpus order.
 func Names() []string {
-	catMu.RLock()
-	defer catMu.RUnlock()
-	return append([]string(nil), catOrder...)
-}
-
-// Lookup resolves a case-study name to its builder.
-func Lookup(name string) (Builder, bool) {
-	catMu.RLock()
-	defer catMu.RUnlock()
-	b, ok := catalog[name]
-	return b, ok
+	out := make([]string, len(catalog))
+	for i, row := range catalog {
+		out[i] = row.name
+	}
+	return out
 }
 
 // Get builds the named case study. Unknown names fail with the catalog
 // spelled out, so a typo on the command line is self-correcting.
 func Get(name string) (*Case, error) {
-	b, ok := Lookup(strings.TrimSpace(name))
-	if !ok {
-		return nil, fmt.Errorf("cases: unknown case study %q (registered: %s; plus the keyword all)",
-			name, strings.Join(sortedNames(), ", "))
+	trimmed := strings.TrimSpace(name)
+	for _, row := range catalog {
+		if row.name == trimmed {
+			return row.build(), nil
+		}
 	}
-	return b(), nil
-}
-
-// sortedNames renders the catalog alphabetically for error messages.
-func sortedNames() []string {
 	names := Names()
 	sort.Strings(names)
-	return names
+	return nil, fmt.Errorf("cases: unknown case study %q (registered: %s; plus the keyword all)",
+		name, strings.Join(names, ", "))
 }
 
-// Corpus builds every registered case study, in registration order.
+// Corpus builds every case study, in corpus order.
 func Corpus() []*Case {
-	names := Names()
-	out := make([]*Case, 0, len(names))
-	for _, name := range names {
-		c, err := Get(name)
-		if err != nil {
-			panic(err) // unreachable: Names() only returns registered cases
-		}
-		out = append(out, c)
+	out := make([]*Case, len(catalog))
+	for i, row := range catalog {
+		out[i] = row.build()
 	}
 	return out
 }
@@ -116,14 +87,4 @@ func ParseCases(spec string) ([]*Case, error) {
 		add(c)
 	}
 	return out, nil
-}
-
-func init() {
-	// The paper's pair first (the order All() documents), then the
-	// corpus extensions.
-	Register("pincheck", Pincheck)
-	Register("bootloader", Bootloader)
-	Register("otpauth", OTPAuth)
-	Register("fwupdate", FWUpdate)
-	Register("crtsign", CRTSign)
 }

@@ -66,13 +66,20 @@ func TestParseCases(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for duplicate registration")
+// TestCatalogIntegrity: the case table's names are unique and every
+// row builds the case it is named after, so Names, Get and Corpus
+// agree.
+func TestCatalogIntegrity(t *testing.T) {
+	seen := map[string]bool{}
+	for _, row := range catalog {
+		if seen[row.name] {
+			t.Errorf("case %q has two rows", row.name)
 		}
-	}()
-	Register("pincheck", Pincheck)
+		seen[row.name] = true
+		if got := row.build().Name; got != row.name {
+			t.Errorf("row %q builds case %q", row.name, got)
+		}
+	}
 }
 
 // TestOTPAuthBurnsRetry: feeding the authenticator wrong codes

@@ -1,27 +1,8 @@
-// Package core holds the experiment kernel shared by the benchmark
-// harness, the report generator, and the CLI: the identifiers of every
-// reproduced table/figure/claim and the values the paper reports for
-// them, so each regeneration site compares against a single source of
-// truth.
+// Package core holds the values the paper reports for its tables,
+// figures and claims, the single source of truth the experiments suite
+// (internal/experiments, its only importer) compares regenerated
+// artifacts against.
 package core
-
-// Experiment identifies a reproduced artifact of the paper.
-type Experiment string
-
-// The paper's evaluation artifacts (see docs/EXPERIMENTS.md).
-const (
-	TableI     Experiment = "table-1"       // mov protection pattern
-	TableII    Experiment = "table-2"       // cmp protection pattern
-	TableIII   Experiment = "table-3"       // jcc protection pattern
-	TableIV    Experiment = "table-4"       // qualitative branch-hardening overhead
-	TableV     Experiment = "table-5"       // code-size overhead per pipeline
-	ClaimSkip  Experiment = "claim-skip"    // §V-C: skip faults fully resolved
-	ClaimFlip  Experiment = "claim-bitflip" // §V-C: bit-flip points halved
-	ClaimClass Experiment = "claim-class"   // §V-C: vulns cluster on mov/cmp/jcc
-	ClaimDup   Experiment = "claim-dup"     // §V-C: duplication >= 300% size
-	Figure4    Experiment = "figure-4"      // CFG of a plain conditional branch
-	Figure5    Experiment = "figure-5"      // CFG of the hardened branch
-)
 
 // PaperOverheads is Table V as printed: code-size overhead percentages.
 type PaperOverheads struct {

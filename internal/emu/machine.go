@@ -27,7 +27,6 @@ var (
 	ErrStepLimit  = errors.New("emu: step limit exceeded")
 	ErrHalted     = errors.New("emu: hlt/ud2 executed")
 	ErrBadSyscall = errors.New("emu: unsupported syscall")
-	ErrNotExited  = errors.New("emu: program did not exit")
 )
 
 // The step limit a zero Config.StepLimit means, and the stack every

@@ -5,10 +5,10 @@
 //
 // The paper's two models (instruction skip, single bit flip) plus
 // register bit-flip, multi-instruction skip, and transient data flip
-// are built in; new models implement ModelSpec and plug in through
-// Register (see model.go). Multi-fault campaigns inject deterministic
-// pairs and triples of faults (see multi.go), the attack that defeats
-// single-fault-hardened binaries.
+// are built in; a new model is one ModelSpec plus one row of the
+// catalog table (see model.go). Multi-fault campaigns inject
+// deterministic pairs and triples of faults (see multi.go), the attack
+// that defeats single-fault-hardened binaries.
 //
 // A fault is "successful" when the program, running on the *bad* input,
 // produces the observable behaviour of the *good* input — e.g. a pin
@@ -213,7 +213,7 @@ func Run(c Campaign) (*Report, error) {
 }
 
 // enumerate expands the campaign into individual faults by dispatching
-// to each selected model's registered spec. Each model enumerates with
+// to each selected model's catalog spec. Each model enumerates with
 // a fresh dedup scope, so multi-model fault lists concatenate exactly
 // like independent single-model campaigns (the FilterModels guarantee).
 // A counting pass sizes the list first, so the filling pass allocates

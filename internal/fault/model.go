@@ -3,9 +3,8 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/emu"
@@ -13,11 +12,11 @@ import (
 	"github.com/r2r/reinforce/internal/trace"
 )
 
-// Model identifies a registered fault model. The two models of the
+// Model identifies a fault model of the catalog. The two models of the
 // paper (instruction skip, single bit flip) and three beyond-the-paper
 // models (register bit flip, multi-instruction skip, transient data
-// flip) are built in; new models plug in through Register without
-// touching the campaign engine.
+// flip) are built in; a new model is one ModelSpec plus one catalog
+// row, without touching the campaign engine.
 type Model uint8
 
 // Built-in fault models. ModelSkip and ModelBitFlip are the paper's
@@ -31,10 +30,10 @@ const (
 	ModelDataFlip               // flip one bit of a memory operand's cell at access time
 )
 
-// String names the fault model (the registered spec's canonical name).
+// String names the fault model by its canonical catalog name.
 func (m Model) String() string {
-	if s := SpecOf(m); s != nil {
-		return s.Name()
+	if int(m) < len(catalog) {
+		return catalog[m].name
 	}
 	return "?"
 }
@@ -143,12 +142,6 @@ func (ctx *EnumContext) Mark(addr uint64, key int) bool {
 // absolute step counter, so a run resumed from a mid-trace snapshot
 // behaves exactly like a cold run from _start.
 type ModelSpec interface {
-	// Model returns the identifier the spec is registered under.
-	Model() Model
-
-	// Name is the canonical string form used in reports and exports.
-	Name() string
-
 	// Enumerate emits every fault of this model for the reference
 	// trace, in deterministic order.
 	Enumerate(ctx *EnumContext, emit func(Fault))
@@ -166,101 +159,66 @@ type ModelSpec interface {
 	Hooks(f Fault, cfg *emu.Config)
 }
 
-// registry maps models to their specs. Guarded by a mutex so tests and
-// third-party packages can register from init functions concurrently.
-var (
-	regMu    sync.RWMutex
-	registry = map[Model]ModelSpec{}
-	aliases  = map[string]Model{}
-)
-
-// Register installs a fault-model spec, with optional extra parse
-// aliases beyond its canonical name. It panics on a duplicate model id
-// or name — registration is an init-time, programmer-error surface.
-func Register(spec ModelSpec, extraAliases ...string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	m := spec.Model()
-	if _, dup := registry[m]; dup {
-		panic(fmt.Sprintf("fault: model %d registered twice", m))
-	}
-	names := append([]string{spec.Name()}, extraAliases...)
-	for _, n := range names {
-		if _, dup := aliases[n]; dup {
-			panic(fmt.Sprintf("fault: model name %q registered twice", n))
-		}
-	}
-	registry[m] = spec
-	for _, n := range names {
-		aliases[n] = m
-	}
+// catalog holds each fault model's spec, canonical name (reports and
+// exports) and CLI aliases, indexed by Model. The row order is the id
+// order every listing follows; aliases are listed as CatalogNames
+// shows them. A new model is one ModelSpec plus one row here.
+var catalog = [...]struct {
+	spec    ModelSpec
+	name    string
+	aliases []string
+}{
+	ModelSkip:      {SkipSpec{}, "instruction-skip", []string{"skip"}},
+	ModelBitFlip:   {BitFlipSpec{}, "single-bit-flip", []string{"bit-flip", "bitflip"}},
+	ModelRegFlip:   {RegFlipSpec{}, "register-bit-flip", []string{"reg-flip", "regflip"}},
+	ModelMultiSkip: {MultiSkipSpec{MinWindow: 2, MaxWindow: 4}, "multi-instruction-skip", []string{"multi-skip", "multiskip"}},
+	ModelDataFlip:  {DataFlipSpec{}, "data-bit-flip", []string{"data-flip", "dataflip"}},
 }
 
-// SpecOf returns the spec registered for a model, or nil.
+// SpecOf returns the spec of a catalog model, or nil.
 func SpecOf(m Model) ModelSpec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[m]
+	if int(m) < len(catalog) {
+		return catalog[m].spec
+	}
+	return nil
 }
 
-// RegisteredModels returns every registered model in ascending id
-// order.
+// RegisteredModels returns every catalog model in ascending id order.
 func RegisteredModels() []Model {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Model, 0, len(registry))
-	for m := range registry {
-		out = append(out, m)
+	out := make([]Model, len(catalog))
+	for i := range out {
+		out[i] = Model(i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// CatalogNames renders every registered model as
+// CatalogNames renders every catalog model as
 // "canonical-name (alias, ...)" in ascending id order — the list error
 // messages and help text show users.
 func CatalogNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	models := make([]Model, 0, len(registry))
-	for m := range registry {
-		models = append(models, m)
-	}
-	sort.Slice(models, func(i, j int) bool { return models[i] < models[j] })
-	extras := map[Model][]string{}
-	for name, m := range aliases {
-		if name != registry[m].Name() {
-			extras[m] = append(extras[m], name)
-		}
-	}
-	out := make([]string, 0, len(models))
-	for _, m := range models {
-		s := registry[m].Name()
-		if ex := extras[m]; len(ex) > 0 {
-			sort.Strings(ex)
-			s += " (" + strings.Join(ex, ", ") + ")"
-		}
-		out = append(out, s)
+	out := make([]string, len(catalog))
+	for i, row := range catalog {
+		out[i] = row.name + " (" + strings.Join(row.aliases, ", ") + ")"
 	}
 	return out
 }
 
 // ParseModel resolves a canonical model name or alias. Unknown names
-// fail with the registered catalog spelled out, so a typo on the
-// command line is self-correcting.
+// fail with the catalog spelled out, so a typo on the command line is
+// self-correcting.
 func ParseModel(name string) (Model, error) {
-	regMu.RLock()
-	m, ok := aliases[strings.TrimSpace(name)]
-	regMu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("fault: unknown fault model %q (registered: %s; plus the keywords both, all)",
-			name, strings.Join(CatalogNames(), ", "))
+	trimmed := strings.TrimSpace(name)
+	for i, row := range catalog {
+		if trimmed == row.name || slices.Contains(row.aliases, trimmed) {
+			return Model(i), nil
+		}
 	}
-	return m, nil
+	return 0, fmt.Errorf("fault: unknown fault model %q (registered: %s; plus the keywords both, all)",
+		name, strings.Join(CatalogNames(), ", "))
 }
 
 // ParseModels resolves a comma-separated model list. The keywords
-// "both" (the paper's skip + bitflip pair) and "all" (every registered
+// "both" (the paper's skip + bitflip pair) and "all" (every catalog
 // model) expand in place; an empty string means "both".
 func ParseModels(spec string) ([]Model, error) {
 	if strings.TrimSpace(spec) == "" {
@@ -294,14 +252,6 @@ func ParseModels(spec string) ([]Model, error) {
 	return out, nil
 }
 
-func init() {
-	Register(SkipSpec{}, "skip")
-	Register(BitFlipSpec{}, "bitflip", "bit-flip")
-	Register(RegFlipSpec{}, "reg-flip", "regflip")
-	Register(MultiSkipSpec{MinWindow: 2, MaxWindow: 4}, "multi-skip", "multiskip")
-	Register(DataFlipSpec{}, "data-flip", "dataflip")
-}
-
 // ---------------------------------------------------------------------
 // Instruction skip (paper §IV-B1).
 // ---------------------------------------------------------------------
@@ -309,12 +259,6 @@ func init() {
 // SkipSpec is the paper's instruction-skip model: the instruction at
 // one dynamic trace offset is fetched and decoded but not executed.
 type SkipSpec struct{}
-
-// Model implements ModelSpec.
-func (SkipSpec) Model() Model { return ModelSkip }
-
-// Name implements ModelSpec.
-func (SkipSpec) Name() string { return "instruction-skip" }
 
 // Enumerate implements ModelSpec: one fault per trace offset.
 func (SkipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
@@ -351,12 +295,6 @@ func (SkipSpec) Hooks(f Fault, cfg *emu.Config) {
 // fetch at one trace offset (restored after one fetch when the campaign
 // asks for transient faults).
 type BitFlipSpec struct{}
-
-// Model implements ModelSpec.
-func (BitFlipSpec) Model() Model { return ModelBitFlip }
-
-// Name implements ModelSpec.
-func (BitFlipSpec) Name() string { return "single-bit-flip" }
 
 // Enumerate implements ModelSpec: every bit of every traced
 // instruction's encoding.
@@ -412,12 +350,6 @@ func (BitFlipSpec) Hooks(f Fault, cfg *emu.Config) {
 // or implicitly (syscall argument registers, the stack pointer of
 // push/pop/call/ret) — so every enumerated fault can change behaviour.
 type RegFlipSpec struct{}
-
-// Model implements ModelSpec.
-func (RegFlipSpec) Model() Model { return ModelRegFlip }
-
-// Name implements ModelSpec.
-func (RegFlipSpec) Name() string { return "register-bit-flip" }
 
 // Enumerate implements ModelSpec: each register the traced instruction
 // reads × each bit of the width it is read at.
@@ -522,12 +454,6 @@ type MultiSkipSpec struct {
 	MinWindow, MaxWindow int // window sizes enumerated, inclusive
 }
 
-// Model implements ModelSpec.
-func (MultiSkipSpec) Model() Model { return ModelMultiSkip }
-
-// Name implements ModelSpec.
-func (MultiSkipSpec) Name() string { return "multi-instruction-skip" }
-
 // Enumerate implements ModelSpec: every trace offset × every window
 // size that fits in the remaining trace.
 func (s MultiSkipSpec) Enumerate(ctx *EnumContext, emit func(Fault)) {
@@ -595,12 +521,6 @@ func dataFaultOperand(in *isa.Inst) *isa.Operand {
 	}
 	return mem
 }
-
-// Model implements ModelSpec.
-func (DataFlipSpec) Model() Model { return ModelDataFlip }
-
-// Name implements ModelSpec.
-func (DataFlipSpec) Name() string { return "data-bit-flip" }
 
 // Enumerate implements ModelSpec: each traced memory read × each bit
 // of the accessed width.

@@ -183,6 +183,38 @@ func TestParseModelErrorListsCatalog(t *testing.T) {
 	}
 }
 
+// TestCatalogIntegrity: no name or alias of the fault-model table is in
+// two rows, ParseModel of each resolves to its own row, and each row's
+// spec enumerates faults of that row's model.
+func TestCatalogIntegrity(t *testing.T) {
+	bin := buildOneBit(t)
+	owner := map[string]int{}
+	for i, row := range catalog {
+		m := Model(i)
+		for _, name := range append([]string{row.name}, row.aliases...) {
+			if j, dup := owner[name]; dup {
+				t.Errorf("name %q is in rows %d and %d", name, j, i)
+			}
+			owner[name] = i
+			if got, err := ParseModel(name); err != nil || got != m {
+				t.Errorf("ParseModel(%q) = %v, %v; want %v", name, got, err, m)
+			}
+		}
+		s, err := NewSession(Campaign{Binary: bin, Good: []byte("B"), Bad: []byte("C"), Models: []Model{m}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Faults()) == 0 {
+			t.Errorf("%v enumerates no faults", m)
+		}
+		for _, f := range s.Faults() {
+			if f.Model != m {
+				t.Fatalf("%v's spec emits a %v fault", m, f.Model)
+			}
+		}
+	}
+}
+
 // TestCatalogNames: canonical names first, aliases in parentheses, in
 // id order.
 func TestCatalogNames(t *testing.T) {

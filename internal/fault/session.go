@@ -270,7 +270,7 @@ func (s *Session) checkpointFor(step uint64) *emu.Snapshot {
 // config builds the emulator configuration of one faulted run: the
 // injection step budget, the campaign's execution mode, and the hooks
 // of every given fault (none for a reference run), each asked of its
-// registered spec. The hooks chain (Config.AddFetchHookWindow/
+// catalog spec. The hooks chain (Config.AddFetchHookWindow/
 // AddStepHookWindow), so the config's hook window spans every fault's,
 // and key any step-indexed behaviour off the machine's absolute step
 // counter, so composed faults stay independent — a later one fires at

@@ -109,7 +109,8 @@ type Model = fault.Model
 
 // Fault models: the paper's two (§IV-B1) plus the extended catalog
 // (register bit flip, multi-instruction skip window, transient data
-// flip). New models plug in via fault.Register.
+// flip). A new model is one fault.ModelSpec plus one row of the fault
+// package's catalog table.
 const (
 	ModelSkip      = fault.ModelSkip
 	ModelBitFlip   = fault.ModelBitFlip
@@ -120,7 +121,7 @@ const (
 
 // ParseModels resolves a comma-separated fault-model list (canonical
 // names or CLI aliases; "both" = the paper's pair, "all" = every
-// registered model).
+// catalog model).
 func ParseModels(spec string) ([]Model, error) {
 	return fault.ParseModels(spec)
 }

@@ -253,11 +253,11 @@ func separatorRow(cells []string) bool {
 }
 
 // checkModelTable validates a documented fault-model table against the
-// live registry: every row's canonical name and CLI alias must resolve
-// to the same registered model, the canonical column must be the
-// spec's registered Name, and every registered model must have exactly
-// one row — so a new model cannot ship without its documentation (nor
-// stale documentation outlive a model).
+// fault-model catalog: every row's canonical name and CLI alias must
+// resolve to the same model, the canonical column must be the model's
+// canonical name, and every catalog model must have exactly one row —
+// so a new model cannot ship without its documentation (nor stale
+// documentation outlive a model).
 func checkModelTable(tab modelTable) []error {
 	var errs []error
 	seen := map[fault.Model]int{}
@@ -268,8 +268,8 @@ func checkModelTable(tab modelTable) []error {
 			errs = append(errs, fmt.Errorf("model table row %q: %v", canonical, err))
 			continue
 		}
-		if spec := fault.SpecOf(m); spec.Name() != canonical {
-			errs = append(errs, fmt.Errorf("model table row %q: canonical name is %q", canonical, spec.Name()))
+		if m.String() != canonical {
+			errs = append(errs, fmt.Errorf("model table row %q: canonical name is %q", canonical, m))
 		}
 		am, err := fault.ParseModel(alias)
 		if err != nil {

@@ -72,18 +72,17 @@ func TestCheckCommandDriftedFlag(t *testing.T) {
 	}
 }
 
-// registryRows builds a correct model table from the live registry.
-func registryRows() [][2]string {
+// catalogRows builds a correct model table from the fault-model catalog.
+func catalogRows() [][2]string {
 	var rows [][2]string
 	for _, m := range fault.RegisteredModels() {
-		name := fault.SpecOf(m).Name()
-		rows = append(rows, [2]string{name, name})
+		rows = append(rows, [2]string{m.String(), m.String()})
 	}
 	return rows
 }
 
 func TestCheckModelTableCleanCase(t *testing.T) {
-	tab := modelTable{rows: registryRows()}
+	tab := modelTable{rows: catalogRows()}
 	if errs := checkModelTable(tab); len(errs) != 0 {
 		t.Errorf("clean table rejected: %v", errs)
 	}
@@ -93,7 +92,7 @@ func TestCheckModelTableCleanCase(t *testing.T) {
 // documentation row — the new-model-ships-undocumented scenario — must
 // fail, naming the missing model.
 func TestCheckModelTableMissingRow(t *testing.T) {
-	rows := registryRows()
+	rows := catalogRows()
 	dropped := rows[len(rows)-1][0]
 	tab := modelTable{rows: rows[:len(rows)-1]}
 	errs := checkModelTable(tab)
@@ -114,19 +113,19 @@ func TestCheckModelTableMissingRow(t *testing.T) {
 // TestCheckModelTableBadRows: stale rows (unknown model, wrong
 // canonical name, duplicate) are each reported.
 func TestCheckModelTableBadRows(t *testing.T) {
-	rows := append(registryRows(), [2]string{"ghost-model", "ghost"})
+	rows := append(catalogRows(), [2]string{"ghost-model", "ghost"})
 	errs := checkModelTable(modelTable{rows: rows})
 	if len(errs) == 0 {
 		t.Fatal("unknown model row not caught")
 	}
 
-	alias := registryRows()
+	alias := catalogRows()
 	alias[0][0] = "skip" // CLI alias in the canonical column
 	if errs := checkModelTable(modelTable{rows: alias}); len(errs) == 0 {
 		t.Error("non-canonical name in canonical column not caught")
 	}
 
-	dup := append(registryRows(), registryRows()[0])
+	dup := append(catalogRows(), catalogRows()[0])
 	if errs := checkModelTable(modelTable{rows: dup}); len(errs) == 0 {
 		t.Error("duplicate row not caught")
 	}
