@@ -13,13 +13,13 @@ import (
 	"github.com/r2r/reinforce/internal/campaign"
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/fault"
-	"github.com/r2r/reinforce/internal/harden"
+	"github.com/r2r/reinforce/internal/patch"
 )
 
 // patchOptions is the standing fixed-point configuration the patch
 // benchmarks share.
-func patchOptions(c *cases.Case, order int, st *campaign.Store) harden.FaulterPatcherOptions {
-	return harden.FaulterPatcherOptions{
+func patchOptions(c *cases.Case, order int, st *campaign.Store) patch.Options {
+	return patch.Options{
 		Good:   c.Good,
 		Bad:    c.Bad,
 		Models: []fault.Model{fault.ModelSkip},
@@ -37,7 +37,7 @@ func BenchmarkPatchFixedPoint(b *testing.B) {
 	bin := c.MustBuild()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		res, err := harden.FaulterPatcher(bin, patchOptions(c, 1, nil))
+		res, err := patch.Harden(bin, patchOptions(c, 1, nil))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,13 +57,13 @@ func BenchmarkPatchFixedPointWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := harden.FaulterPatcher(bin, patchOptions(c, 1, st)); err != nil {
+	if _, err := patch.Harden(bin, patchOptions(c, 1, st)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		res, err := harden.FaulterPatcher(bin, patchOptions(c, 1, st))
+		res, err := patch.Harden(bin, patchOptions(c, 1, st))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkPatchOrder2FixedPoint(b *testing.B) {
 	c := cases.Pincheck()
 	bin := c.MustBuild()
 	for i := 0; i < b.N; i++ {
-		res, err := harden.FaulterPatcher(bin, patchOptions(c, 2, nil))
+		res, err := patch.Harden(bin, patchOptions(c, 2, nil))
 		if err != nil {
 			b.Fatal(err)
 		}

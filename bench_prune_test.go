@@ -11,7 +11,7 @@ import (
 
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/fault"
-	"github.com/r2r/reinforce/internal/harden"
+	"github.com/r2r/reinforce/internal/patch"
 )
 
 // pairSweepFixture is the (session, solo, pairs) setup shared by the
@@ -55,7 +55,7 @@ func BenchmarkOrder2PairSweepPruned(b *testing.B) {
 // the regime state-hash inheritance was built for.
 func BenchmarkOrder2PairSweepPrunedHardened(b *testing.B) {
 	c := cases.Bootloader()
-	res, err := harden.FaulterPatcher(c.MustBuild(), harden.FaulterPatcherOptions{
+	res, err := patch.Harden(c.MustBuild(), patch.Options{
 		Good: c.Good, Bad: c.Bad, Models: []fault.Model{fault.ModelSkip},
 	})
 	if err != nil {

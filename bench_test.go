@@ -277,13 +277,13 @@ func BenchmarkAblationTargeting(b *testing.B) {
 	bin := c.MustBuild()
 	logged := false
 	for i := 0; i < b.N; i++ {
-		fp, err := harden.FaulterPatcher(bin, harden.FaulterPatcherOptions{
+		fp, err := patch.Harden(bin, patch.Options{
 			Good: c.Good, Bad: c.Bad,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dup, err := harden.Duplication(bin)
+		dup, err := patch.HardenAll(bin, patch.StyleFallthrough)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -663,7 +663,7 @@ func BenchmarkFaulterPatcherPipeline(b *testing.B) {
 	c := cases.Pincheck()
 	bin := c.MustBuild()
 	for i := 0; i < b.N; i++ {
-		if _, err := harden.FaulterPatcher(bin, harden.FaulterPatcherOptions{
+		if _, err := patch.Harden(bin, patch.Options{
 			Good: c.Good, Bad: c.Bad, Models: []fault.Model{fault.ModelSkip},
 		}); err != nil {
 			b.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/fault"
-	"github.com/r2r/reinforce/internal/harden"
+	"github.com/r2r/reinforce/internal/patch"
 	"github.com/r2r/reinforce/internal/static"
 )
 
@@ -21,7 +21,7 @@ import (
 func BenchmarkVerifyCatalog(b *testing.B) {
 	var bins []*elf.Binary
 	for _, c := range cases.Corpus() {
-		res, err := harden.FaulterPatcher(c.MustBuild(), harden.FaulterPatcherOptions{
+		res, err := patch.Harden(c.MustBuild(), patch.Options{
 			Good: c.Good, Bad: c.Bad, Models: []fault.Model{fault.ModelSkip},
 		})
 		if err != nil {

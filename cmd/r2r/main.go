@@ -47,7 +47,6 @@ import (
 	"github.com/r2r/reinforce/internal/campaign"
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/cli"
-	"github.com/r2r/reinforce/internal/emit"
 	"github.com/r2r/reinforce/internal/experiments"
 	"github.com/r2r/reinforce/internal/fault"
 	"github.com/r2r/reinforce/internal/oracle"
@@ -162,17 +161,14 @@ commands:
                                  to N cases concurrently on one shared
                                  worker pool (results bit-identical)
   patch -good G -bad B [-model ...] [-order 1|2] [-max-pairs N]
-        [-json|-csv] [-o OUT] [-emit ELF]
-        [-cpuprofile F] [-memprofile F] BIN
+        [-json|-csv] [-o OUT] [-cpuprofile F] [-memprofile F] BIN
                                  harden via the Faulter+Patcher pipeline;
                                  -order 2 escalates fault-pair sites to
-                                 the order-2-aware patterns; -emit also
-                                 writes a standalone runnable ELF
-  hybrid [-harden branch|order2] [-o OUT] [-emit ELF] BIN
+                                 the order-2-aware patterns
+  hybrid [-harden branch|order2] [-o OUT] BIN
                                  harden via the Hybrid (lift/lower)
                                  pipeline; order2 adds the skip-window
-                                 multi-fault countermeasure pass; -emit
-                                 also writes a standalone runnable ELF
+                                 multi-fault countermeasure pass
   oracle [-cases LIST] [-harden hybrid|order2|patch] [-n N] [-seed S]
          [-variants N] [-workers N] [-json|-csv] [ORIG HARDENED]
                                  differential-execution oracle: harden
@@ -529,7 +525,7 @@ func cmdCampaign(args []string, out io.Writer) error {
 		// Order-2 runs per binary: the pair list is derived from each
 		// binary's own order-1 sweep, so there is no batch fast path.
 		for _, job := range jobs {
-			start := time.Now()
+			start := time.Now() //lint:allow wallclock (ElapsedMS is reporting-only, stripped before determinism comparisons)
 			res, err := campaign.RunOrder2Result(job.Campaign, opt)
 			if err != nil {
 				return fmt.Errorf("%s: %w", job.Name, err)
@@ -706,14 +702,6 @@ func cmdPatch(args []string, out io.Writer) error {
 	if err := saveBinary(res.Binary, path); err != nil {
 		return err
 	}
-	var emitted string
-	if f.Emit != "" {
-		digest, err := emit.WriteFile(f.Emit, res.Binary)
-		if err != nil {
-			return err
-		}
-		emitted = fmt.Sprintf("emitted %s (digest %s)\n", f.Emit, digest)
-	}
 	if err := stopProf(); err != nil {
 		return err
 	}
@@ -725,7 +713,6 @@ func cmdPatch(args []string, out io.Writer) error {
 	}
 	fmt.Fprint(out, res.Summary())
 	fmt.Fprintf(out, "wrote %s\n", path)
-	fmt.Fprint(out, emitted)
 	return nil
 }
 
@@ -782,13 +769,6 @@ func cmdHybrid(args []string) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-	if f.Emit != "" {
-		digest, err := emit.WriteFile(f.Emit, res.Binary)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("emitted %s (digest %s)\n", f.Emit, digest)
-	}
 	return nil
 }
 
@@ -821,7 +801,7 @@ func cmdOracle(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		start := time.Now()
+		start := time.Now() //lint:allow wallclock (ElapsedMS is reporting-only, stripped before determinism comparisons)
 		rep := oracle.Diff(orig, hard, oracle.GenericInputs(f.N, f.Seed, 0), opt)
 		reports = append(reports, &oracle.CaseReport{
 			Case:           filepath.Base(fs.Arg(0)),
@@ -1077,6 +1057,11 @@ func cmdCases(args []string) error {
 	fs, f := cli.Cases()
 	if err := parse(fs, args); err != nil {
 		return err
+	}
+	if f.Dir != "" {
+		if err := os.MkdirAll(f.Dir, 0o755); err != nil {
+			return err
+		}
 	}
 	for _, c := range cases.Corpus() {
 		srcPath := filepath.Join(f.Dir, c.Name+".s")

@@ -2,17 +2,22 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/r2r/reinforce"
 	"github.com/r2r/reinforce/internal/campaign"
@@ -529,32 +534,79 @@ func TestVerifyUsageErrors(t *testing.T) {
 	}
 }
 
-// TestHybridEmitRoundTrip: `r2r hybrid -emit` writes a standalone ELF
-// that loads back with the digest the command reported — and that the
-// rest of the toolchain (loadBinary, the emulator) accepts.
-func TestHybridEmitRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the hybrid pipeline; run without -short")
-	}
-	bin, good, _ := writeCase(t, cases.Pincheck())
-	emitted := filepath.Join(t.TempDir(), "pincheck.hard.elf")
-	err := cmdHybrid([]string{"-o", bin + ".hybrid", "-emit", emitted, bin})
-	if err != nil {
+// TestHardenedArtifactsRunNatively: the -o file of both pipelines is
+// the runnable artifact. pincheck hardened by `hybrid -harden order2`
+// and by `patch -order 2` loads back and writes out byte-identically,
+// and on linux/amd64 each file runs natively with the emulator's exit
+// status and output on both oracle inputs.
+func TestHardenedArtifactsRunNatively(t *testing.T) {
+	bin, good, bad := writeCase(t, cases.Pincheck())
+	dir := t.TempDir()
+	hybrid := filepath.Join(dir, "pincheck.hybrid")
+	if err := cmdHybrid([]string{"-harden", "order2", "-o", hybrid, bin}); err != nil {
 		t.Fatal(err)
 	}
-	re, err := loadBinary(emitted)
-	if err != nil {
-		t.Fatalf("emitted ELF does not load back: %v", err)
+	patched := filepath.Join(dir, "pincheck.patched")
+	if err := cmdPatch([]string{"-good", good, "-bad", bad, "-order", "2", "-o", patched, bin}, io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	if err := re.Validate(); err != nil {
-		t.Fatalf("emitted ELF fails Validate: %v", err)
+	native := runtime.GOOS == "linux" && runtime.GOARCH == "amd64"
+	for _, path := range []string{hybrid, patched} {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := reinforce.ParseELF(img)
+		if err != nil {
+			t.Fatalf("%s does not load back: %v", path, err)
+		}
+		again, err := re.Bytes()
+		if err != nil || !bytes.Equal(again, img) {
+			t.Errorf("%s: loading and writing it out changes the image (%v)", path, err)
+		}
+		for _, in := range []string{good, bad} {
+			want, err := reinforce.Run(re, []byte(in))
+			if err != nil {
+				t.Fatalf("%s on %q: emulator: %v", path, in, err)
+			}
+			if !native {
+				continue
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			cmd := exec.CommandContext(ctx, path)
+			cmd.Stdin = strings.NewReader(in)
+			var stdout bytes.Buffer
+			cmd.Stdout = &stdout
+			err = cmd.Run()
+			cancel()
+			var exit *exec.ExitError
+			code := 0
+			if errors.As(err, &exit) {
+				code = exit.ExitCode()
+			} else if err != nil {
+				t.Fatalf("%s on %q: native run: %v", path, in, err)
+			}
+			if code != want.ExitCode || !bytes.Equal(stdout.Bytes(), want.Stdout) {
+				t.Errorf("%s on %q: native exit %d stdout %q, emulator exit %d stdout %q",
+					path, in, code, stdout.Bytes(), want.ExitCode, want.Stdout)
+			}
+		}
 	}
-	res, err := reinforce.Run(re, []byte(good))
-	if err != nil || res.ExitCode != 0 {
-		t.Errorf("emitted hardened binary rejects the accepted input: exit %d, %v", res.ExitCode, err)
+}
+
+// TestCasesCreatesDir: `r2r cases -dir` creates a missing directory,
+// parents included, before writing the corpus into it.
+func TestCasesCreatesDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fresh", "cases")
+	if err := cmdCases([]string{"-dir", dir}); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(res.Stdout), "ACCESS GRANTED") {
-		t.Errorf("emitted hardened binary stdout = %q", res.Stdout)
+	for _, c := range cases.Corpus() {
+		for _, ext := range []string{".s", ".elf", ".good", ".bad"} {
+			if _, err := os.Stat(filepath.Join(dir, c.Name+ext)); err != nil {
+				t.Error(err)
+			}
+		}
 	}
 }
 

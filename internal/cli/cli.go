@@ -147,14 +147,9 @@ func Corpus() (*flag.FlagSet, *CorpusFlags) {
 	return fs, f
 }
 
-// emitHelp documents the -emit switch once for both hardening
-// commands.
-const emitHelp = "also write the hardened binary as a standalone program-header-only ELF executable to this path (round-trip-verified through the loader)"
-
 // PatchFlags are the `r2r patch` flags.
 type PatchFlags struct {
 	Good, Bad, Model, Out  string
-	Emit                   string
 	CacheDir               string
 	CPUProfile, MemProfile string
 	Order, MaxPairs        int
@@ -168,7 +163,6 @@ func Patch() (*flag.FlagSet, *PatchFlags) {
 	fs.StringVar(&f.Bad, "bad", "", "rejected input")
 	fs.StringVar(&f.Model, "model", "both", modelHelp)
 	fs.StringVar(&f.Out, "o", "", "output path (default: input with .hardened suffix)")
-	fs.StringVar(&f.Emit, "emit", "", emitHelp)
 	fs.IntVar(&f.Order, "order", 1, "hardening order: 1 = single-fault fixed point, 2 = escalate sites of successful fault pairs to order-2 patterns")
 	fs.IntVar(&f.MaxPairs, "max-pairs", 0, "order-2 pair budget per escalation round (default 4096)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", cacheDirHelp)
@@ -182,7 +176,6 @@ func Patch() (*flag.FlagSet, *PatchFlags) {
 // HybridFlags are the `r2r hybrid` flags.
 type HybridFlags struct {
 	Out, Harden string
-	Emit        string
 	DumpAsm     bool
 }
 
@@ -191,7 +184,6 @@ func Hybrid() (*flag.FlagSet, *HybridFlags) {
 	fs, f := newFS("hybrid"), &HybridFlags{}
 	fs.StringVar(&f.Out, "o", "", "output path (default: input + .hybrid)")
 	fs.StringVar(&f.Harden, "harden", "branch", "countermeasure set: branch (conditional branch hardening) or order2 (branch + skip-window multi-fault hardening)")
-	fs.StringVar(&f.Emit, "emit", "", emitHelp)
 	fs.BoolVar(&f.DumpAsm, "S", false, "print the generated assembly")
 	return fs, f
 }

@@ -96,30 +96,6 @@ func TestHybridHardenFlag(t *testing.T) {
 	}
 }
 
-func TestEmitFlag(t *testing.T) {
-	fs, f := Patch()
-	if err := fs.Parse([]string{"-emit", "out.elf", "bin.elf"}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Emit != "out.elf" {
-		t.Errorf("patch emit = %q", f.Emit)
-	}
-	hfs, h := Hybrid()
-	if err := hfs.Parse([]string{"-emit", "h.elf", "bin.elf"}); err != nil {
-		t.Fatal(err)
-	}
-	if h.Emit != "h.elf" {
-		t.Errorf("hybrid emit = %q", h.Emit)
-	}
-	hfs, h = Hybrid()
-	if err := hfs.Parse([]string{"bin.elf"}); err != nil {
-		t.Fatal(err)
-	}
-	if h.Emit != "" {
-		t.Errorf("emit default = %q, want empty (emission is opt-in)", h.Emit)
-	}
-}
-
 func TestOracleFlagDefaults(t *testing.T) {
 	fs, f := Oracle()
 	if err := fs.Parse(nil); err != nil {

@@ -547,15 +547,14 @@ func Parse(data []byte) (*Binary, error) {
 	return b, nil
 }
 
-// Load parses any ELF64 executable this toolchain reads or writes, and
+// Load parses any ELF64 executable this toolchain reads, and
 // structurally validates the result. Images carrying section headers
-// (the assembler's Bytes layout, or any ordinary static executable)
-// parse via Parse; the program-header-only images internal/emit writes
-// reconstruct their sections from the PT_LOAD segments, with canonical
-// names derived from segment permissions (.text for executable, .rodata
-// for read-only, .data for initialized writable, .bss for zero-fill) —
-// so hardened binaries emitted as standalone executables round-trip
-// into the same Binary the campaign and store machinery consumes.
+// (the Bytes layout every written artifact uses, or any ordinary static
+// executable) parse via Parse; a program-header-only executable, such
+// as a third-party binary stripped of its section headers, has its
+// sections rebuilt from the PT_LOAD segments, with canonical names
+// derived from segment permissions (.text for executable, .rodata for
+// read-only, .data for initialized writable, .bss for zero-fill).
 //
 // Unlike Parse, Load runs Validate on the result: a malformed image
 // (overlapping segments, entry outside executable code) fails loudly at

@@ -178,7 +178,9 @@ func TestBytesDeterministic(t *testing.T) {
 }
 
 // TestRoundTripProperty: random section payloads survive a write/parse
-// cycle bit-exactly.
+// cycle bit-exactly, and writing the parsed binary again reproduces the
+// image byte for byte — the written artifact is a fixed point of
+// Bytes∘Parse.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(text, data []byte, entryOff uint16) bool {
 		if len(text) == 0 {
@@ -200,6 +202,10 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		got, err := Parse(img)
 		if err != nil {
+			return false
+		}
+		again, err := got.Bytes()
+		if err != nil || !bytes.Equal(again, img) {
 			return false
 		}
 		t2 := got.Section(".text")

@@ -17,8 +17,8 @@ type segdef struct {
 }
 
 // phdrImage hand-rolls a program-header-only ELF image: header, phdr
-// table at offset 64, segment bytes appended in order. It is the
-// adversary's view of what emit.Image produces — the tests below bend
+// table at offset 64, segment bytes appended in order — the shape of an
+// executable stripped of its section headers. The tests below bend
 // each field out of shape.
 func phdrImage(entry uint64, segs []segdef) []byte {
 	le := binary.LittleEndian

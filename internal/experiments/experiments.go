@@ -20,6 +20,7 @@ import (
 	"github.com/r2r/reinforce/internal/isa"
 	"github.com/r2r/reinforce/internal/lift"
 	"github.com/r2r/reinforce/internal/passes"
+	"github.com/r2r/reinforce/internal/patch"
 	"github.com/r2r/reinforce/internal/report"
 )
 
@@ -426,7 +427,7 @@ func ClaimDup() (*report.Table, []ClaimDupData, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		dup, err := harden.Duplication(bin)
+		dup, err := patch.HardenAll(bin, patch.StyleFallthrough)
 		if err != nil {
 			return nil, nil, err
 		}

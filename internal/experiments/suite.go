@@ -8,6 +8,7 @@ import (
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/fault"
 	"github.com/r2r/reinforce/internal/harden"
+	"github.com/r2r/reinforce/internal/patch"
 )
 
 // suite memoizes the expensive pipeline artifacts shared by several
@@ -27,8 +28,8 @@ type suite struct {
 	mu       sync.Mutex
 	hybrid   map[string]*harden.HybridResult
 	hybridSW map[string]*harden.HybridResult
-	fp       map[string]*harden.FaulterPatcherResult
-	fpO2     map[string]*harden.FaulterPatcherResult
+	fp       map[string]*patch.Result
+	fpO2     map[string]*patch.Result
 	baseline map[string]*fault.Report
 }
 
@@ -37,8 +38,8 @@ type suite struct {
 var memo = &suite{
 	hybrid:   make(map[string]*harden.HybridResult),
 	hybridSW: make(map[string]*harden.HybridResult),
-	fp:       make(map[string]*harden.FaulterPatcherResult),
-	fpO2:     make(map[string]*harden.FaulterPatcherResult),
+	fp:       make(map[string]*patch.Result),
+	fpO2:     make(map[string]*patch.Result),
 	baseline: make(map[string]*fault.Report),
 }
 
@@ -88,14 +89,14 @@ func (s *suite) hybridFor(c *cases.Case) (*harden.HybridResult, error) {
 
 // fpFor returns the (memoized) Faulter+Patcher result of a case study
 // hardened under the given fault models.
-func (s *suite) fpFor(c *cases.Case, models []fault.Model) (*harden.FaulterPatcherResult, error) {
+func (s *suite) fpFor(c *cases.Case, models []fault.Model) (*patch.Result, error) {
 	key := c.Name + modelsKey(models)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.fp[key]; ok {
 		return r, nil
 	}
-	r, err := harden.FaulterPatcher(c.MustBuild(), harden.FaulterPatcherOptions{
+	r, err := patch.Harden(c.MustBuild(), patch.Options{
 		Good: c.Good, Bad: c.Bad, Models: models, StepLimit: stepLimit,
 	})
 	if err != nil {
@@ -130,13 +131,13 @@ func (s *suite) hybridSWFor(c *cases.Case) (*harden.HybridResult, error) {
 // fpOrder2For returns the (memoized) order-2 Faulter+Patcher result of
 // a case study: the skip-model fixed point followed by the pair
 // escalation stage.
-func (s *suite) fpOrder2For(c *cases.Case) (*harden.FaulterPatcherResult, error) {
+func (s *suite) fpOrder2For(c *cases.Case) (*patch.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.fpO2[c.Name]; ok {
 		return r, nil
 	}
-	r, err := harden.FaulterPatcher(c.MustBuild(), harden.FaulterPatcherOptions{
+	r, err := patch.Harden(c.MustBuild(), patch.Options{
 		Good: c.Good, Bad: c.Bad, Models: []fault.Model{fault.ModelSkip},
 		StepLimit: stepLimit, DedupSites: true,
 		Order: 2, MaxPairs: beyond2MaxPairs,

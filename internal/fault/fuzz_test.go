@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -84,18 +86,28 @@ func FuzzParseModels(f *testing.F) {
 // static verifier's analysis and coverage check. Bad input must come
 // back as an error, never a panic or a hang. Images whose sections
 // map more than 128 KiB are skipped. Seeds: the corpus cases' ELF bytes
-// with their good and bad inputs.
+// with their good and bad inputs, then the same images in the
+// program-header-only form of a stripped executable, so both of Load's
+// read forms are fuzzed through the session.
 func FuzzSessionELF(f *testing.F) {
-	for _, c := range cases.Corpus() {
-		bin, err := c.Build()
-		if err != nil {
-			f.Fatal(err)
+	for _, strip := range []bool{false, true} {
+		for _, c := range cases.Corpus() {
+			bin, err := c.Build()
+			if err != nil {
+				f.Fatal(err)
+			}
+			data, err := bin.Bytes()
+			if err != nil {
+				f.Fatal(err)
+			}
+			if strip {
+				data = stripSectionHeaders(data)
+				if _, err := elf.Load(data); err != nil {
+					f.Fatalf("%s without section headers: %v", c.Name, err)
+				}
+			}
+			f.Add(data, c.Good, c.Bad)
 		}
-		data, err := bin.Bytes()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data, c.Good, c.Bad)
 	}
 	const maxImage = 128 << 10
 	models := []Model{ModelSkip, ModelBitFlip, ModelRegFlip, ModelMultiSkip, ModelDataFlip}
@@ -123,4 +135,23 @@ func FuzzSessionELF(f *testing.F) {
 			a.CheckCoverage()
 		}
 	})
+}
+
+// stripSectionHeaders turns a Bytes image into a program-header-only
+// executable: e_shoff, e_shnum and e_shstrndx zeroed, and the file cut
+// after its last segment, dropping the symbol, string and section
+// header tables that follow.
+func stripSectionHeaders(img []byte) []byte {
+	le := binary.LittleEndian
+	out := bytes.Clone(img)
+	le.PutUint64(out[40:], 0) // e_shoff
+	le.PutUint16(out[60:], 0) // e_shnum
+	le.PutUint16(out[62:], 0) // e_shstrndx
+	phoff, phentsize := le.Uint64(out[32:]), uint64(le.Uint16(out[54:]))
+	end := uint64(0)
+	for i := uint64(0); i < uint64(le.Uint16(out[56:])); i++ {
+		ph := out[phoff+i*phentsize:]
+		end = max(end, le.Uint64(ph[8:])+le.Uint64(ph[32:])) // p_offset + p_filesz
+	}
+	return out[:end]
 }

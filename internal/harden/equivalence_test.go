@@ -8,6 +8,7 @@ import (
 	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/emu"
 	"github.com/r2r/reinforce/internal/fault"
+	"github.com/r2r/reinforce/internal/patch"
 )
 
 // runPair executes original and hardened binaries on the same input and
@@ -40,7 +41,7 @@ func TestPipelinesEquivalentOnRandomInputs(t *testing.T) {
 	for _, c := range cases.All() {
 		bin := c.MustBuild()
 
-		fp, err := FaulterPatcher(bin, FaulterPatcherOptions{Good: c.Good, Bad: c.Bad})
+		fp, err := patch.Harden(bin, patch.Options{Good: c.Good, Bad: c.Bad})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestPipelinesEquivalentOnRandomInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dup, err := Duplication(bin)
+		dup, err := patch.HardenAll(bin, patch.StyleFallthrough)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestHardenedBinariesDetectNotGrant(t *testing.T) {
 	models := []fault.Model{fault.ModelSkip}
 	for _, c := range cases.All() {
 		bin := c.MustBuild()
-		fp, err := FaulterPatcher(bin, FaulterPatcherOptions{Good: c.Good, Bad: c.Bad, Models: models})
+		fp, err := patch.Harden(bin, patch.Options{Good: c.Good, Bad: c.Bad, Models: models})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,10 @@
-// Package harden wires the paper's two countermeasure-insertion
-// pipelines end to end (§IV, Fig. 3):
-//
-//   - FaulterPatcher: the simulation-driven iterative rewriting loop
-//     (reassembleable-disassembly route, lower half of Fig. 3), with
-//     an order-2 pair-escalation mode (Options.Order);
-//   - Hybrid: lift to IR, apply the conditional branch hardening pass
-//     — and, with HybridOptions.SkipWindow, the order-2 skip-window
-//     pass — then lower back to a binary (compiler-IR route, upper
-//     half of Fig. 3);
-//   - Duplication / DuplicationIR: the blanket duplication baselines.
+// Package harden wires the Hybrid countermeasure-insertion pipeline
+// end to end (§IV-C, upper half of Fig. 3): lift to IR, apply the
+// conditional branch hardening pass — and, with
+// HybridOptions.SkipWindow, the order-2 skip-window pass — then lower
+// back to a binary. DuplicationIR is its blanket duplication baseline.
+// The Faulter+Patcher pipeline and its blanket baseline live in
+// internal/patch (Harden, HardenAll).
 //
 // Evaluate runs the same fault campaign against any binary so the
 // pipelines can be compared on equal terms.
@@ -24,19 +20,7 @@ import (
 	"github.com/r2r/reinforce/internal/lift"
 	"github.com/r2r/reinforce/internal/lower"
 	"github.com/r2r/reinforce/internal/passes"
-	"github.com/r2r/reinforce/internal/patch"
 )
-
-// FaulterPatcherOptions re-exports the patch driver's options.
-type FaulterPatcherOptions = patch.Options
-
-// FaulterPatcherResult re-exports the patch driver's result.
-type FaulterPatcherResult = patch.Result
-
-// FaulterPatcher runs the iterative Faulter+Patcher pipeline (§IV-B).
-func FaulterPatcher(bin *elf.Binary, opt FaulterPatcherOptions) (*FaulterPatcherResult, error) {
-	return patch.Harden(bin, opt)
-}
 
 // HybridOptions configure the Hybrid pipeline.
 type HybridOptions struct {
@@ -139,16 +123,6 @@ func Hybrid(bin *elf.Binary, opt HybridOptions) (*HybridResult, error) {
 	res.Binary = low.Binary
 	res.Asm = low.Asm
 	return res, nil
-}
-
-// DuplicationResult re-exports the blanket baseline result.
-type DuplicationResult = patch.BlanketResult
-
-// Duplication applies the blanket duplication baseline on the
-// reassembly substrate (§V-C): every patchable instruction gets a
-// Table-I-style duplicate-and-compare, vulnerable or not.
-func Duplication(bin *elf.Binary) (*DuplicationResult, error) {
-	return patch.HardenAll(bin, patch.StyleFallthrough)
 }
 
 // DuplicationIR runs the duplication baseline on the Hybrid substrate:

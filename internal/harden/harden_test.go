@@ -7,6 +7,7 @@ import (
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/fault"
+	"github.com/r2r/reinforce/internal/patch"
 )
 
 // TestEvaluateOrder2: the same order-2 pair campaign runs on the
@@ -19,7 +20,7 @@ func TestEvaluateOrder2(t *testing.T) {
 	}
 	c := cases.Pincheck()
 	bin := c.MustBuild()
-	fp, err := FaulterPatcher(bin, FaulterPatcherOptions{
+	fp, err := patch.Harden(bin, patch.Options{
 		Good: c.Good, Bad: c.Bad, Models: []fault.Model{fault.ModelSkip},
 	})
 	if err != nil {
@@ -116,7 +117,7 @@ func TestHybridLiftLowerOnlyCost(t *testing.T) {
 func TestFaulterPatcherPipeline(t *testing.T) {
 	c := cases.Pincheck()
 	bin := c.MustBuild()
-	res, err := FaulterPatcher(bin, FaulterPatcherOptions{
+	res, err := patch.Harden(bin, patch.Options{
 		Good:   c.Good,
 		Bad:    c.Bad,
 		Models: []fault.Model{fault.ModelSkip},
@@ -137,7 +138,7 @@ func TestFaulterPatcherPipeline(t *testing.T) {
 func TestDuplicationBaseline(t *testing.T) {
 	c := cases.Pincheck()
 	bin := c.MustBuild()
-	dup, err := Duplication(bin)
+	dup, err := patch.HardenAll(bin, patch.StyleFallthrough)
 	if err != nil {
 		t.Fatal(err)
 	}

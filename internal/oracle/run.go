@@ -11,6 +11,7 @@ import (
 	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/fault"
 	"github.com/r2r/reinforce/internal/harden"
+	"github.com/r2r/reinforce/internal/patch"
 )
 
 // Hardening pipelines the oracle can drive (the `r2r oracle -harden`
@@ -42,7 +43,7 @@ func Harden(c *cases.Case, pipeline string) (*elf.Binary, error) {
 		}
 		return res.Binary, nil
 	case PipelinePatch:
-		res, err := harden.FaulterPatcher(bin, harden.FaulterPatcherOptions{
+		res, err := patch.Harden(bin, patch.Options{
 			Good:      c.Good,
 			Bad:       c.Bad,
 			Models:    []fault.Model{fault.ModelSkip, fault.ModelBitFlip},

@@ -7,13 +7,12 @@
 package static
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
 	"github.com/r2r/reinforce/internal/isa"
+	"github.com/r2r/reinforce/internal/report"
 )
 
 // DetectorExitCode is the exit status every fault response in the
@@ -54,28 +53,20 @@ func WriteFindingsJSON(w io.Writer, fs []Finding) error {
 	if fs == nil {
 		fs = []Finding{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(fs)
+	return report.WriteJSON(w, fs)
 }
 
 // WriteFindingsCSV exports findings as CSV with a header row.
 func WriteFindingsCSV(w io.Writer, fs []Finding) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"check", "where", "addr", "detail"}); err != nil {
-		return err
-	}
+	t := report.Table{Header: []string{"check", "where", "addr", "detail"}}
 	for _, f := range fs {
 		addr := ""
 		if f.Addr != 0 {
 			addr = fmt.Sprintf("%#x", f.Addr)
 		}
-		if err := cw.Write([]string{f.Check, f.Where, addr, f.Detail}); err != nil {
-			return err
-		}
+		t.AddRow(f.Check, f.Where, addr, f.Detail)
 	}
-	cw.Flush()
-	return cw.Error()
+	return t.WriteCSV(w)
 }
 
 // CheckCoverage proves the machine-level check-coverage invariant:

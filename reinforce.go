@@ -46,13 +46,13 @@ import (
 	"github.com/r2r/reinforce/internal/cases"
 	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/elf"
-	"github.com/r2r/reinforce/internal/emit"
 	"github.com/r2r/reinforce/internal/emu"
 	"github.com/r2r/reinforce/internal/fault"
 	"github.com/r2r/reinforce/internal/harden"
 	"github.com/r2r/reinforce/internal/ir"
 	"github.com/r2r/reinforce/internal/lift"
 	"github.com/r2r/reinforce/internal/passes"
+	"github.com/r2r/reinforce/internal/patch"
 	"github.com/r2r/reinforce/internal/trace"
 )
 
@@ -72,18 +72,11 @@ func Assemble(source string) (*Binary, error) {
 	return asm.Assemble(source, nil)
 }
 
-// ParseELF loads a binary image: either the section-header form produced
-// by (*Binary).Bytes or the program-header-only form produced by EmitELF.
+// ParseELF loads a binary image: either the section-header form
+// (*Binary).Bytes writes, or a program-header-only executable, whose
+// sections are rebuilt from its PT_LOAD segments.
 func ParseELF(image []byte) (*Binary, error) {
 	return elf.Load(image)
-}
-
-// EmitELF renders the binary as a minimal standalone static executable:
-// ELF header plus one PT_LOAD program header per section, no section
-// headers — the form a stock kernel loader (and ParseELF) accepts.
-// Emission round-trips: ParseELF(EmitELF(b)) re-emits byte-identically.
-func EmitELF(bin *Binary) ([]byte, error) {
-	return emit.Image(bin)
 }
 
 // RunResult is the outcome of executing a binary in the emulator.
@@ -175,16 +168,16 @@ func NewCampaignStore(dir string) (*CampaignStore, error) {
 }
 
 // FaulterPatcherOptions configure the iterative hardening loop.
-type FaulterPatcherOptions = harden.FaulterPatcherOptions
+type FaulterPatcherOptions = patch.Options
 
 // FaulterPatcherResult is the outcome of the iterative hardening loop.
-type FaulterPatcherResult = harden.FaulterPatcherResult
+type FaulterPatcherResult = patch.Result
 
 // HardenFaulterPatcher runs the paper's Faulter+Patcher pipeline
 // (§IV-B): fault simulation drives targeted insertion of the Table I–III
 // local protection patterns until a fixed point.
 func HardenFaulterPatcher(bin *Binary, opt FaulterPatcherOptions) (*FaulterPatcherResult, error) {
-	return harden.FaulterPatcher(bin, opt)
+	return patch.Harden(bin, opt)
 }
 
 // HybridOptions configure the full-translation pipeline.
@@ -200,12 +193,12 @@ func HardenHybrid(bin *Binary, opt HybridOptions) (*HybridResult, error) {
 }
 
 // DuplicationResult is the outcome of the blanket-duplication baseline.
-type DuplicationResult = harden.DuplicationResult
+type DuplicationResult = patch.BlanketResult
 
 // DuplicationBaseline applies the Table-I-style protection to every
 // instruction (the paper's ">= 300% overhead" comparison point).
 func DuplicationBaseline(bin *Binary) (*DuplicationResult, error) {
-	return harden.Duplication(bin)
+	return patch.HardenAll(bin, patch.StyleFallthrough)
 }
 
 // Evaluation compares fault campaigns before and after hardening.
