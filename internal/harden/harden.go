@@ -39,10 +39,6 @@ type HybridOptions struct {
 	// windows (the `-harden order2` pipeline).
 	SkipWindow bool
 
-	// SkipWindowSize overrides the widest skip window the pass defends
-	// against (0 = passes.DefaultSkipWindow).
-	SkipWindowSize int
-
 	// SkipCleanup disables the optimization pipelines (ablation).
 	SkipCleanup bool
 
@@ -102,7 +98,7 @@ func Hybrid(bin *elf.Binary, opt HybridOptions) (*HybridResult, error) {
 			return nil, fmt.Errorf("harden: %w", err)
 		}
 		if opt.SkipWindow {
-			sw := passes.SkipWindowHarden{Window: opt.SkipWindowSize, Stats: &res.SWStats}
+			sw := passes.SkipWindowHarden{Stats: &res.SWStats}
 			if err := passes.Run(lr.Module, sw); err != nil {
 				return nil, fmt.Errorf("harden: %w", err)
 			}

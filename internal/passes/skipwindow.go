@@ -38,9 +38,10 @@ const incrementEvery = 2
 // remove a computation together with its verification:
 //
 //   - redundant computations are *spaced*: every clone is emitted in a
-//     separate region at the end of its block, always more than Window
-//     instructions after the original, so one contiguous skip of up to
-//     Window instructions cannot cover both;
+//     separate region at the end of its block, always more than
+//     DefaultSkipWindow instructions after the original, so one
+//     contiguous skip of up to DefaultSkipWindow instructions cannot
+//     cover both;
 //   - blocks carry a *step counter* (CellStepCtr): reset on entry,
 //     incremented between instructions, and verified against the
 //     block's static increment count before every fault-response-free
@@ -56,11 +57,6 @@ const incrementEvery = 2
 // for the computation, one per validation stage — one order beyond the
 // order-2 campaigns the engine simulates.
 type SkipWindowHarden struct {
-	// Window is the maximum skip-window width to resist (0 means
-	// DefaultSkipWindow). Clones are spaced by more than Window
-	// instructions from their originals.
-	Window int
-
 	// Stats is filled during Run when non-nil.
 	Stats *SkipWindowStats
 }
@@ -79,10 +75,6 @@ func (SkipWindowHarden) Name() string { return "skip-window-harden" }
 
 // Run implements Pass.
 func (p SkipWindowHarden) Run(m *ir.Module) error {
-	window := p.Window
-	if window <= 0 {
-		window = DefaultSkipWindow
-	}
 	stats := p.Stats
 	if stats == nil {
 		stats = &SkipWindowStats{}
@@ -97,7 +89,7 @@ func (p SkipWindowHarden) Run(m *ir.Module) error {
 		original := append([]*ir.Block{}, f.Blocks...)
 		for _, b := range original {
 			seq++
-			if err := skipWindowBlock(f, b, window, stats, seq); err != nil {
+			if err := skipWindowBlock(f, b, stats, seq); err != nil {
 				return err
 			}
 		}
@@ -154,7 +146,7 @@ func safeToCloneAtEnd(orig []*ir.Instr, pos int, in *ir.Instr) bool {
 //	chk2: br sw.ok, cont, flt        (re-read from the cell)
 //	cont: original terminator
 //	flt:  faultresp
-func skipWindowBlock(f *ir.Function, b *ir.Block, window int, stats *SkipWindowStats, seq int) error {
+func skipWindowBlock(f *ir.Function, b *ir.Block, stats *SkipWindowStats, seq int) error {
 	term := b.Terminator()
 	if term == nil {
 		return fmt.Errorf("skip-window-harden: unterminated block %s", b.Name)
@@ -191,14 +183,10 @@ func skipWindowBlock(f *ir.Function, b *ir.Block, window int, stats *SkipWindowS
 	}
 
 	// Boundary spacer: together with the last original's increment this
-	// puts more than `window` instructions between the final original
-	// and the first clone (each increment is 3 IR instructions and
-	// lowers to at least as many machine instructions).
-	spacers := (window + 2) / 3
-	if spacers < 1 {
-		spacers = 1
-	}
-	for i := 0; i < spacers; i++ {
+	// puts more than DefaultSkipWindow instructions between the final
+	// original and the first clone (each increment is 3 IR instructions
+	// and lowers to at least as many machine instructions).
+	for range (DefaultSkipWindow + 2) / 3 {
 		newInsts = swIncrement(newInsts)
 		increments++
 	}

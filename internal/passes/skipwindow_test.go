@@ -60,11 +60,11 @@ func TestSkipWindowHardenStructure(t *testing.T) {
 }
 
 // TestSkipWindowSpacing checks the pass's defining property: a clone
-// never sits within Window instructions of its original.
+// never sits within DefaultSkipWindow instructions of its original.
 func TestSkipWindowSpacing(t *testing.T) {
 	const window = DefaultSkipWindow
 	res := liftSrc(t, pincheckSrc)
-	if err := Run(res.Module, SkipWindowHarden{Window: window}); err != nil {
+	if err := Run(res.Module, SkipWindowHarden{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range res.Module.Funcs {

@@ -22,10 +22,6 @@ type Options struct {
 	Workers    int
 	DedupSites bool
 
-	// MaxIterations bounds the rinse-and-repeat loop (§IV-B3), and the
-	// order-2 escalation loop separately.
-	MaxIterations int // default 10
-
 	// Style selects the pattern flavour (StyleFallthrough default).
 	Style Style
 
@@ -34,8 +30,8 @@ type Options struct {
 	// campaigns (fault.EnumeratePairs over the order-1 survivors) after
 	// the single-fault fixed point, escalating every site involved in a
 	// successful pair to the order-2-aware StyleOrder2 pattern, until
-	// no pair succeeds, nothing is left to escalate, or MaxIterations
-	// rounds have run.
+	// no pair succeeds, nothing is left to escalate, or the iteration
+	// budget (maxIterations, 10 rounds) runs out.
 	Order int
 
 	// MaxPairs caps each pair campaign's enumeration
@@ -55,33 +51,35 @@ type Options struct {
 	Log func(string)
 }
 
-// IterationStats records one faulter+patcher round.
+// IterationStats records one faulter+patcher round. The cache fields
+// report what the round simulated and whether the store answered it
+// instead.
 type IterationStats struct {
-	Iteration  int
-	Injections int
-	Successes  int // successful faults (vulnerability instances)
-	Sites      int // distinct vulnerable instruction addresses
-	Patched    int // sites replaced with hardened patterns this round
-	Residual   int // vulnerable sites that could not be (re)patched
-	Detected   int
-	CodeSize   int // .text bytes after this round's patching
+	Iteration  int `json:"iteration"`
+	Injections int `json:"injections"`
+	Successes  int `json:"successes"` // successful faults (vulnerability instances)
+	Sites      int `json:"sites"`     // distinct vulnerable instruction addresses
+	Patched    int `json:"patched"`   // sites replaced with hardened patterns this round
+	Residual   int `json:"residual"`  // vulnerable sites that could not be (re)patched
+	Detected   int `json:"detected"`
+	CodeSize   int `json:"code_size"` // .text bytes after this round's patching
 
-	Resimulated int  // injections actually simulated this round
-	CacheHit    bool // the whole campaign was answered from the store
+	Resimulated int  `json:"resimulated,omitempty"` // injections actually simulated this round
+	CacheHit    bool `json:"cache_hit,omitempty"`   // the whole campaign was answered from the store
 }
 
 // PairIterationStats records one order-2 escalation round.
 type PairIterationStats struct {
-	Iteration int
-	Solo      int // order-1 faults in the pruning sweep
-	Pairs     int // pairs simulated
-	Successes int // successful pairs (order-2 vulnerabilities)
-	Escalated int // sites re-patched with order-2 patterns this round
-	Residual  int // pair sites that could not be escalated
-	CodeSize  int // .text bytes after this round's escalation
+	Iteration int `json:"iteration"`
+	Solo      int `json:"solo"`      // order-1 faults in the pruning sweep
+	Pairs     int `json:"pairs"`     // pairs simulated
+	Successes int `json:"successes"` // successful pairs (order-2 vulnerabilities)
+	Escalated int `json:"escalated"` // sites re-patched with order-2 patterns this round
+	Residual  int `json:"residual"`  // pair sites that could not be escalated
+	CodeSize  int `json:"code_size"` // .text bytes after this round's escalation
 
-	Resimulated int // solo injections actually simulated
-	CacheHits   int // store hits across the round's solo + pair stages
+	Resimulated int `json:"resimulated,omitempty"` // solo injections actually simulated
+	CacheHits   int `json:"cache_hits,omitempty"`  // store hits across the round's solo + pair stages
 }
 
 // Result is the outcome of the iterative hardening.
@@ -178,14 +176,15 @@ func (fl *faulter) runOrder2(bin *elf.Binary) (*campaign.Order2Report, campaign.
 	return res.Report, res.Cache, nil
 }
 
+// maxIterations bounds the rinse-and-repeat loop (§IV-B3), and the
+// order-2 escalation loop separately.
+const maxIterations = 10
+
 // Harden runs the simulation-driven iterative hardening of §IV-B: run
 // the faulter, patch every vulnerable site with the matching Table I–III
 // pattern, reassemble, and repeat until no successful faults remain, no
 // further sites are patchable, or the iteration budget is exhausted.
 func Harden(bin *elf.Binary, opt Options) (*Result, error) {
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 10
-	}
 	if opt.Store == nil {
 		st, err := campaign.NewStore("")
 		if err != nil {
@@ -212,7 +211,7 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 
 	fl := &faulter{opt: opt}
 	var rep *fault.Report
-	for iter := 1; iter <= opt.MaxIterations; iter++ {
+	for iter := 1; iter <= maxIterations; iter++ {
 		var cs campaign.CacheStats
 		rep, cs, err = fl.run(cur)
 		if err != nil {
@@ -236,30 +235,14 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 			break
 		}
 
-		EnsureFaulthandler(prog)
-		for _, site := range sites {
-			ref, ok := prog.FindByAddr(site.Addr)
-			if !ok {
-				return nil, fmt.Errorf("patch: vulnerable site %#x not found in program", site.Addr)
-			}
-			inst := &ref.Block.Insts[ref.Index]
-			if inst.Protected {
-				stats.Residual++
-				continue
-			}
-			if err := Apply(prog, ref, opt.Style); err != nil {
-				if errors.Is(err, ErrUnpatchable) {
-					inst.Protected = true // do not retry
-					stats.Residual++
-					continue
-				}
-				return nil, err
-			}
-			stats.Patched++
+		addrs := make([]uint64, len(sites))
+		for i, site := range sites {
+			addrs[i] = site.Addr
 		}
-
-		cur, err = prog.Reassemble()
-		if err != nil {
+		if stats.Patched, stats.Residual, err = patchSites(prog, addrs, opt.Style); err != nil {
+			return nil, err
+		}
+		if cur, err = prog.Reassemble(); err != nil {
 			return nil, err
 		}
 		stats.CodeSize = cur.CodeSize()
@@ -278,7 +261,7 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 	// point, so pair campaigns prune from a binary that is already
 	// clean under solo faults.
 	if opt.Order >= 2 {
-		if cur, err = hardenPairs(prog, cur, opt, res, fl, logf); err != nil {
+		if cur, err = hardenPairs(prog, cur, res, fl, logf); err != nil {
 			return nil, err
 		}
 	}
@@ -302,8 +285,8 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 // order-2-aware StyleOrder2 pattern, reassemble, and repeat until no
 // pair succeeds, nothing is left to escalate, or the iteration budget
 // is exhausted. Returns the (possibly re-patched) current binary.
-func hardenPairs(prog *bir.Program, cur *elf.Binary, opt Options, res *Result, fl *faulter, logf func(string, ...any)) (*elf.Binary, error) {
-	for iter := 1; iter <= opt.MaxIterations; iter++ {
+func hardenPairs(prog *bir.Program, cur *elf.Binary, res *Result, fl *faulter, logf func(string, ...any)) (*elf.Binary, error) {
+	for iter := 1; iter <= maxIterations; iter++ {
 		o2, cs, err := fl.runOrder2(cur)
 		if err != nil {
 			return nil, fmt.Errorf("patch: pair iteration %d: %w", iter, err)
@@ -332,34 +315,13 @@ func hardenPairs(prog *bir.Program, cur *elf.Binary, opt Options, res *Result, f
 			logf("pair iteration %d: %d pairs, no successes — converged", iter, stats.Pairs)
 			return cur, nil
 		}
-		// The order-1 loop only inserts the fault handler when it
-		// patched something; a binary clean under solo faults but
-		// vulnerable to a pair reaches here without one.
-		EnsureFaulthandler(prog)
 		sites := make([]uint64, 0, len(siteSet))
 		for a := range siteSet {
 			sites = append(sites, a)
 		}
 		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-		for _, addr := range sites {
-			ref, ok := prog.FindByAddr(addr)
-			if !ok {
-				return nil, fmt.Errorf("patch: pair site %#x not found in program", addr)
-			}
-			inst := &ref.Block.Insts[ref.Index]
-			if inst.Order2 {
-				stats.Residual++
-				continue
-			}
-			if err := Apply(prog, ref, StyleOrder2); err != nil {
-				if errors.Is(err, ErrUnpatchable) {
-					inst.Order2 = true // do not retry
-					stats.Residual++
-					continue
-				}
-				return nil, err
-			}
-			stats.Escalated++
+		if stats.Escalated, stats.Residual, err = patchSites(prog, sites, StyleOrder2); err != nil {
+			return nil, err
 		}
 		if cur, err = prog.Reassemble(); err != nil {
 			return nil, err
@@ -382,6 +344,42 @@ func hardenPairs(prog *bir.Program, cur *elf.Binary, opt Options, res *Result, f
 	}
 	res.FinalPairs = o2.Pairs
 	return cur, nil
+}
+
+// patchSites is the site-patching step of both driver loops: it
+// inserts the fault handler (a binary clean under solo faults but
+// vulnerable to a pair reaches the pair loop without one), then patches
+// the instruction at each address, in order, with style's pattern. A
+// site that already carries the style's mark (Protected, or Order2 for
+// StyleOrder2) counts as residual, and so does one no pattern fits,
+// which is marked so that no later round retries it.
+func patchSites(prog *bir.Program, addrs []uint64, style Style) (patched, residual int, err error) {
+	EnsureFaulthandler(prog)
+	for _, addr := range addrs {
+		ref, ok := prog.FindByAddr(addr)
+		if !ok {
+			return 0, 0, fmt.Errorf("patch: vulnerable site %#x not found in program", addr)
+		}
+		inst := &ref.Block.Insts[ref.Index]
+		mark := &inst.Protected
+		if style == StyleOrder2 {
+			mark = &inst.Order2
+		}
+		if *mark {
+			residual++
+			continue
+		}
+		if err := Apply(prog, ref, style); err != nil {
+			if !errors.Is(err, ErrUnpatchable) {
+				return 0, 0, err
+			}
+			*mark = true // do not retry
+			residual++
+			continue
+		}
+		patched++
+	}
+	return patched, residual, nil
 }
 
 // Apply replaces the instruction at ref with its hardened pattern.

@@ -17,7 +17,7 @@ type Export struct {
 	OverheadPct      float64 `json:"overhead_pct"`
 	Converged        bool    `json:"converged"`
 
-	Iterations []ExportIteration `json:"iterations"`
+	Iterations []IterationStats `json:"iterations"`
 
 	// Order2 summarizes the escalation stage (absent when the driver
 	// ran with Order < 2).
@@ -30,41 +30,10 @@ type Export struct {
 
 // ExportOrder2 is the order-2 escalation digest.
 type ExportOrder2 struct {
-	Iterations       []ExportPairIteration `json:"pair_iterations"`
-	FinalPairs       int                   `json:"final_pairs"`
-	FinalPairSuccess int                   `json:"final_pair_success"`
-	Converged        bool                  `json:"pair_converged"`
-}
-
-// ExportIteration is one order-1 rinse-and-repeat round. The cache
-// fields report what the round simulated and whether the store
-// answered it instead.
-type ExportIteration struct {
-	Iteration  int `json:"iteration"`
-	Injections int `json:"injections"`
-	Successes  int `json:"successes"`
-	Sites      int `json:"sites"`
-	Patched    int `json:"patched"`
-	Residual   int `json:"residual"`
-	Detected   int `json:"detected"`
-	CodeSize   int `json:"code_size"`
-
-	Resimulated int  `json:"resimulated,omitempty"`
-	CacheHit    bool `json:"cache_hit,omitempty"`
-}
-
-// ExportPairIteration is one order-2 escalation round.
-type ExportPairIteration struct {
-	Iteration int `json:"iteration"`
-	Solo      int `json:"solo"`
-	Pairs     int `json:"pairs"`
-	Successes int `json:"successes"`
-	Escalated int `json:"escalated"`
-	Residual  int `json:"residual"`
-	CodeSize  int `json:"code_size"`
-
-	Resimulated int `json:"resimulated,omitempty"`
-	CacheHits   int `json:"cache_hits,omitempty"`
+	Iterations       []PairIterationStats `json:"pair_iterations"`
+	FinalPairs       int                  `json:"final_pairs"`
+	FinalPairSuccess int                  `json:"final_pair_success"`
+	Converged        bool                 `json:"pair_converged"`
 }
 
 // Export digests the result for machine consumption.
@@ -74,16 +43,11 @@ func (r *Result) Export() Export {
 		HardenedCodeSize: r.Binary.CodeSize(),
 		OverheadPct:      r.Overhead() * 100,
 		Converged:        r.Converged(),
+		Iterations:       r.Iterations,
 		Cache:            r.Cache,
 	}
-	for _, it := range r.Iterations {
-		e.Iterations = append(e.Iterations, ExportIteration(it))
-	}
 	if len(r.PairIterations) > 0 {
-		o2 := &ExportOrder2{FinalPairs: len(r.FinalPairs), Converged: r.PairConverged()}
-		for _, it := range r.PairIterations {
-			o2.Iterations = append(o2.Iterations, ExportPairIteration(it))
-		}
+		o2 := &ExportOrder2{Iterations: r.PairIterations, FinalPairs: len(r.FinalPairs), Converged: r.PairConverged()}
 		for _, p := range r.FinalPairs {
 			if p.Outcome == fault.OutcomeSuccess {
 				o2.FinalPairSuccess++

@@ -5,9 +5,9 @@
 //
 // Beyond the paper, the driver has an order-2 mode (Options.Order = 2):
 // after the single-fault fixed point it simulates fault *pairs* and
-// escalates the sites of successful pairs to the order-2-aware
-// StyleOrder2 patterns (see order2.go), iterating until no pair
-// succeeds.
+// escalates the sites of successful pairs to StyleOrder2 — the same
+// Table I–III builders with two chained verifications — iterating until
+// no pair succeeds.
 package patch
 
 import (
@@ -42,12 +42,37 @@ const (
 	// a call-faulthandler into the happy flow.
 	StylePaper
 
-	// StyleOrder2 chains two independent verifications per site (see
-	// order2.go), so a pair of single-instruction skips cannot remove a
-	// computation together with its check — the multi-fault-resistant
-	// patterns the order-2 driver escalates to.
+	// StyleOrder2 is StyleFallthrough with two chained verifications
+	// per site, each re-deriving the checked state (a second compare, a
+	// flag reload, a re-executed authoritative instruction), so a pair
+	// of single-instruction skips cannot remove a computation together
+	// with its check — the multi-fault-resistant patterns the order-2
+	// driver escalates to (cf. Boespflug et al.). Every instruction of
+	// such a pattern carries the Order2 mark.
 	StyleOrder2
 )
+
+// checks is the number of chained verifications a style's patterns
+// emit per site.
+func (s Style) checks() int {
+	if s == StyleOrder2 {
+		return 2
+	}
+	return 1
+}
+
+// emit returns a pattern's blocks, setting the Order2 mark on every
+// instruction of a StyleOrder2 pattern.
+func emit(style Style, blocks ...*bir.Block) []*bir.Block {
+	if style == StyleOrder2 {
+		for _, b := range blocks {
+			for i := range b.Insts {
+				b.Insts[i].Order2 = true
+			}
+		}
+	}
+	return blocks
+}
 
 // FaulthandlerLabel names the injected fault-response routine.
 const FaulthandlerLabel = "faulthandler"
@@ -132,9 +157,9 @@ func adjustRSP(op isa.Operand, delta int32) (isa.Operand, error) {
 }
 
 // detectJcc builds the detection branch for a pattern: in StylePaper a
-// taken je over a call-faulthandler (Table I shape), in
-// StyleFallthrough a normally-not-taken jne straight to the handler.
-// It returns the instructions to append after the comparison.
+// taken je over a call-faulthandler (Table I shape), otherwise a
+// normally-not-taken jne straight to the handler. It returns the
+// instructions to append after the comparison.
 func detectJcc(style Style, happyLabel string) []bir.Inst {
 	if style == StylePaper {
 		return []bir.Inst{
@@ -157,13 +182,16 @@ func detectJcc(style Style, happyLabel string) []bir.Inst {
 // For movzx/movsx/lea, where a direct cmp of D against S is not
 // expressible, the comparison goes through a scratch register that
 // recomputes the move (push/pop preserves the scratch around it).
+// StyleOrder2 repeats the compare and its check, so skipping the mov
+// plus either check still fails the other: each check's flags come
+// from its own compare.
 func MovPattern(p *bir.Program, site bir.Inst, happyLabel string, style Style) ([]*bir.Block, error) {
 	in := site.I
 	switch in.Op {
 	case isa.MOV:
-		return movPatternDirect(p, site, happyLabel, style)
+		return movPatternDirect(site, happyLabel, style)
 	case isa.MOVZX, isa.MOVSX, isa.LEA:
-		return movPatternScratch(p, site, happyLabel, style)
+		return movPatternScratch(site, happyLabel, style)
 	default:
 		return nil, fmt.Errorf("%w: %s is not a mov-class op", ErrUnpatchable, in.Op)
 	}
@@ -176,7 +204,7 @@ func aliasesDst(in isa.Inst) bool {
 	return in.Dst.Kind == isa.KindReg && in.Src.Kind == isa.KindMem && in.Src.UsesReg(in.Dst.Reg)
 }
 
-func movPatternDirect(p *bir.Program, site bir.Inst, happyLabel string, style Style) ([]*bir.Block, error) {
+func movPatternDirect(site bir.Inst, happyLabel string, style Style) ([]*bir.Block, error) {
 	in := site.I
 	// cmp D, S must be encodable: reject imm64 sources (cmp r64, imm64
 	// does not exist) — the paper's pattern applies to register/memory
@@ -188,66 +216,63 @@ func movPatternDirect(p *bir.Program, site bir.Inst, happyLabel string, style St
 		return nil, fmt.Errorf("%w: destination aliases source address", ErrUnpatchable)
 	}
 	cmp := isa.NewInst(isa.CMP, in.Dst, in.Src)
-	insts := []bir.Inst{
-		{I: in, Protected: true, DataTarget: site.DataTarget, OrigAddr: site.OrigAddr},
-		protData(cmp, site.DataTarget),
+	insts := []bir.Inst{{I: in, Protected: true, DataTarget: site.DataTarget, OrigAddr: site.OrigAddr}}
+	for range style.checks() {
+		insts = append(insts, protData(cmp, site.DataTarget))
+		insts = append(insts, detectJcc(style, happyLabel)...)
 	}
-	insts = append(insts, detectJcc(style, happyLabel)...)
-	return []*bir.Block{{Insts: insts}}, nil
+	return emit(style, &bir.Block{Insts: insts}), nil
 }
 
-// movScratchScaffold validates a scratch-register mov-class site
-// (movzx/movsx/lea) and builds the shared machinery of both the
-// order-1 and order-2 patterns: the chosen scratch register, the
-// recompute-into-scratch instruction (rsp-adjusted for the scratch
-// push), and the width-matched comparison operands.
-func movScratchScaffold(in isa.Inst) (scr isa.Reg, redo isa.Inst, dstFull, scrOp isa.Operand, err error) {
+// movPatternScratch protects movzx/movsx/lea: each check recomputes the
+// move into a scratch register (reading S again) and compares.
+func movPatternScratch(site bir.Inst, happyLabel string, style Style) ([]*bir.Block, error) {
+	in := site.I
 	if in.Dst.Kind != isa.KindReg {
-		return scr, redo, dstFull, scrOp, fmt.Errorf("%w: %s with non-register destination", ErrUnpatchable, in.Op)
+		return nil, fmt.Errorf("%w: %s with non-register destination", ErrUnpatchable, in.Op)
 	}
 	if aliasesDst(in) || (in.Op == isa.LEA && in.Src.UsesReg(in.Dst.Reg)) {
-		return scr, redo, dstFull, scrOp, fmt.Errorf("%w: destination aliases source address", ErrUnpatchable)
+		return nil, fmt.Errorf("%w: destination aliases source address", ErrUnpatchable)
 	}
-	scr, err = pickScratch(in)
+	scr, err := pickScratch(in)
 	if err != nil {
-		return scr, redo, dstFull, scrOp, err
+		return nil, err
 	}
-	// Recompute into scratch (reading S again), compare, restore.
-	redo = in
+	redo := in
 	redo.Dst = isa.R(scr)
 	if in.Op == isa.MOVZX || in.Op == isa.MOVSX {
 		redo.Dst.Width = in.Dst.Width
 		redo.Dst.Reg = scr
 	}
 	// The push moves RSP by -8; adjust any rsp-based source.
-	redoSrc, err := adjustRSP(redo.Src, 8)
-	if err != nil {
-		return scr, redo, dstFull, scrOp, err
-	}
-	redo.Src = redoSrc
-
-	dstFull = isa.R(in.Dst.Reg)
-	dstFull.Width = in.Dst.Width
-	scrOp = isa.R(scr)
-	scrOp.Width = in.Dst.Width
-	return scr, redo, dstFull, scrOp, nil
-}
-
-func movPatternScratch(p *bir.Program, site bir.Inst, happyLabel string, style Style) ([]*bir.Block, error) {
-	in := site.I
-	scr, redo, dstFull, scrOp, err := movScratchScaffold(in)
-	if err != nil {
+	if redo.Src, err = adjustRSP(redo.Src, 8); err != nil {
 		return nil, err
 	}
+	dstFull := isa.R(in.Dst.Reg)
+	dstFull.Width = in.Dst.Width
+	scrOp := isa.R(scr)
+	scrOp.Width = in.Dst.Width
+
+	pop := prot(isa.NewInst(isa.POP, isa.R(scr))) // pop preserves flags
 	insts := []bir.Inst{
 		{I: in, Protected: true, DataTarget: site.DataTarget, OrigAddr: site.OrigAddr},
 		prot(isa.NewInst(isa.PUSH, isa.R(scr))),
-		protData(redo, site.DataTarget),
-		prot(isa.NewInst(isa.CMP, dstFull, scrOp)),
-		prot(isa.NewInst(isa.POP, isa.R(scr))), // pop preserves flags
 	}
-	insts = append(insts, detectJcc(style, happyLabel)...)
-	return []*bir.Block{{Insts: insts}}, nil
+	n := style.checks()
+	for range n {
+		insts = append(insts, protData(redo, site.DataTarget), prot(isa.NewInst(isa.CMP, dstFull, scrOp)))
+		if n == 1 {
+			// A single check restores the scratch before branching, so
+			// StylePaper's je lands in the happy flow with the stack
+			// balanced.
+			insts = append(insts, pop)
+		}
+		insts = append(insts, detectJcc(style, happyLabel)...)
+	}
+	if n > 1 {
+		insts = append(insts, pop)
+	}
+	return emit(style, &bir.Block{Insts: insts}), nil
 }
 
 // CmpPattern builds the Table II protection for cmp/test sites: execute
@@ -268,6 +293,12 @@ func movPatternScratch(p *bir.Program, site bir.Inst, happyLabel string, style S
 //	popfq                  ; restore flags #1 for the real consumer
 //	pop SCR
 //	lea rsp, [rsp+128]
+//
+// The other styles branch to the handler on a mismatch and end with an
+// authoritative compare at the original stack depth. StyleOrder2
+// repeats the compare-and-verify against flags #1 and the authoritative
+// compare, so skipping the popfq together with one final compare still
+// hands the consumer correctly derived flags.
 func CmpPattern(p *bir.Program, site bir.Inst, happyLabel string, style Style) ([]*bir.Block, error) {
 	in := site.I
 	if in.Op != isa.CMP && in.Op != isa.TEST {
@@ -295,54 +326,58 @@ func CmpPattern(p *bir.Program, site bir.Inst, happyLabel string, style Style) (
 	if err != nil {
 		return nil, err
 	}
-	cmp2, err := adjusted(redZone + 16) // after push SCR + pushfq
+	cmpN, err := adjusted(redZone + 16) // after push SCR + pushfq
 	if err != nil {
 		return nil, err
 	}
 
-	head := []bir.Inst{
+	// Flags flow to the fall-through consumer implicitly; StylePaper's
+	// je targets the restore block instead of happyLabel.
+	restoreLabel := ""
+	if style == StylePaper {
+		restoreLabel = p.NewLabel("restore")
+	}
+	insts := []bir.Inst{
 		prot(isa.NewInst(isa.LEA, isa.R(isa.RSP), isa.M(isa.RSP, -redZone))),
 		protData(cmp1, site.DataTarget),
 		prot(isa.NewInst(isa.PUSH, isa.R(scr))),
 		prot(isa.NewInst(isa.PUSHFQ)),
-		protData(cmp2, site.DataTarget),
-		prot(isa.NewInst(isa.PUSHFQ)),
-		prot(isa.NewInst(isa.POP, isa.R(scr))),
-		prot(isa.NewInst(isa.CMP, isa.R(scr), isa.M(isa.RSP, 0))),
 	}
-	restoreInsts := []bir.Inst{
+	for range style.checks() {
+		insts = append(insts,
+			protData(cmpN, site.DataTarget),
+			prot(isa.NewInst(isa.PUSHFQ)),
+			prot(isa.NewInst(isa.POP, isa.R(scr))),
+			prot(isa.NewInst(isa.CMP, isa.R(scr), isa.M(isa.RSP, 0))),
+		)
+		insts = append(insts, detectJcc(style, restoreLabel)...)
+	}
+	restore := []bir.Inst{
 		prot(isa.NewInst(isa.POPFQ)),
 		prot(isa.NewInst(isa.POP, isa.R(scr))),
 		prot(isa.NewInst(isa.LEA, isa.R(isa.RSP), isa.M(isa.RSP, redZone))),
 	}
-	_ = happyLabel // flags flow to the fall-through consumer implicitly
-
 	if style == StylePaper {
-		restoreLabel := p.NewLabel("restore")
-		head = append(head,
-			protBranch(isa.NewJcc(isa.CondE, 0), restoreLabel),
-			callFaulthandler(),
-		)
-		return []*bir.Block{
-			{Insts: head},
-			{Label: restoreLabel, Insts: restoreInsts},
-		}, nil
+		return emit(style, &bir.Block{Insts: insts}, &bir.Block{Label: restoreLabel, Insts: restore}), nil
 	}
-	head = append(head, protBranch(isa.NewJcc(isa.CondNE, 0), FaulthandlerLabel))
-	head = append(head, restoreInsts...)
+	insts = append(insts, restore...)
 	// Authoritative final evaluation at the original stack depth: the
 	// flags the consumer sees never depend on popfq executing, so
 	// skipping the restore cannot smuggle the verify-compare's
 	// "equal" state into the protected branch (it would otherwise be a
 	// fresh instruction-skip vulnerability — found by the faulter when
 	// iterating on this very pattern).
-	head = append(head, protData(in, site.DataTarget))
-	return []*bir.Block{{Insts: head}}, nil
+	for range style.checks() {
+		insts = append(insts, protData(in, site.DataTarget))
+	}
+	return emit(style, &bir.Block{Insts: insts}), nil
 }
 
 // JccPattern builds the Table III protection for conditional jumps:
 // both outcomes of the branch re-verify the condition via SETcc before
 // committing, and each side re-executes the branch as a second check.
+// StyleOrder2 verifies twice per side, reloading the saved original
+// flags between the checks (the first check's compare clobbers them).
 //
 // Two deviations from the table as printed (documented in
 // docs/COUNTERMEASURES.md):
@@ -358,73 +393,81 @@ func JccPattern(p *bir.Program, site bir.Inst, fallLabel string, style Style) ([
 	cond := in.Cond
 	target := site.TargetLabel
 
-	njt := p.NewLabel("newjumptarget")
-	nftj := p.NewLabel("newfallthroughjmp")
-	njtj := p.NewLabel("newjumptargetjmp")
+	// Labels become ELF symbols: the single-check styles draw Table
+	// III's three names before the fall-through side's, StyleOrder2
+	// only the latter.
+	var njt, nftj, njtj string
+	if style.checks() == 1 {
+		njt = p.NewLabel("newjumptarget")
+		nftj = p.NewLabel("newfallthroughjmp")
+		njtj = p.NewLabel("newjumptargetjmp")
+	}
+	nft := p.NewLabel("newfallthrough")
 
 	verify := func(expect int64, okLabel string) []bir.Inst {
 		insts := []bir.Inst{
 			prot(isa.NewInst(isa.LEA, isa.R(isa.RSP), isa.M(isa.RSP, -redZone))),
 			prot(isa.NewInst(isa.PUSH, isa.R(isa.RCX))),
 			prot(isa.NewInst(isa.PUSHFQ)),
-			prot(isa.NewSetcc(cond, isa.RCX)),
-			prot(isa.NewInst(isa.CMP, isa.Rb(isa.RCX), isa.Imm8(expect))),
 		}
-		if style == StylePaper {
-			return append(insts,
-				protBranch(isa.NewJcc(isa.CondE, 0), okLabel),
-				callFaulthandler(),
+		for k := range style.checks() {
+			if k > 0 { // reload the original flags
+				insts = append(insts, prot(isa.NewInst(isa.POPFQ)), prot(isa.NewInst(isa.PUSHFQ)))
+			}
+			insts = append(insts,
+				prot(isa.NewSetcc(cond, isa.RCX)),
+				prot(isa.NewInst(isa.CMP, isa.Rb(isa.RCX), isa.Imm8(expect))),
 			)
+			insts = append(insts, detectJcc(style, okLabel)...)
 		}
-		return append(insts, protBranch(isa.NewJcc(isa.CondNE, 0), FaulthandlerLabel))
+		return insts
 	}
-	unwind := []bir.Inst{
-		prot(isa.NewInst(isa.POPFQ)),
-		prot(isa.NewInst(isa.POP, isa.R(isa.RCX))),
-		prot(isa.NewInst(isa.LEA, isa.R(isa.RSP), isa.M(isa.RSP, redZone))),
+	unwind := func(tail ...bir.Inst) []bir.Inst {
+		return append([]bir.Inst{
+			prot(isa.NewInst(isa.POPFQ)),
+			prot(isa.NewInst(isa.POP, isa.R(isa.RCX))),
+			prot(isa.NewInst(isa.LEA, isa.R(isa.RSP), isa.M(isa.RSP, redZone))),
+		}, tail...)
 	}
 
-	var blocks []*bir.Block
 	if style == StylePaper {
 		head := &bir.Block{Insts: []bir.Inst{
 			protBranch(isa.NewJcc(cond, 0), njt),
 		}}
-		// Fall-through side: cond evaluated false.
-		ftCheck := &bir.Block{Insts: verify(0, nftj)}
-		ftCommit := &bir.Block{Label: nftj, Insts: append(append([]bir.Inst{}, unwind...),
+		// Fall-through side: cond evaluated false. Every block becomes
+		// an ELF symbol, so this one needs a label of its own even
+		// though nothing branches to it: two unnamed ones collide.
+		ftCheck := &bir.Block{Label: nft, Insts: verify(0, nftj)}
+		ftCommit := &bir.Block{Label: nftj, Insts: unwind(
 			protBranch(isa.NewJcc(cond.Inverse(), 0), fallLabel),
 			callFaulthandler(),
 		)}
 		// Jump-target side: cond evaluated true.
 		jtCheck := &bir.Block{Label: njt, Insts: verify(1, njtj)}
-		jtCommit := &bir.Block{Label: njtj, Insts: append(append([]bir.Inst{}, unwind...),
+		jtCommit := &bir.Block{Label: njtj, Insts: unwind(
 			protBranch(isa.NewJcc(cond, 0), target),
 			callFaulthandler(),
 		)}
-		blocks = []*bir.Block{head, ftCheck, ftCommit, jtCheck, jtCommit}
-	} else {
-		// Inverted head: the not-taken direction of the head branch is
-		// the taken direction of the original jump, so the verified
-		// jump-target side falls through from the head. Every
-		// detection branch targets the fault handler and is not taken
-		// in a correct run; the only live displacement left is the
-		// re-executed original branch.
-		nft := p.NewLabel("newfallthrough")
-		jtSide := &bir.Block{Insts: append([]bir.Inst{
-			protBranch(isa.NewJcc(cond.Inverse(), 0), nft),
-		}, append(verify(1, njtj), append(append([]bir.Inst{}, unwind...),
-			protBranch(isa.NewJcc(cond, 0), target),
-			callFaulthandler(),
-		)...)...)}
-		// Fall-through side: verify cond false, re-check, and fall
-		// through into the original successor (the driver places the
-		// continuation directly after this block).
-		ftSide := &bir.Block{Label: nft, Insts: append(verify(0, nftj), append(append([]bir.Inst{}, unwind...),
-			protBranch(isa.NewJcc(cond, 0), FaulthandlerLabel),
-		)...)}
-		blocks = []*bir.Block{jtSide, ftSide}
+		return emit(style, head, ftCheck, ftCommit, jtCheck, jtCommit), nil
 	}
-	return blocks, nil
+	// Inverted head: the not-taken direction of the head branch is the
+	// taken direction of the original jump, so the verified jump-target
+	// side falls through from the head. Every detection branch targets
+	// the fault handler and is not taken in a correct run; the only
+	// live displacement left is the re-executed original branch.
+	jtSide := &bir.Block{Insts: append(append([]bir.Inst{
+		protBranch(isa.NewJcc(cond.Inverse(), 0), nft),
+	}, verify(1, njtj)...), unwind(
+		protBranch(isa.NewJcc(cond, 0), target),
+		callFaulthandler(),
+	)...)}
+	// Fall-through side: verify cond false, re-check, and fall through
+	// into the original successor (the driver places the continuation
+	// directly after this block).
+	ftSide := &bir.Block{Label: nft, Insts: append(verify(0, nftj), unwind(
+		protBranch(isa.NewJcc(cond, 0), FaulthandlerLabel),
+	)...)}
+	return emit(style, jtSide, ftSide), nil
 }
 
 // AluPattern duplicates a destructive ALU instruction (the general
@@ -441,108 +484,80 @@ func JccPattern(p *bir.Program, site bir.Inst, fallLabel string, style Style) ([
 //	mov  SCR, D
 //	op   SCR, S            ; recomputed result
 //	cmp  SCR, [rsp]
-//	jne  faulthandler      ; (je over call faulthandler in StylePaper)
+//	jne  faulthandler      ; (je over call faulthandler in StylePaper;
+//	                       ;  StyleOrder2 repeats the cmp and jne)
 //	lea  rsp, [rsp+8]
 //	pop  SCR
 //	op   D, S              ; authoritative update: value and flags
 //
 // Carry-consuming ops (adc/sbb) are rejected — the verification compare
-// would corrupt their input flag.
+// would corrupt their input flag — and so are narrow destinations,
+// which would need masked comparisons.
 func AluPattern(p *bir.Program, site bir.Inst, happyLabel string, style Style) ([]*bir.Block, error) {
 	in := site.I
-	scr, mov1, op1, mov2, op2, err := aluScaffold(in)
-	if err != nil {
-		return nil, err
-	}
-
-	insts := []bir.Inst{
-		prot(isa.NewInst(isa.PUSH, isa.R(scr))),
-		protData(mov1, site.DataTarget),
-		protData(op1, site.DataTarget),
-		prot(isa.NewInst(isa.PUSH, isa.R(scr))),
-		protData(mov2, site.DataTarget),
-		protData(op2, site.DataTarget),
-		prot(isa.NewInst(isa.CMP, isa.R(scr), isa.M(isa.RSP, 0))),
-	}
-	var blocks []*bir.Block
-	tail := []bir.Inst{
-		prot(isa.NewInst(isa.LEA, isa.R(isa.RSP), isa.M(isa.RSP, 8))),
-		prot(isa.NewInst(isa.POP, isa.R(scr))),
-		{I: in, Protected: true, DataTarget: site.DataTarget, OrigAddr: site.OrigAddr},
-	}
-	if style == StylePaper {
-		okLabel := p.NewLabel("alu_ok")
-		insts = append(insts,
-			protBranch(isa.NewJcc(isa.CondE, 0), okLabel),
-			callFaulthandler(),
-		)
-		blocks = []*bir.Block{
-			{Insts: insts},
-			{Label: okLabel, Insts: tail},
-		}
-	} else {
-		insts = append(insts, protBranch(isa.NewJcc(isa.CondNE, 0), FaulthandlerLabel))
-		insts = append(insts, tail...)
-		blocks = []*bir.Block{{Insts: insts}}
-	}
-	_ = happyLabel
-	return blocks, nil
-}
-
-// aluScaffold validates an ALU site and builds the shared machinery of
-// both the order-1 and order-2 duplication patterns: the scratch
-// register and the two compute-into-scratch instruction pairs, with
-// rsp-relative displacements shifted for the one and two pushes that
-// precede them. Carry-consuming ops and narrow destinations (which
-// would need masked comparisons) are rejected.
-func aluScaffold(in isa.Inst) (scr isa.Reg, mov1, op1, mov2, op2 isa.Inst, err error) {
 	switch in.Op {
 	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
 		isa.INC, isa.DEC, isa.NOT, isa.NEG,
 		isa.SHL, isa.SHR, isa.SAR, isa.IMUL:
 		// supported
 	default:
-		return scr, mov1, op1, mov2, op2, fmt.Errorf("%w: %s is not a duplicable ALU op", ErrUnpatchable, in.Op)
+		return nil, fmt.Errorf("%w: %s is not a duplicable ALU op", ErrUnpatchable, in.Op)
 	}
 	if in.Dst.Kind == isa.KindReg && in.Dst.Width != 8 || in.Dst.Kind == isa.KindMem && in.Dst.Width != 8 {
-		// Narrow destinations would need masked comparisons; keep the
-		// pattern to the 64-bit common case.
-		return scr, mov1, op1, mov2, op2, fmt.Errorf("%w: %d-byte ALU destination", ErrUnpatchable, in.Dst.Width)
+		return nil, fmt.Errorf("%w: %d-byte ALU destination", ErrUnpatchable, in.Dst.Width)
 	}
-	scr, err = pickScratch(in)
+	scr, err := pickScratch(in)
 	if err != nil {
-		return scr, mov1, op1, mov2, op2, err
+		return nil, err
 	}
 
-	// Rebuild the op with D replaced by the scratch register and
-	// rsp-relative displacements shifted by delta.
-	redo := func(delta int32) (mov, op isa.Inst, err error) {
+	// compute rebuilds the op with D replaced by the scratch register
+	// and rsp-relative displacements shifted by delta.
+	compute := func(delta int32) ([]bir.Inst, error) {
 		d, err := adjustRSP(in.Dst, delta)
 		if err != nil {
-			return mov, op, err
+			return nil, err
 		}
 		s, err := adjustRSP(in.Src, delta)
 		if err != nil {
-			return mov, op, err
+			return nil, err
 		}
-		mov = isa.NewInst(isa.MOV, isa.R(scr), d)
-		op = in
-		op.Dst = isa.R(scr)
-		op.Src = s
-		return mov, op, nil
+		op := in
+		op.Dst, op.Src = isa.R(scr), s
+		return []bir.Inst{protData(isa.NewInst(isa.MOV, isa.R(scr), d), site.DataTarget), protData(op, site.DataTarget)}, nil
 	}
-	if mov1, op1, err = redo(8); err != nil {
-		return scr, mov1, op1, mov2, op2, err
+	expected, err := compute(8) // after one push
+	if err != nil {
+		return nil, err
 	}
-	mov2, op2, err = redo(16)
-	return scr, mov1, op1, mov2, op2, err
+	recomputed, err := compute(16) // after two
+	if err != nil {
+		return nil, err
+	}
+	push := prot(isa.NewInst(isa.PUSH, isa.R(scr)))
+	insts := append(append(append([]bir.Inst{push}, expected...), push), recomputed...)
+	okLabel := ""
+	if style == StylePaper {
+		okLabel = p.NewLabel("alu_ok")
+	}
+	for range style.checks() {
+		insts = append(insts, prot(isa.NewInst(isa.CMP, isa.R(scr), isa.M(isa.RSP, 0))))
+		insts = append(insts, detectJcc(style, okLabel)...)
+	}
+	tail := []bir.Inst{
+		prot(isa.NewInst(isa.LEA, isa.R(isa.RSP), isa.M(isa.RSP, 8))),
+		prot(isa.NewInst(isa.POP, isa.R(scr))),
+		{I: in, Protected: true, DataTarget: site.DataTarget, OrigAddr: site.OrigAddr},
+	}
+	_ = happyLabel // flags and result flow to the fall-through consumer
+	if style == StylePaper {
+		return emit(style, &bir.Block{Insts: insts}, &bir.Block{Label: okLabel, Insts: tail}), nil
+	}
+	return emit(style, &bir.Block{Insts: append(insts, tail...)}), nil
 }
 
 // PatternFor dispatches on the site's op class.
 func PatternFor(p *bir.Program, site bir.Inst, followLabel string, style Style) ([]*bir.Block, error) {
-	if style == StyleOrder2 {
-		return order2PatternFor(p, site, followLabel)
-	}
 	switch site.I.Op {
 	case isa.MOV, isa.MOVZX, isa.MOVSX, isa.LEA:
 		return MovPattern(p, site, followLabel, style)

@@ -15,8 +15,8 @@ import (
 
 // IRConfig parameterizes VerifyIR with the hardening pass's cell names
 // and window width. The zero value uses the toolchain defaults
-// (sw.ok / sw.ctr, window 4); callers that configure the pass
-// differently must pass the same parameters here.
+// (sw.ok / sw.ctr, window 4), which are what passes.SkipWindowHarden
+// builds.
 type IRConfig struct {
 	// OkCell is the cell the first validation stage parks its combined
 	// agreement-and-count bit in (passes.CellSWOk).
